@@ -193,7 +193,8 @@ def _power_sum_x(n: int, Q: int) -> XPoly:
 
     Independent degrees give Q*x_Q directly; degree zero counts the
     variables; higher degrees fall back on the Newton recursion with the
-    elementary polynomials of :func:`elementary_symmetric_x`.
+    elementary polynomials of :func:`elementary_symmetric_x`, filling the
+    cache upward from the lowest missing degree so that no call recurses.
     """
     nvars = n - 1
     if Q == 0:
@@ -203,12 +204,19 @@ def _power_sum_x(n: int, Q: int) -> XPoly:
     cached = _psum_cache.get((n, Q))
     if cached is not None:
         return cached
-    acc = XPoly.zero(nvars)
-    for i in range(1, n + 1):
-        term = elementary_symmetric_x(n, i) * _power_sum_x(n, Q - i)
-        acc = acc + term if i % 2 == 1 else acc - term
-    _psum_cache[(n, Q)] = acc
-    return acc
+    start = Q
+    while start > n and (n, start - 1) not in _psum_cache:
+        start -= 1
+    for d in range(start, Q + 1):
+        acc = XPoly.zero(nvars)
+        for i in range(1, n + 1):
+            lower = d - i
+            term = elementary_symmetric_x(n, i) * (
+                _psum_cache[(n, lower)] if lower >= n else _power_sum_x(n, lower)
+            )
+            acc = acc + term if i % 2 == 1 else acc - term
+        _psum_cache[(n, d)] = acc
+    return _psum_cache[(n, Q)]
 
 
 def degenerate_x(Q: int, ctx: AlgebraContext) -> XPoly:

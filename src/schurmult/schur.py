@@ -48,31 +48,38 @@ def elementary_schur(Q: int, ctx: SchurContext) -> XPoly:
     """Elementary Schur function of degree Q over x1..x(N-1).
 
     Degree 0 is 1 and negative degrees are 0.  Degrees at or above N are
-    degenerated via the complete-homogeneous recursion.
+    degenerated via the complete-homogeneous recursion.  The cache is
+    filled upward from the lowest missing degree, so every degree from 0
+    to Q ends up cached and no call recurses.
     """
     nvars = ctx.N - 1
     if Q < 0:
         return XPoly.zero(nvars)
-    cached = ctx._elementary.get(Q)
+    cache = ctx._elementary
+    cached = cache.get(Q)
     if cached is not None:
         return cached
-    if Q == 0:
-        result = XPoly.one(nvars)
-    elif Q < ctx.N:
-        acc = XPoly.zero(nvars)
-        for i in range(1, Q + 1):
-            exps = [0] * nvars
-            exps[i - 1] = 1
-            acc = acc + XPoly.monomial(nvars, exps, i) * elementary_schur(Q - i, ctx)
-        result = acc * Fraction(1, Q)
-    else:
-        acc = XPoly.zero(nvars)
-        for k in range(1, ctx.N + 1):
-            term = elementary_symmetric_x(ctx.N, k) * elementary_schur(Q - k, ctx)
-            acc = acc + term if k % 2 == 1 else acc - term
-        result = acc
-    ctx._elementary[Q] = result
-    return result
+    start = Q
+    while start > 0 and start - 1 not in cache:
+        start -= 1
+    for d in range(start, Q + 1):
+        if d == 0:
+            result = XPoly.one(nvars)
+        elif d < ctx.N:
+            acc = XPoly.zero(nvars)
+            for i in range(1, d + 1):
+                exps = [0] * nvars
+                exps[i - 1] = 1
+                acc = acc + XPoly.monomial(nvars, exps, i) * cache[d - i]
+            result = acc * Fraction(1, d)
+        else:
+            acc = XPoly.zero(nvars)
+            for k in range(1, ctx.N + 1):
+                term = elementary_symmetric_x(ctx.N, k) * cache[d - k]
+                acc = acc + term if k % 2 == 1 else acc - term
+            result = acc
+        cache[d] = result
+    return cache[Q]
 
 
 def star_schur(Q: int, ctx: SchurContext) -> XPoly:

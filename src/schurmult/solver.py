@@ -10,8 +10,10 @@ degeneration machinery and fails loudly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .lattice import (
@@ -55,31 +57,148 @@ class MultiplicityTable:
         return len(self.entries)
 
 
+# Height-class systems kept at once; each holds O(class size ** 2) integers,
+# so the bound caps the memory a long-lived process spends on them.
+SYSTEM_CACHE_SIZE = 16
+
+
+class HeightClassSystem:
+    """Orbit-character system of one height class, factored once.
+
+    The unknowns are the orbit multiplicities of ``members``; there is one
+    row per monomial of the column support, in descending graded-lex
+    order, scaled by the lcm of its denominators to integers.
+    Construction runs fraction-free elimination with pivot columns visited
+    largest-support first, and keeps the eliminated rows plus every step's
+    ``(pivot row, pivot, prev, factors)``; :meth:`solve` replays those
+    steps on a right-hand side.  The object is never mutated after
+    construction, so one instance is shared by every solve of the class,
+    across threads too.
+
+    Raises :class:`SolverError` when a pivot is missing (non-unique
+    solution).
+    """
+
+    def __init__(self, members: Sequence[DominantWeight], columns: Sequence[XPoly]):
+        self.members = tuple(members)
+        n = len(columns)
+        support: set[tuple[int, ...]] = set()
+        for col in columns:
+            support.update(col.terms)
+        monomials = sorted(support, key=_grlex_key, reverse=True)
+        self.row_of = {mono: i for i, mono in enumerate(monomials)}
+        scales = []
+        rows: list[list[int]] = []
+        for mono in monomials:
+            vals = [col.terms.get(mono, Fraction(0)) for col in columns]
+            scale = lcm(*(v.denominator for v in vals))
+            scales.append(scale)
+            rows.append([int(v * scale) for v in vals])
+        self.scales = tuple(scales)
+
+        self.order = tuple(sorted(range(n), key=lambda c: (-len(columns[c].terms), c)))
+        steps = []
+        prev = 1
+        for step, col in enumerate(self.order):
+            pivot_row = next((i for i in range(step, len(rows)) if rows[i][col]), None)
+            if pivot_row is None:
+                raise SolverError(f"no pivot for unknown {col}: system is singular")
+            rows[step], rows[pivot_row] = rows[pivot_row], rows[step]
+            pivot = rows[step][col]
+            factors = []
+            for i in range(step + 1, len(rows)):
+                # a row with a zero coefficient part stays zero; solve only
+                # checks its right-hand side entry at the end
+                if not any(rows[i]):
+                    continue
+                factor = rows[i][col]
+                factors.append((i, factor))
+                new_row = []
+                for j in range(n):
+                    value, rem = divmod(pivot * rows[i][j] - factor * rows[step][j], prev)
+                    if rem:
+                        raise SolverError("fraction-free elimination lost exactness")
+                    new_row.append(value)
+                rows[i] = new_row
+            steps.append((pivot_row, pivot, prev, tuple(factors)))
+            prev = pivot
+        self.steps = tuple(steps)
+        self.rows = tuple(tuple(row) for row in rows[:n])
+
+    def solve(self, rhs: XPoly) -> list[Fraction]:
+        """Unique exact solution for the right-hand side ``rhs``.
+
+        Raises :class:`SolverError` when ``rhs`` is outside the column span
+        (inconsistent system).
+        """
+        vector = [Fraction(0)] * len(self.scales)
+        for mono, coeff in rhs.terms.items():
+            i = self.row_of.get(mono)
+            if i is None:
+                raise SolverError(
+                    f"system is inconsistent: rhs monomial {mono} lies outside the column support"
+                )
+            vector[i] = coeff * self.scales[i]
+        # a common denominator keeps the augmented column integral, so the
+        # exactness checks of the elimination hold for it as well
+        denom = lcm(*(v.denominator for v in vector))
+        b = [int(v * denom) for v in vector]
+
+        for step, (pivot_row, pivot, prev, factors) in enumerate(self.steps):
+            b[step], b[pivot_row] = b[pivot_row], b[step]
+            top = b[step]
+            for i, factor in factors:
+                value, rem = divmod(pivot * b[i] - factor * top, prev)
+                if rem:
+                    raise SolverError("fraction-free elimination lost exactness")
+                b[i] = value
+
+        n = len(self.order)
+        if any(b[n:]):
+            raise SolverError("system is inconsistent: residual equation is nonzero")
+
+        # the last pivot is the determinant of the eliminated square system,
+        # so by Cramer's rule it times each unknown is an integer
+        det = self.steps[-1][1]
+        scaled = [0] * n
+        for step in reversed(range(n)):
+            col = self.order[step]
+            row = self.rows[step]
+            acc = det * b[step] - sum(row[c] * scaled[c] for c in self.order[step + 1 :])
+            scaled[col], rem = divmod(acc, row[col])
+            if rem:
+                raise SolverError("fraction-free back-substitution lost exactness")
+        return [Fraction(value, det * denom) for value in scaled]
+
+
+@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def height_class_system(N: int, Q: int) -> HeightClassSystem:
+    """The factored system of the height-``Q`` class of the rank-``N`` algebra."""
+    ctx = AlgebraContext(N)
+    members = sub_Q_lambda1(Q, ctx)
+    return HeightClassSystem(members, [orbit_char_x(m.to_partition(), ctx) for m in members])
+
+
 def solve_multiplicities(w: DominantWeight) -> MultiplicityTable:
     """Solve the x-monomial linear system for all orbit multiplicities.
 
-    Asserts that the solution is unique, integral, and nonnegative, and
-    that the highest weight itself carries multiplicity one.
+    The system of the height class is built and factored once per (N, Q)
+    and shared by every highest weight of the class.  Asserts that the
+    solution is unique, integral, and nonnegative, and that the highest
+    weight itself carries multiplicity one.
     """
     ctx = w.context
     q = height(w)
     if q == 0:
         return MultiplicityTable(w, ((w, 1),), 1)
 
-    members = sub_Q_lambda1(q, ctx)
-    columns = [orbit_char_x(m.to_partition(), ctx) for m in members]
+    system = height_class_system(ctx.N, q)
     rhs = generalized_schur(w.to_partition(), schur_context(ctx.N))
-
-    support: set[tuple[int, ...]] = set(rhs.terms)
-    for col in columns:
-        support.update(col.terms)
-    monomials = sorted(support, key=_grlex_key, reverse=True)
-
-    solution = _solve_exact(columns, rhs, monomials)
+    solution = system.solve(rhs)
 
     entries = []
     dim = 0
-    for member, value in zip(members, solution):
+    for member, value in zip(system.members, solution):
         if value.denominator != 1 or value < 0:
             raise SolverError(
                 f"multiplicity of {member} solved to {value}; expected a nonnegative integer"
@@ -91,66 +210,6 @@ def solve_multiplicities(w: DominantWeight) -> MultiplicityTable:
     if table.multiplicity(w) != 1:
         raise SolverError(f"highest weight {w} solved to multiplicity {table.multiplicity(w)}")
     return table
-
-
-def _solve_exact(
-    columns: list[XPoly],
-    rhs: XPoly,
-    monomials: list[tuple[int, ...]],
-) -> list[Fraction]:
-    """Unique exact solution of the (possibly overdetermined) system.
-
-    Fraction-free elimination on the integer-scaled rows; pivot columns
-    are visited largest-support first for reproducibility.  Raises
-    :class:`SolverError` when a pivot is missing (non-unique solution) or
-    a residual row is nonzero (inconsistent system).
-    """
-    n_unknowns = len(columns)
-    rows: list[list[int]] = []
-    for mono in monomials:
-        vals = [col.terms.get(mono, Fraction(0)) for col in columns]
-        vals.append(rhs.terms.get(mono, Fraction(0)))
-        scale = lcm(*(v.denominator for v in vals)) if vals else 1
-        rows.append([int(v * scale) for v in vals])
-
-    order = sorted(range(n_unknowns), key=lambda c: (-len(columns[c].terms), c))
-
-    prev = 1
-    for step, col in enumerate(order):
-        pivot_row = next(
-            (i for i in range(step, len(rows)) if rows[i][col]), None
-        )
-        if pivot_row is None:
-            raise SolverError(f"no pivot for unknown {col}: system is singular")
-        rows[step], rows[pivot_row] = rows[pivot_row], rows[step]
-        pivot = rows[step][col]
-        for i in range(step + 1, len(rows)):
-            if not any(rows[i]):
-                continue
-            factor = rows[i][col]
-            new_row = []
-            for j in range(n_unknowns + 1):
-                value, rem = divmod(pivot * rows[i][j] - factor * rows[step][j], prev)
-                if rem:
-                    raise SolverError("fraction-free elimination lost exactness")
-                new_row.append(value)
-            rows[i] = new_row
-        prev = pivot
-
-    for i in range(n_unknowns, len(rows)):
-        if any(rows[i]):
-            raise SolverError("system is inconsistent: residual equation is nonzero")
-
-    solution: list[Fraction | None] = [None] * n_unknowns
-    for step in reversed(range(n_unknowns)):
-        col = order[step]
-        row = rows[step]
-        acc = Fraction(row[-1])
-        for later in range(step + 1, n_unknowns):
-            c = order[later]
-            acc -= row[c] * solution[c]
-        solution[col] = acc / row[col]
-    return solution  # type: ignore[return-value]
 
 
 def dimension(w: DominantWeight) -> int:

@@ -1,11 +1,14 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
 
 import pytest
 
+from schurmult import orbitchar
 from schurmult.lattice import AlgebraContext, Partition, partitions_of
+from schurmult.orbitchar import degenerate_x
 from schurmult.schur import (
     SchurContext,
     elementary_schur,
@@ -458,3 +461,29 @@ def test_context_caching_and_reuse():
     ctx = SchurContext(3)
     first = elementary_schur(4, ctx)
     assert elementary_schur(4, ctx) is first
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_high_degrees_do_not_recurse(monkeypatch):
+    monkeypatch.setattr(orbitchar, "_psum_cache", {})
+    ctx = SchurContext(2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        elementary_schur(300, ctx)
+        x300 = degenerate_x(300, AlgebraContext(2))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(ctx._elementary) == list(range(301))
+    assert sorted(orbitchar._psum_cache) == [(2, d) for d in range(2, 301)]
+    assert x300.nvars == 1 and x300.terms
+    # filling upward from a partly cached prefix gives the same values
+    partial = SchurContext(2)
+    elementary_schur(40, partial)
+    assert elementary_schur(120, partial) == ctx._elementary[120]

@@ -1,3 +1,7 @@
+import copy
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -6,19 +10,23 @@ from schurmult.lattice import (
     AlgebraContext,
     DominantWeight,
     Partition,
+    Weight,
     orbit_size,
     partition_to_dominant,
     partitions_of,
     sub_Q_lambda1,
 )
+from schurmult.oracle import freudenthal, inflated_exponents
 from schurmult.orbitchar import orbit_char_x
 from schurmult.polyengine import XPoly
 from schurmult.schur import generalized_schur, schur_context
 from schurmult.solver import (
+    SYSTEM_CACHE_SIZE,
+    HeightClassSystem,
     MultiplicityTable,
     SolverError,
-    _solve_exact,
     dimension,
+    height_class_system,
     solve_multiplicities,
 )
 
@@ -130,32 +138,135 @@ def _cols(*column_dicts):
     return [XPoly(1, {(k,): Fraction(v) for k, v in d.items()}) for d in column_dicts]
 
 
+def _system(columns):
+    return HeightClassSystem(range(len(columns)), columns)
+
+
+def _solve(columns, rhs):
+    return _system(columns).solve(rhs)
+
+
 def test_solve_exact_unique_system():
     # rows are coefficients of 1 and x: x + 2 = col0 * (x + 1) + col1 * 1
     columns = _cols({0: 1, 1: 1}, {0: 1})
     rhs = XPoly(1, {(0,): Fraction(2), (1,): Fraction(1)})
-    monomials = [(1,), (0,)]
-    assert _solve_exact(columns, rhs, monomials) == [Fraction(1), Fraction(1)]
+    assert _solve(columns, rhs) == [Fraction(1), Fraction(1)]
 
 
 def test_solve_exact_detects_inconsistency():
     columns = _cols({0: 1, 1: 1})
     rhs = XPoly(1, {(0,): Fraction(1), (1,): Fraction(2)})
-    with pytest.raises(SolverError):
-        _solve_exact(columns, rhs, [(1,), (0,)])
+    with pytest.raises(SolverError, match="inconsistent"):
+        _solve(columns, rhs)
 
 
 def test_solve_exact_detects_singularity():
     columns = _cols({0: 1}, {0: 2})
     rhs = XPoly(1, {(0,): Fraction(3)})
-    with pytest.raises(SolverError):
-        _solve_exact(columns, rhs, [(0,)])
+    with pytest.raises(SolverError, match="singular"):
+        _solve(columns, rhs)
 
 
 def test_solve_exact_fractional_solution_rejected_downstream():
     columns = _cols({0: 2})
     rhs = XPoly(1, {(0,): Fraction(1)})
-    assert _solve_exact(columns, rhs, [(0,)]) == [Fraction(1, 2)]
+    assert _solve(columns, rhs) == [Fraction(1, 2)]
+
+
+def test_solve_rejects_rhs_monomial_outside_column_support():
+    columns = _cols({0: 1})
+    rhs = XPoly(1, {(1,): Fraction(1)})
+    with pytest.raises(SolverError, match="inconsistent"):
+        _solve(columns, rhs)
+
+
+def test_solve_fractional_rhs_takes_common_denominator():
+    # 3/4 x + 5/6 = col0 * (x/2 + 1/3) + col1 * 1 gives col0 = 3/2, col1 = 1/3
+    columns = _cols({0: Fraction(1, 3), 1: Fraction(1, 2)}, {0: 1})
+    rhs = XPoly(1, {(0,): Fraction(5, 6), (1,): Fraction(3, 4)})
+    system = _system(columns)
+    assert system.solve(rhs) == [Fraction(3, 2), Fraction(1, 3)]
+    # the shared system serves the next right-hand side unchanged
+    assert system.solve(rhs * 2) == [Fraction(3), Fraction(2, 3)]
+
+
+# -- shared height-class systems -------------------------------------------------
+
+
+def _highest_weights(n, q):
+    ctx = AlgebraContext(n)
+    return [partition_to_dominant(Partition(parts), ctx) for parts in partitions_of(q, n - 1)]
+
+
+def _assert_matches_oracles(table, q):
+    target = table.highest_weight
+    fm = freudenthal(target)
+    for member, mult in table:
+        assert fm.get(Weight(inflated_exponents(member, q), target.context), 0) == mult
+    assert table.dimension == dimension(target) == sum(fm.values())
+
+
+def test_whole_class_solves_share_one_system():
+    classes = [(6, 7), (5, 6)]
+    targets = [(w, q) for n, q in classes for w in _highest_weights(n, q)]
+    random.Random(7).shuffle(targets)
+    height_class_system.cache_clear()
+    cold = {}
+    for w, q in targets:
+        cold[w] = solve_multiplicities(w)
+        _assert_matches_oracles(cold[w], q)
+    assert height_class_system.cache_info().misses == len(classes)
+    for w, q in reversed(targets):
+        assert solve_multiplicities(w) == cold[w]
+    info = height_class_system.cache_info()
+    assert info.misses == len(classes)
+    assert info.hits == 2 * len(targets) - len(classes)
+
+
+def test_concurrent_solves_share_one_system():
+    targets = _highest_weights(6, 7)
+    height_class_system.cache_clear()
+    serial = {w: solve_multiplicities(w) for w in targets}
+    built = copy.deepcopy(vars(height_class_system(6, 7)))
+    height_class_system.cache_clear()
+
+    results = [{} for _ in range(4)]
+    errors = []
+
+    def work(out, seed):
+        order = list(targets)
+        random.Random(seed).shuffle(order)
+        try:
+            for w in order:
+                out[w] = solve_multiplicities(w)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(out, seed)) for seed, out in enumerate(results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(out == serial for out in results)
+    assert vars(height_class_system(6, 7)) == built
+
+
+def test_system_cache_is_bounded():
+    classes = [(n, q) for n in (2, 3, 4) for q in range(1, 7)]
+    assert len(classes) > SYSTEM_CACHE_SIZE
+    height_class_system.cache_clear()
+    for n, q in classes:
+        solve_multiplicities(partition_to_dominant(Partition((q,)), AlgebraContext(n)))
+    info = height_class_system.cache_info()
+    assert info.misses == len(classes)
+    assert info.currsize <= SYSTEM_CACHE_SIZE
 
 
 def test_table_is_immutable_value():
