@@ -29,17 +29,14 @@ from .polyengine import (
     InexactDivisionError,
     UPoly,
     XPoly,
-    poly_add,
     poly_det,
     poly_divide_exact,
-    poly_mul,
 )
 from .schur import SchurContext, elementary_schur, generalized_schur, schur_context, star_schur
 from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
 from .weyl import (
     FactorizationReport,
     alternant_matrix,
-    alternant_sum,
     verify_factorization,
     weyl_character_u,
 )
@@ -58,7 +55,6 @@ __all__ = [
     "Weight",
     "XPoly",
     "alternant_matrix",
-    "alternant_sum",
     "degenerate_x",
     "dimension",
     "elementary_schur",
@@ -70,10 +66,8 @@ __all__ = [
     "orbit_size",
     "orbit_weights",
     "partition_to_dominant",
-    "poly_add",
     "poly_det",
     "poly_divide_exact",
-    "poly_mul",
     "reduce_to_generators",
     "schur_context",
     "solve_multiplicities",

@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from math import factorial
 
 from .lattice import (
     AlgebraContext,
@@ -37,7 +38,7 @@ from .oracle import freudenthal, inflated_exponents, kostka_multiplicity
 from .polyengine import InexactDivisionError
 from .schur import generalized_schur, schur_context
 from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
-from .weyl import weyl_character_u
+from .weyl import ALTERNANT_MAX_ROWS, weyl_character_u
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,18 +102,22 @@ def _partition_arg(q: Query, ctx: AlgebraContext) -> Partition:
     return p
 
 
+def _check_alternant_rank(n: int) -> None:
+    if n > ALTERNANT_MAX_ROWS:
+        raise UsageError(
+            f"rank {n} needs an alternant of {n}! = {factorial(n)} terms; "
+            f"at most {ALTERNANT_MAX_ROWS} rows are supported"
+        )
+
+
 def _height_partition(member: DominantWeight, total: int) -> list[int]:
     return [v for v in inflated_exponents(member, total) if v > 0]
-
-
-def _format_fraction(value) -> str:
-    return str(value)
 
 
 def _poly_terms_json(p) -> list[dict]:
     out = []
     for exps, coeff in p.sorted_terms():
-        c = coeff if isinstance(coeff, int) else _format_fraction(coeff)
+        c = coeff if isinstance(coeff, int) else str(coeff)
         out.append({"monomial": list(exps), "coefficient": c})
     return out
 
@@ -214,7 +219,7 @@ def _run_schur(q: Query) -> str:
         )
     if q.fmt == "csv":
         rows = [
-            [" ".join(map(str, exps)), _format_fraction(coeff)]
+            [" ".join(map(str, exps)), str(coeff)]
             for exps, coeff in poly.sorted_terms()
         ]
         return _dump_csv(["monomial", "coefficient"], rows)
@@ -245,6 +250,7 @@ def _run_orbit(q: Query) -> str:
 
 def _run_character(q: Query) -> str:
     ctx = _context(q)
+    _check_alternant_rank(ctx.N)
     target = _target_weight(q, ctx)
     ch = weyl_character_u(target)
     dim = sum(ch.terms.values())
@@ -319,6 +325,8 @@ def _run_audit(q: Query) -> str:
     for n in ranks:
         if n < 2:
             raise UsageError("audit ranks must be at least 2")
+        _check_alternant_rank(n)
+    for n in ranks:
         ctx = AlgebraContext(n)
         for h in range(1, q.max_height + 1):
             for parts in partitions_of(h, n - 1):
@@ -362,6 +370,8 @@ def _run_audit(q: Query) -> str:
 def _run_bench(q: Query) -> str:
     ranks = q.ranks or (3, 4, 5)
     heights = q.heights or (3, 4, 5)
+    for n in ranks:
+        _check_alternant_rank(n)
     rows = []
     for n in ranks:
         ctx = AlgebraContext(n)

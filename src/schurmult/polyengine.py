@@ -61,6 +61,10 @@ class _SparsePoly:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # The default slot-state restore would go through __setattr__.
+        return type(self), (self.nvars, self.terms)
+
     @classmethod
     def _coerce(cls, value):
         raise NotImplementedError
@@ -318,26 +322,6 @@ class UPoly(_SparsePoly):
 def rationalize(p: UPoly) -> XPoly:
     """View an integer-coefficient polynomial in the rational ring."""
     return XPoly._raw(p.nvars, {e: Fraction(c) for e, c in p.terms.items()})
-
-
-def integerize(p: XPoly) -> UPoly:
-    """Convert to the integer ring; raises if any coefficient is fractional."""
-    out = {}
-    for e, c in p.terms.items():
-        if c.denominator != 1:
-            raise ValueError(f"coefficient {c} of {e} is not an integer")
-        out[e] = c.numerator
-    return UPoly._raw(p.nvars, out)
-
-
-def poly_add(a: _SparsePoly, b: _SparsePoly) -> _SparsePoly:
-    """Exact sum of two polynomials from the same ring."""
-    return a + b
-
-
-def poly_mul(a: _SparsePoly, b: _SparsePoly) -> _SparsePoly:
-    """Exact product of two polynomials from the same ring."""
-    return a * b
 
 
 def _check_square(matrix: Sequence[Sequence[_SparsePoly]]) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import AlgebraContext, Partition
+from .lattice import Partition
 from .orbitchar import elementary_symmetric_x
 from .polyengine import XPoly, poly_det
 
@@ -27,10 +27,6 @@ class SchurContext:
         self.N = N
         self._elementary: dict[int, XPoly] = {}
         self._generalized: dict[tuple[int, ...], XPoly] = {}
-
-    @property
-    def algebra(self) -> AlgebraContext:
-        return AlgebraContext(self.N)
 
 
 _contexts: dict[int, SchurContext] = {}

@@ -1,12 +1,15 @@
 """Alternating sums over the Weyl group, specialized to the u-indeterminates.
 
-The alternant of a shifted dominant weight is computed in production as an
-N x N determinant of plain monomials; the signed sum over all permutations
-exists only as a factorial-cost cross-check.  Characters come out of the
-exact quotient of two alternants.  The product constraint on the u's is
-never imposed here: alternants and their quotients live in the free
-polynomial ring, where exact division is available, and the constraint
-only enters when translating to and from the x-indeterminates.
+The alternant of a shifted dominant weight is built directly as its
+Leibniz expansion: the signed sum over all permutations of the shifted
+exponents, which are strictly decreasing, so every permutation gives its
+own monomial.  The Vandermonde is never expanded: characters are the
+alternant divided by the linear factors u_i - u_j one at a time, and the
+factorization audit multiplies by the same factors.  The product
+constraint on the u's is never imposed here: alternants and their
+quotients live in the free polynomial ring, where exact division is
+available, and the constraint only enters when translating to and from
+the x-indeterminates.
 """
 
 from __future__ import annotations
@@ -14,11 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 from .lattice import AlgebraContext, DominantWeight, Partition
 from .orbitchar import orbit_char_u
-from .polyengine import UPoly, XPoly, poly_det, poly_divide_exact, rationalize
+from .polyengine import UPoly, XPoly, poly_divide_exact, rationalize
 from .schur import generalized_schur, schur_context
+
+# The alternant has N! terms; 8 rows is 40320 of them.
+ALTERNANT_MAX_ROWS = 8
 
 
 def _shifted_exponents(p: Partition, ctx: AlgebraContext) -> tuple[int, ...]:
@@ -29,62 +36,46 @@ def _shifted_exponents(p: Partition, ctx: AlgebraContext) -> tuple[int, ...]:
 
 
 def alternant_matrix(p: Partition, ctx: AlgebraContext) -> UPoly:
-    """Alternant of the shifted weight as an exact monomial determinant.
+    """Alternant of the shifted weight as the signed sum over permutations.
 
-    Entry (i, j) is u_i raised to the j-th shifted exponent.  The empty
-    partition gives the Vandermonde determinant.
+    The term for a permutation of the shifted exponents is that exponent
+    tuple with the permutation's sign.  The empty partition gives the
+    Vandermonde determinant.  Factorial cost, so refused above
+    ``ALTERNANT_MAX_ROWS`` rows.
     """
     n = ctx.N
-    exps = _shifted_exponents(p, ctx)
-    matrix = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = [0] * n
-            e[i] = exps[j]
-            row.append(UPoly.monomial(n, e, 1))
-        matrix.append(row)
-    return poly_det(matrix)
-
-
-def alternant_sum(p: Partition, ctx: AlgebraContext) -> UPoly:
-    """Alternant as the signed sum over all permutations (cross-check only).
-
-    Factorial cost; restricted to N <= 8.  Cancellation handles repeated
-    shifted exponents, so the result is zero whenever two coincide.
-    """
-    if ctx.N > 8:
-        raise ValueError("permutation sum is a desk-scale cross-check; N <= 8 only")
-    return _signed_permutation_sum(_shifted_exponents(p, ctx), ctx.N)
-
-
-def _signed_permutation_sum(exps: tuple[int, ...], n: int) -> UPoly:
-    terms: dict[tuple[int, ...], int] = {}
-    for perm in permutations(range(n)):
-        inversions = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
+    if n > ALTERNANT_MAX_ROWS:
+        raise ValueError(
+            f"alternant of {n} rows has {n}! = {factorial(n)} terms; "
+            f"at most {ALTERNANT_MAX_ROWS} rows are supported"
         )
-        key = tuple(exps[perm[i]] for i in range(n))
-        sign = -1 if inversions % 2 else 1
-        acc = terms.get(key, 0) + sign
-        if acc:
-            terms[key] = acc
-        else:
-            del terms[key]
-    return UPoly(n, terms)
+    terms = {}
+    # Exponents decrease strictly, so a rise in the permuted tuple is an
+    # inversion of the permutation.
+    for key in permutations(_shifted_exponents(p, ctx)):
+        rises = sum(1 for a in range(n) for b in range(a + 1, n) if key[a] < key[b])
+        terms[key] = -1 if rises % 2 else 1
+    return UPoly._raw(n, terms)
+
+
+def _linear_factors(ring, n: int):
+    """The factors u_i - u_j (i < j) of the Vandermonde, in ``ring``."""
+    u = [ring.variable(n, i) for i in range(n)]
+    return [u[i] - u[j] for i in range(n) for j in range(i + 1, n)]
 
 
 def weyl_character_u(w: DominantWeight) -> UPoly:
-    """Irreducible character as the exact quotient of two alternants.
+    """Irreducible character: the alternant divided by each u_i - u_j.
 
     Inexact division cannot happen for a valid dominant weight; if it
     does, the alternant machinery is inconsistent and the error from the
     polynomial engine propagates.
     """
     ctx = w.context
-    num = alternant_matrix(w.to_partition(), ctx)
-    den = alternant_matrix(Partition(()), ctx)
-    return poly_divide_exact(num, den)
+    quotient = alternant_matrix(w.to_partition(), ctx)
+    for factor in _linear_factors(UPoly, ctx.N):
+        quotient = poly_divide_exact(quotient, factor)
+    return quotient
 
 
 def product_one_normal_form(p):
@@ -129,9 +120,11 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
     """Check that the shifted alternant equals Vandermonde times the Schur function.
 
     The generalized Schur function is pushed into the u-ring by replacing
-    each x_i with the i-th power sum over i.  Degenerated Schur functions
-    mix graded degrees, so both sides are compared in the normal form of
-    the product-one quotient, where the factorization is an identity.
+    each x_i with the i-th power sum over i, then multiplied by each
+    linear factor u_i - u_j of the Vandermonde.  Degenerated Schur
+    functions mix graded degrees, so both sides are compared in the normal
+    form of the product-one quotient, where the factorization is an
+    identity.
     Failure is reported as data, with the difference polynomial attached.
     """
     n = ctx.N
@@ -139,10 +132,10 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
         rationalize(orbit_char_u(Partition((k,)), ctx)) * Fraction(1, k)
         for k in range(1, n)
     ]
-    schur_u = generalized_schur(p, schur_context(n)).substitute(power_sums)
+    product = generalized_schur(p, schur_context(n)).substitute(power_sums)
+    for factor in _linear_factors(XPoly, n):
+        product = product * factor
     lhs = product_one_normal_form(rationalize(alternant_matrix(p, ctx)))
-    rhs = product_one_normal_form(
-        rationalize(alternant_matrix(Partition(()), ctx)) * schur_u
-    )
+    rhs = product_one_normal_form(product)
     difference = lhs - rhs
     return FactorizationReport(p, ctx, difference.is_zero, difference)

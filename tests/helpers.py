@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from schurmult.polyengine import UPoly, XPoly
+from schurmult.polyengine import UPoly, XPoly, poly_det
 
 
 def xp(nvars, terms, prefactor=1):
@@ -79,3 +79,14 @@ def character_value(parts, us):
     num = fraction_det([[us[i] ** (q[j] + n - 1 - j) for j in range(n)] for i in range(n)])
     den = fraction_det([[us[i] ** (n - 1 - j) for j in range(n)] for i in range(n)])
     return num / den
+
+
+def monomial_alternant(parts, n):
+    """det [u_i ^ (q_j + n - 1 - j)] of the padded partition q, by poly_det."""
+    q = list(parts) + [0] * (n - len(parts))
+    exps = [q[j] + n - 1 - j for j in range(n)]
+    matrix = [
+        [UPoly.monomial(n, [e if k == i else 0 for k in range(n)]) for e in exps]
+        for i in range(n)
+    ]
+    return poly_det(matrix)

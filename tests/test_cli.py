@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -155,6 +156,24 @@ def test_usage_errors():
 def test_weight_must_be_nonnegative():
     status, _ = run(Query("mult", rank=3, weight=(-1, 2), fmt="json"))
     assert status == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["character", "--rank", "9", "--partition", "1"],
+        ["audit", "--ranks", "3,9"],
+        ["bench", "--ranks", "9"],
+    ],
+)
+def test_alternant_commands_refuse_rank_9_up_front(argv, capsys):
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "9! = 362880 terms" in captured.err
 
 
 def test_internal_error_maps_to_exit_code(monkeypatch):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import permutations
 
@@ -11,11 +13,8 @@ from schurmult.polyengine import (
     XPoly,
     det_bareiss,
     det_cofactor,
-    integerize,
-    poly_add,
     poly_det,
     poly_divide_exact,
-    poly_mul,
     rationalize,
 )
 
@@ -73,6 +72,27 @@ def test_immutability():
         p.nvars = 3
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        UPoly.one(2),
+        up(3, [(2, {1: 1, 2: 1}), (-1, {3: 2})]),
+        XPoly(2, {(1, 0): Fraction(1, 2), (0, 3): Fraction(-4, 3)}),
+        XPoly.zero(2),
+    ],
+)
+def test_pickle_and_copy_roundtrip(p):
+    for clone in (
+        pickle.loads(pickle.dumps(p)),
+        copy.copy(p),
+        copy.deepcopy(p),
+    ):
+        assert clone == p
+        assert type(clone) is type(p)
+        with pytest.raises(AttributeError):
+            clone.nvars = 3
+
+
 def test_degree_of_zero_undefined():
     with pytest.raises(ValueError):
         UPoly.zero(2).degree()
@@ -84,13 +104,13 @@ def test_degree_of_zero_undefined():
 def test_additive_inverse_gives_empty_polynomial():
     x1 = XPoly.variable(2, 0)
     assert (x1 + (-x1)).is_zero
-    assert poly_add(x1, -x1) == XPoly.zero(2)
+    assert x1 + -x1 == XPoly.zero(2)
 
 
 def test_disjoint_supports():
     p = XPoly(2, {(2, 0): 1})
     q = XPoly(2, {(0, 1): 1})
-    assert poly_add(p, q) == XPoly(2, {(2, 0): 1, (0, 1): 1})
+    assert p + q == XPoly(2, {(2, 0): 1, (0, 1): 1})
 
 
 def test_doubling():
@@ -100,7 +120,7 @@ def test_doubling():
 
 def test_mul_identity():
     p = up(3, [(2, {1: 1, 2: 1}), (-1, {3: 2})])
-    assert poly_mul(UPoly.one(3), p) == p
+    assert UPoly.one(3) * p == p
 
 
 def test_difference_of_squares():
@@ -118,9 +138,13 @@ def test_first_power_sum_squared():
 
 def test_ring_size_mismatch_rejected():
     with pytest.raises(ValueError):
-        poly_add(UPoly.one(2), UPoly.one(3))
+        UPoly.one(2) + UPoly.one(3)
     with pytest.raises(TypeError):
-        poly_add(UPoly.one(2), XPoly.one(2))
+        UPoly.one(2) + XPoly.one(2)
+    with pytest.raises(ValueError):
+        UPoly.one(2) * UPoly.one(3)
+    with pytest.raises(TypeError):
+        UPoly.one(2) * XPoly.one(2)
 
 
 @given(upolys, upolys, upolys)
@@ -294,14 +318,12 @@ def test_divide_roundtrip_rational(a, b):
 # -- conversions ---------------------------------------------------------
 
 
-def test_rationalize_integerize_roundtrip():
+def test_rationalize_keeps_terms_as_fractions():
     p = up(2, [(3, {1: 1}), (-7, {2: 2})])
-    assert integerize(rationalize(p)) == p
-
-
-def test_integerize_rejects_fractions():
-    with pytest.raises(ValueError):
-        integerize(XPoly.constant(1, Fraction(1, 2)))
+    q = rationalize(p)
+    assert type(q) is XPoly
+    assert q == XPoly(2, {(1, 0): Fraction(3), (0, 2): Fraction(-7)})
+    assert all(type(c) is Fraction for c in q.terms.values())
 
 
 def test_sorted_terms_graded_lex():
