@@ -371,7 +371,11 @@ def _run_bench(q: Query) -> str:
     ranks = q.ranks or (3, 4, 5)
     heights = q.heights or (3, 4, 5)
     for n in ranks:
+        if n < 2:
+            raise UsageError("bench ranks must be at least 2")
         _check_alternant_rank(n)
+    if any(h < 1 for h in heights):
+        raise UsageError("bench heights must be at least 1")
     rows = []
     for n in ranks:
         ctx = AlgebraContext(n)

@@ -7,6 +7,12 @@ x-indeterminates via K(Q) -> Q*x_Q.  Because the product of all u's is
 constrained to 1, the x-variables of degree >= N are not independent:
 their expressions in x1..x(N-1) are produced here by the Newton recursion
 with the top elementary symmetric polynomial pinned to 1.
+
+K(Q) -> Q*x_Q is a ring homomorphism, so one merge recursion serves both
+rings: :func:`orbit_char_x` runs it directly on x-polynomials (memoized
+per rank), while :func:`reduce_to_generators` followed by
+:func:`generator_to_x` is kept as the reference route that tests compare
+against.
 """
 
 from __future__ import annotations
@@ -117,41 +123,53 @@ def orbit_char_u(p: Partition, ctx: AlgebraContext) -> UPoly:
     return UPoly(n, terms)
 
 
-_reduce_cache: dict[tuple[int, ...], GeneratorExpr] = {}
+_reduce_cache: dict[tuple[None, tuple[int, ...]], GeneratorExpr] = {}
 
 
 def reduce_to_generators(p: Partition) -> GeneratorExpr:
     """Rewrite an orbit character as a polynomial in the generators K(Q).
 
+    The reference route to :func:`orbit_char_x`: the merge recursion of
+    :func:`_newton_merge` run in the formal generator ring.  The result
+    does not depend on the number of variables.
+    """
+    return _newton_merge(
+        None, p.parts, GeneratorExpr.generator, GeneratorExpr.one(), _reduce_cache
+    )
+
+
+def _newton_merge(rank, parts, generator, one, cache):
+    """Orbit character of ``parts`` in a ring where K(Q) maps to ``generator(Q)``.
+
     Eliminates the largest part recursively: multiplying the shorter
     character by K(q1) reproduces the original (with multiplicity equal
     to the count of q1) plus characters where q1 merged into another
-    part, each weighted by the merged value's multiplicity.  The result
-    does not depend on the number of variables.
+    part, each weighted by the merged value's multiplicity.  K(Q) -> p_Q
+    is a ring homomorphism, so the same recursion holds in every ring the
+    generators map into.  Values are memoized in ``cache`` under
+    ``(rank, parts)``; each call recurses on strictly shorter partitions.
     """
-    return _reduce(p.parts)
-
-
-def _reduce(parts: tuple[int, ...]) -> GeneratorExpr:
-    cached = _reduce_cache.get(parts)
+    key = (rank, parts)
+    cached = cache.get(key)
     if cached is not None:
         return cached
     if len(parts) == 0:
-        expr = GeneratorExpr.one()
+        value = one
     elif len(parts) == 1:
-        expr = GeneratorExpr.generator(parts[0])
+        value = generator(parts[0])
     else:
         q1 = parts[0]
         rest = parts[1:]
         r = parts.count(q1)
-        expr = GeneratorExpr.generator(q1) * _reduce(rest)
+        value = generator(q1) * _newton_merge(rank, rest, generator, one, cache)
         for v in sorted(set(rest), reverse=True):
             i = rest.index(v)
             merged = tuple(sorted(rest[:i] + (v + q1,) + rest[i + 1 :], reverse=True))
-            expr = expr - merged.count(v + q1) * _reduce(merged)
-        expr = expr * Fraction(1, r)
-    _reduce_cache[parts] = expr
-    return expr
+            lower = _newton_merge(rank, merged, generator, one, cache)
+            value = value - merged.count(v + q1) * lower
+        value = value * Fraction(1, r)
+    cache[key] = value
+    return value
 
 
 _elem_cache: dict[tuple[int, int], XPoly] = {}
@@ -238,6 +256,18 @@ def generator_to_x(g: GeneratorExpr, ctx: AlgebraContext) -> XPoly:
     return out
 
 
+_orbit_x_cache: dict[tuple[int, tuple[int, ...]], XPoly] = {}
+
+
 def orbit_char_x(p: Partition, ctx: AlgebraContext) -> XPoly:
-    """Orbit character as a polynomial in the independent x-indeterminates."""
-    return generator_to_x(reduce_to_generators(p), ctx)
+    """Orbit character as a polynomial in the independent x-indeterminates.
+
+    Runs the merge recursion directly in x, so each column costs one
+    product of a power sum with a smaller memoized column; it equals
+    ``generator_to_x(reduce_to_generators(p), ctx)``.  Partitions with
+    more than N parts give zero.
+    """
+    n = ctx.N
+    return _newton_merge(
+        n, p.parts, lambda Q: _power_sum_x(n, Q), XPoly.one(n - 1), _orbit_x_cache
+    )

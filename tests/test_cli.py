@@ -158,14 +158,17 @@ def test_weight_must_be_nonnegative():
     assert status == EXIT_USAGE
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["character", "--rank", "9", "--partition", "1"],
-        ["audit", "--ranks", "3,9"],
-        ["bench", "--ranks", "9"],
-    ],
-)
+# command lines refused before any work, with the reason each one names
+REFUSED_UP_FRONT = {
+    ("character", "--rank", "9", "--partition", "1"): "9! = 362880 terms",
+    ("audit", "--ranks", "3,9"): "9! = 362880 terms",
+    ("bench", "--ranks", "9"): "9! = 362880 terms",
+    ("bench", "--ranks", "1"): "error: bench ranks must be at least 2",
+    ("bench", "--ranks", "3", "--heights", "0"): "error: bench heights must be at least 1",
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in REFUSED_UP_FRONT])
 def test_alternant_commands_refuse_rank_9_up_front(argv, capsys):
     start = time.perf_counter()
     code = main(argv)
@@ -173,7 +176,8 @@ def test_alternant_commands_refuse_rank_9_up_front(argv, capsys):
     assert code == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "9! = 362880 terms" in captured.err
+    assert captured.err.startswith("error: ")
+    assert REFUSED_UP_FRONT[tuple(argv)] in captured.err
 
 
 def test_internal_error_maps_to_exit_code(monkeypatch):

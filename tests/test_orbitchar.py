@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurmult import orbitchar
 from schurmult.lattice import AlgebraContext, Partition, orbit_size, partition_to_dominant, partitions_of
 from schurmult.orbitchar import (
     GeneratorExpr,
@@ -315,6 +316,19 @@ def test_column_classes_reduce_to_lower_generators():
         for extra in (1, 2, 3):
             parts = (extra + 1,) + (1,) * (n - 1)
             assert orbit_char_x(Partition(parts), ctx) == generator_to_x(K(extra), ctx)
+
+
+def test_orbit_char_x_matches_generator_route(monkeypatch):
+    # parts >= N take degenerated degrees; more than N parts must give zero
+    monkeypatch.setattr(orbitchar, "_orbit_x_cache", {})
+    for n in range(2, 7):
+        ctx = AlgebraContext(n)
+        for total in range(10):
+            for parts in partitions_of(total, n + 1):
+                p = Partition(parts)
+                expected = generator_to_x(reduce_to_generators(p), ctx)
+                assert orbit_char_x(p, ctx) == expected, (n, parts)
+                assert expected.is_zero == (len(parts) > n), (n, parts)
 
 
 def test_orbit_char_x_overlong_partition_vanishes():

@@ -5,7 +5,10 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schurmult import orbitchar
 from schurmult.lattice import (
     AlgebraContext,
     DominantWeight,
@@ -16,7 +19,7 @@ from schurmult.lattice import (
     partitions_of,
     sub_Q_lambda1,
 )
-from schurmult.oracle import freudenthal, inflated_exponents
+from schurmult.oracle import freudenthal, inflated_exponents, kostka_multiplicity
 from schurmult.orbitchar import orbit_char_x
 from schurmult.polyengine import XPoly
 from schurmult.schur import generalized_schur, schur_context
@@ -223,12 +226,45 @@ def test_whole_class_solves_share_one_system():
     assert info.hits == 2 * len(targets) - len(classes)
 
 
-def test_concurrent_solves_share_one_system():
+def test_class_build_never_takes_the_generator_route(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("orbit columns went through the generator route")
+
+    monkeypatch.setattr(orbitchar, "_orbit_x_cache", {})
+    monkeypatch.setattr(orbitchar, "generator_to_x", refuse)
+    monkeypatch.setattr(orbitchar, "reduce_to_generators", refuse)
+    height_class_system.cache_clear()
+    for w in _highest_weights(6, 7):
+        _assert_matches_oracles(solve_multiplicities(w), 7)
+
+
+@st.composite
+def _dominant_targets(draw):
+    n = draw(st.integers(2, 6))
+    q = draw(st.integers(1, 10))
+    parts = draw(st.sampled_from(list(partitions_of(q, n - 1))))
+    return partition_to_dominant(Partition(parts), AlgebraContext(n)), q
+
+
+@given(_dominant_targets())
+@settings(max_examples=40, deadline=None)
+def test_solver_agrees_with_both_oracles(target_height):
+    target, q = target_height
+    table = solve_multiplicities(target)
+    _assert_matches_oracles(table, q)
+    for member, mult in table:
+        assert kostka_multiplicity(target, member) == mult, member
+    assert sum(mult * orbit_size(member) for member, mult in table) == dimension(target)
+
+
+def test_concurrent_solves_share_one_system(monkeypatch):
     targets = _highest_weights(6, 7)
     height_class_system.cache_clear()
     serial = {w: solve_multiplicities(w) for w in targets}
     built = copy.deepcopy(vars(height_class_system(6, 7)))
     height_class_system.cache_clear()
+    # the threads also race on first misses of the orbit-column recursion
+    monkeypatch.setattr(orbitchar, "_orbit_x_cache", {})
 
     results = [{} for _ in range(4)]
     errors = []
