@@ -326,6 +326,8 @@ def _run_audit(q: Query) -> str:
         if n < 2:
             raise UsageError("audit ranks must be at least 2")
         _check_alternant_rank(n)
+    if q.max_height < 1:
+        raise UsageError("audit max height must be at least 1")
     for n in ranks:
         ctx = AlgebraContext(n)
         for h in range(1, q.max_height + 1):

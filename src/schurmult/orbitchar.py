@@ -167,7 +167,8 @@ def _newton_merge(rank, parts, generator, one, cache):
             merged = tuple(sorted(rest[:i] + (v + q1,) + rest[i + 1 :], reverse=True))
             lower = _newton_merge(rank, merged, generator, one, cache)
             value = value - merged.count(v + q1) * lower
-        value = value * Fraction(1, r)
+        if r != 1:
+            value = value * Fraction(1, r)
     cache[key] = value
     return value
 
@@ -195,7 +196,7 @@ def elementary_symmetric_x(n: int, k: int) -> XPoly:
     for i in range(1, k + 1):
         term = elementary_symmetric_x(n, k - i) * XPoly.monomial(nvars, _unit(nvars, i), i)
         acc = acc + term if i % 2 == 1 else acc - term
-    result = acc * Fraction(1, k)
+    result = acc * Fraction(1, k) if k != 1 else acc
     _elem_cache[(n, k)] = result
     return result
 

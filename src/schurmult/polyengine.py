@@ -2,9 +2,17 @@
 
 Two concrete rings are provided: :class:`XPoly` with arbitrary-precision
 rational coefficients and :class:`UPoly` with arbitrary-precision integer
-coefficients.  Both store terms as a map from exponent tuples (one entry
-per variable) to nonzero coefficients, so equality is structural and all
-arithmetic is exact.  The canonical term order is graded lexicographic.
+coefficients.  Both are one integer representation: a map ``num`` from
+exponent tuples (one entry per variable) to nonzero integer numerators
+over one positive common denominator ``den``, in lowest terms
+(``gcd(den, *num.values()) == 1``; ``den`` is always 1 for ``UPoly``).
+Equality is therefore structural and all arithmetic is integer
+arithmetic on numerators.  ``terms`` is a read-only coefficient view
+built on each access: integers for ``UPoly``, fractions for ``XPoly``.
+Exact division divides the numerators by the divisor's primitive part in
+Z[x] (Gauss's lemma keeps the quotient integral) and moves the divisor's
+content into the denominator.  The canonical term order is graded
+lexicographic.
 
 Values are immutable after construction; every operation returns a new
 polynomial.
@@ -13,8 +21,12 @@ polynomial.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import gcd, lcm, prod
+from operator import add, neg, sub
+from types import MappingProxyType
+from typing import Sequence
 
 
 class InexactDivisionError(ArithmeticError):
@@ -25,22 +37,44 @@ def _grlex_key(exponents: tuple[int, ...]) -> tuple:
     return (sum(exponents), exponents)
 
 
+class _FractionView(Mapping):
+    """Read-only ``{exponents: Fraction}`` view of numerators over one denominator."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict, den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, exps):
+        return Fraction(self._num[exps], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class _SparsePoly:
     """Shared machinery for exact sparse polynomials.
 
     Subclasses fix the coefficient domain via :meth:`_coerce` and the
-    symbol used for printing.  ``terms`` maps fixed-length exponent
-    tuples to nonzero coefficients.
+    symbol used for printing.  ``num`` maps fixed-length exponent tuples
+    to nonzero integers and ``den`` is the positive common denominator.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "num", "den")
 
     _symbol = "t"
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], object] | None = None):
         if nvars < 0:
             raise ValueError("number of variables must be nonnegative")
-        clean: dict[tuple[int, ...], object] = {}
+        coeffs: dict[tuple[int, ...], object] = {}
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
@@ -52,18 +86,34 @@ class _SparsePoly:
                     raise ValueError(f"negative exponent in {exps}")
                 c = self._coerce(coeff)
                 if c:
-                    clean[exps] = clean.get(exps, self._zero_coeff()) + c
-                    if not clean[exps]:
-                        del clean[exps]
+                    coeffs[exps] = coeffs.get(exps, 0) + c
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        num = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items() if c}
+        self._assign(nvars, num, den)
+
+    def _assign(self, nvars: int, num: dict, den: int) -> None:
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _make(cls, nvars: int, num: dict, den: int = 1):
+        """Polynomial from nonzero integer numerators over ``den``, in lowest terms."""
+        obj = object.__new__(cls)
+        obj._assign(nvars, num, den)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         # The default slot-state restore would go through __setattr__.
-        return type(self), (self.nvars, self.terms)
+        return type(self), (self.nvars, dict(self.terms))
 
     @classmethod
     def _coerce(cls, value):
@@ -77,11 +127,11 @@ class _SparsePoly:
 
     @classmethod
     def zero(cls, nvars: int):
-        return cls(nvars)
+        return cls._make(nvars, {})
 
     @classmethod
     def one(cls, nvars: int):
-        return cls.constant(nvars, 1)
+        return cls._make(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def constant(cls, nvars: int, value):
@@ -104,28 +154,28 @@ class _SparsePoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.num)
 
     def degree(self) -> int:
         """Total degree; undefined (raises) for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             raise ValueError("degree of the zero polynomial is undefined")
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.num)
 
     def coefficient(self, exponents: Sequence[int]):
         return self.terms.get(tuple(exponents), self._zero_coeff())
 
     def leading_term(self) -> tuple[tuple[int, ...], object]:
         """Largest (monomial, coefficient) pair in graded-lex order."""
-        if not self.terms:
+        if not self.num:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
+        exps = max(self.num, key=_grlex_key)
         return exps, self.terms[exps]
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
@@ -143,49 +193,62 @@ class _SparsePoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, _SparsePoly):
             return NotImplemented
-        return type(self) is type(other) and self.nvars == other.nvars and self.terms == other.terms
+        return (
+            type(self) is type(other)
+            and self.nvars == other.nvars
+            and self.den == other.den
+            and self.num == other.num
+        )
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """``self + sign * other`` over the lcm of the two denominators."""
         self._check_ring(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
+        da, db = self.den, other.den
+        if da == db:
+            out = dict(self.num)
+            fb = sign
+        else:
+            g = gcd(da, db)
+            fa = db // g
+            fb = sign * (da // g)
+            da *= fa
+            out = {e: c * fa for e, c in self.num.items()}
+        for exps, coeff in other.num.items():
             acc = out.get(exps)
             if acc is None:
-                out[exps] = coeff
+                out[exps] = coeff * fb
             else:
-                acc = acc + coeff
+                acc += coeff * fb
                 if acc:
                     out[exps] = acc
                 else:
                     del out[exps]
-        return self._raw(self.nvars, out)
+        return self._make(self.nvars, out, da)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return self._raw(self.nvars, {e: -c for e, c in self.terms.items()})
+        return self._make(self.nvars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, _SparsePoly):
             self._check_ring(other)
-            if len(self.terms) < len(other.terms):
-                self, other = other, self
-            out: dict[tuple[int, ...], object] = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    exps = tuple(x + y for x, y in zip(ea, eb))
-                    c = ca * cb
-                    acc = out.get(exps)
-                    if acc is None:
-                        out[exps] = c
-                    else:
-                        acc = acc + c
-                        if acc:
-                            out[exps] = acc
-                        else:
-                            del out[exps]
-            return self._raw(self.nvars, out)
+            a, b = self.num, other.num
+            if len(a) < len(b):
+                a, b = b, a
+            out: dict[tuple[int, ...], int] = {}
+            get = out.get
+            for ea, ca in a.items():
+                for eb, cb in b.items():
+                    exps = tuple(map(add, ea, eb))
+                    out[exps] = get(exps, 0) + ca * cb
+            return self._make(
+                self.nvars, {e: c for e, c in out.items() if c}, self.den * other.den
+            )
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -194,8 +257,12 @@ class _SparsePoly:
     def scale(self, value):
         c = self._coerce(value)
         if not c:
-            return self._raw(self.nvars, {})
-        return self._raw(self.nvars, {e: k * c for e, k in self.terms.items()})
+            return self._make(self.nvars, {})
+        n, d = c.numerator, c.denominator
+        if n == 1 and d == 1:
+            return self
+        num = self.num if n == 1 else {e: k * n for e, k in self.num.items()}
+        return self._make(self.nvars, num, self.den * d)
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -212,20 +279,27 @@ class _SparsePoly:
 
     def negate_variables(self):
         """Substitute -v for every variable (signs flip by monomial parity)."""
-        return self._raw(
+        return self._make(
             self.nvars,
-            {e: (-c if sum(e) % 2 else c) for e, c in self.terms.items()},
+            {e: (-c if sum(e) % 2 else c) for e, c in self.num.items()},
+            self.den,
         )
 
-    @classmethod
-    def _raw(cls, nvars: int, terms: dict):
-        # Bypass normalization for term maps already known to be clean.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "nvars", nvars)
-        object.__setattr__(obj, "terms", terms)
-        return obj
-
     # -- substitution and printing --------------------------------------
+
+    def _power_table(self, values: Sequence, one) -> list[list]:
+        """``table[i][e] == values[i] ** e`` for every exponent the terms use.
+
+        Each power is the previous one times the value, once per call.
+        """
+        top = [max(column) for column in zip(*self.num)]
+        table = []
+        for value, t in zip(values, top):
+            powers = [one]
+            for _ in range(t):
+                powers.append(powers[-1] * value)
+            table.append(powers)
+        return table
 
     def substitute(self, values: Sequence["_SparsePoly"]) -> "_SparsePoly":
         """Evaluate with each variable replaced by a polynomial.
@@ -240,30 +314,36 @@ class _SparsePoly:
         target = values[0]
         for v in values[1:]:
             target._check_ring(v)
+        one = target.one(target.nvars)
+        table = self._power_table(values, one)
         out = target.zero(target.nvars)
-        for exps, coeff in self.terms.items():
-            term = target.constant(target.nvars, coeff)
-            for value, e in zip(values, exps):
+        for exps, coeff in self.num.items():
+            term = one
+            for powers, e in zip(table, exps):
                 if e:
-                    term = term * value**e
-            out = out + term
-        return out
+                    term = term * powers[e]
+            out = out + term.scale(coeff)
+        result = target._make(target.nvars, out.num, out.den * self.den)
+        if result.den != 1 and isinstance(result, UPoly):
+            raise TypeError(f"substitution into UPoly values left denominator {result.den}")
+        return result
 
     def evaluate(self, point: Sequence):
         """Exact value at a point (one coefficient-domain value per variable)."""
         if len(point) != self.nvars:
             raise ValueError(f"expected {self.nvars} coordinates, got {len(point)}")
+        table = self._power_table(point, 1)
         total = self._zero_coeff()
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self.num.items():
             term = coeff
-            for v, e in zip(point, exps):
+            for powers, e in zip(table, exps):
                 if e:
-                    term = term * v**e
+                    term = term * powers[e]
             total = total + term
-        return total
+        return total / self.den if self.den != 1 else total
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         pieces = []
         for exps, coeff in self.sorted_terms():
@@ -305,6 +385,11 @@ class XPoly(_SparsePoly):
             return Fraction(value)
         raise TypeError(f"XPoly coefficients must be rational, got {type(value).__name__}")
 
+    @property
+    def terms(self) -> Mapping:
+        """Read-only ``{exponents: Fraction}`` view, built on each access."""
+        return _FractionView(self.num, self.den)
+
 
 class UPoly(_SparsePoly):
     """Sparse polynomial with exact integer coefficients."""
@@ -318,10 +403,15 @@ class UPoly(_SparsePoly):
             return value
         raise TypeError(f"UPoly coefficients must be integers, got {type(value).__name__}")
 
+    @property
+    def terms(self) -> Mapping:
+        """Read-only ``{exponents: int}`` view, built on each access."""
+        return MappingProxyType(self.num)
+
 
 def rationalize(p: UPoly) -> XPoly:
     """View an integer-coefficient polynomial in the rational ring."""
-    return XPoly._raw(p.nvars, {e: Fraction(c) for e, c in p.terms.items()})
+    return XPoly._make(p.nvars, p.num)
 
 
 def _check_square(matrix: Sequence[Sequence[_SparsePoly]]) -> int:
@@ -402,29 +492,38 @@ _COFACTOR_LIMIT = 6
 def poly_det(matrix: Sequence[Sequence[_SparsePoly]]) -> _SparsePoly:
     """Exact determinant of a square polynomial matrix.
 
-    Uses cofactor expansion up to 6x6 and fraction-free elimination above;
+    Each row is first cleared of its denominators (scaled by their lcm),
+    so the expansion runs on integer numerators only; the determinant is
+    divided by the product of the row scales once at the end.  Uses
+    cofactor expansion up to 6x6 and fraction-free elimination above;
     the two methods agree wherever both apply (enforced by tests).
     """
     n = _check_square(matrix)
-    if n <= _COFACTOR_LIMIT:
-        return det_cofactor(matrix)
-    return det_bareiss(matrix)
-
-
-def _coeff_quotient(num, den, ring):
-    if ring is UPoly:
-        q, r = divmod(num, den)
-        if r:
-            raise InexactDivisionError(f"coefficient {num} is not divisible by {den}")
-        return q
-    return num / den
+    ring = type(matrix[0][0])
+    nvars = matrix[0][0].nvars
+    scales = [lcm(*(entry.den for entry in row)) for row in matrix]
+    cleared = [
+        row
+        if scale == 1
+        else [
+            ring._make(nvars, {e: c * (scale // entry.den) for e, c in entry.num.items()})
+            for entry in row
+        ]
+        for row, scale in zip(matrix, scales)
+    ]
+    det = det_cofactor(cleared) if n <= _COFACTOR_LIMIT else det_bareiss(cleared)
+    return ring._make(nvars, det.num, det.den * prod(scales))
 
 
 def poly_divide_exact(num: _SparsePoly, den: _SparsePoly) -> _SparsePoly:
     """Exact quotient ``q`` with ``q * den == num``.
 
-    Division is performed by leading-term elimination in graded-lex order.
-    An inexact division raises :class:`InexactDivisionError`; results are
+    The numerators of ``num`` are divided in Z[x] by the primitive part of
+    ``den``'s numerators, by leading-term elimination in graded-lex
+    order; by Gauss's lemma an exact quotient has integer coefficients,
+    so every step is an exact integer division.  ``den``'s content and
+    both denominators then go into the quotient's denominator.  An
+    inexact division raises :class:`InexactDivisionError`; results are
     never truncated.
     """
     num._check_ring(den)
@@ -434,10 +533,13 @@ def poly_divide_exact(num: _SparsePoly, den: _SparsePoly) -> _SparsePoly:
     if num.is_zero:
         return ring.zero(num.nvars)
 
-    den_lead, den_lc = den.leading_term()
-    den_rest = [(e, c) for e, c in den.terms.items() if e != den_lead]
-    rem = dict(num.terms)
-    quot: dict[tuple[int, ...], object] = {}
+    content = gcd(*den.num.values())
+    divisor = den.num if content == 1 else {e: c // content for e, c in den.num.items()}
+    den_lead = max(divisor, key=_grlex_key)
+    den_lc = divisor[den_lead]
+    den_rest = [(e, c) for e, c in divisor.items() if e != den_lead]
+    rem = dict(num.num)
+    quot: dict[tuple[int, ...], int] = {}
 
     # Lazy max-heap over the remainder's monomials (grlex order).
     heap: list[tuple] = []
@@ -446,7 +548,7 @@ def poly_divide_exact(num: _SparsePoly, den: _SparsePoly) -> _SparsePoly:
     def push(exps):
         if exps not in seen:
             seen.add(exps)
-            heapq.heappush(heap, (-sum(exps), tuple(-e for e in exps), exps))
+            heapq.heappush(heap, (-sum(exps), tuple(map(neg, exps)), exps))
 
     for exps in rem:
         push(exps)
@@ -457,16 +559,19 @@ def poly_divide_exact(num: _SparsePoly, den: _SparsePoly) -> _SparsePoly:
         coeff = rem.get(exps)
         if not coeff:
             continue
-        qexps = tuple(a - b for a, b in zip(exps, den_lead))
+        qexps = tuple(map(sub, exps, den_lead))
         if any(e < 0 for e in qexps):
             raise InexactDivisionError(
                 f"leading monomial {exps} is not divisible by {den_lead}"
             )
-        qc = _coeff_quotient(coeff, den_lc, ring)
-        quot[qexps] = quot.get(qexps, 0) + qc
+        qc, r = divmod(coeff, den_lc)
+        if r:
+            raise InexactDivisionError(f"coefficient {coeff} is not divisible by {den_lc}")
+        # leading monomials strictly decrease, so each quotient monomial is new
+        quot[qexps] = qc
         del rem[exps]
         for e, c in den_rest:
-            target = tuple(a + b for a, b in zip(qexps, e))
+            target = tuple(map(add, qexps, e))
             acc = rem.get(target)
             delta = qc * c
             if acc is None:
@@ -478,4 +583,9 @@ def poly_divide_exact(num: _SparsePoly, den: _SparsePoly) -> _SparsePoly:
                     rem[target] = acc
                 else:
                     del rem[target]
-    return ring._raw(num.nvars, {e: c for e, c in quot.items() if c})
+    if den.den != 1:
+        quot = {e: c * den.den for e, c in quot.items()}
+    quotient = ring._make(num.nvars, quot, num.den * content)
+    if quotient.den != 1 and isinstance(quotient, UPoly):
+        raise InexactDivisionError(f"quotient coefficients are not divisible by {content}")
+    return quotient

@@ -67,7 +67,7 @@ def elementary_schur(Q: int, ctx: SchurContext) -> XPoly:
                 exps = [0] * nvars
                 exps[i - 1] = 1
                 acc = acc + XPoly.monomial(nvars, exps, i) * cache[d - i]
-            result = acc * Fraction(1, d)
+            result = acc * Fraction(1, d) if d != 1 else acc
         else:
             acc = XPoly.zero(nvars)
             for k in range(1, ctx.N + 1):

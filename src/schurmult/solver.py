@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .lattice import (
     AlgebraContext,
@@ -84,19 +84,26 @@ class HeightClassSystem:
         n = len(columns)
         support: set[tuple[int, ...]] = set()
         for col in columns:
-            support.update(col.terms)
+            support.update(col.num)
         monomials = sorted(support, key=_grlex_key, reverse=True)
-        self.row_of = {mono: i for i, mono in enumerate(monomials)}
-        scales = []
-        rows: list[list[int]] = []
-        for mono in monomials:
-            vals = [col.terms.get(mono, Fraction(0)) for col in columns]
-            scale = lcm(*(v.denominator for v in vals))
-            scales.append(scale)
-            rows.append([int(v * scale) for v in vals])
+        self.row_of = row_of = {mono: i for i, mono in enumerate(monomials)}
+        # a row's scale is the lcm of its entries' denominators in lowest terms
+        scales = [1] * len(monomials)
+        for col in columns:
+            d = col.den
+            if d != 1:
+                for mono, c in col.num.items():
+                    i = row_of[mono]
+                    scales[i] = lcm(scales[i], d // gcd(c, d))
+        rows: list[list[int]] = [[0] * n for _ in monomials]
+        for j, col in enumerate(columns):
+            d = col.den
+            for mono, c in col.num.items():
+                i = row_of[mono]
+                rows[i][j] = c * scales[i] // d
         self.scales = tuple(scales)
 
-        self.order = tuple(sorted(range(n), key=lambda c: (-len(columns[c].terms), c)))
+        self.order = tuple(sorted(range(n), key=lambda c: (-len(columns[c].num), c)))
         steps = []
         prev = 1
         for step, col in enumerate(self.order):
@@ -131,18 +138,18 @@ class HeightClassSystem:
         Raises :class:`SolverError` when ``rhs`` is outside the column span
         (inconsistent system).
         """
-        vector = [Fraction(0)] * len(self.scales)
-        for mono, coeff in rhs.terms.items():
+        # the rhs denominator is common to the whole augmented column, so it
+        # stays integral and the exactness checks of the elimination hold
+        # for it as well
+        denom = rhs.den
+        b = [0] * len(self.scales)
+        for mono, coeff in rhs.num.items():
             i = self.row_of.get(mono)
             if i is None:
                 raise SolverError(
                     f"system is inconsistent: rhs monomial {mono} lies outside the column support"
                 )
-            vector[i] = coeff * self.scales[i]
-        # a common denominator keeps the augmented column integral, so the
-        # exactness checks of the elimination hold for it as well
-        denom = lcm(*(v.denominator for v in vector))
-        b = [int(v * denom) for v in vector]
+            b[i] = coeff * self.scales[i]
 
         for step, (pivot_row, pivot, prev, factors) in enumerate(self.steps):
             b[step], b[pivot_row] = b[pivot_row], b[step]

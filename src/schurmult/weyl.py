@@ -55,7 +55,7 @@ def alternant_matrix(p: Partition, ctx: AlgebraContext) -> UPoly:
     for key in permutations(_shifted_exponents(p, ctx)):
         rises = sum(1 for a in range(n) for b in range(a + 1, n) if key[a] < key[b])
         terms[key] = -1 if rises % 2 else 1
-    return UPoly._raw(n, terms)
+    return UPoly._make(n, terms)
 
 
 def _linear_factors(ring, n: int):
@@ -85,21 +85,13 @@ def product_one_normal_form(p):
     minimum-zero monomials are a basis of the quotient ring, so two
     polynomials are congruent iff their normal forms are equal.
     """
-    out: dict[tuple[int, ...], object] = {}
-    for e, c in p.terms.items():
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in p.num.items():
         low = min(e)
         if low:
             e = tuple(v - low for v in e)
-        acc = out.get(e)
-        if acc is None:
-            out[e] = c
-        else:
-            acc = acc + c
-            if acc:
-                out[e] = acc
-            else:
-                del out[e]
-    return type(p)._raw(p.nvars, out)
+        out[e] = out.get(e, 0) + c
+    return type(p)._make(p.nvars, {e: c for e, c in out.items() if c}, p.den)
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,8 @@ REFUSED_UP_FRONT = {
     ("bench", "--ranks", "9"): "9! = 362880 terms",
     ("bench", "--ranks", "1"): "error: bench ranks must be at least 2",
     ("bench", "--ranks", "3", "--heights", "0"): "error: bench heights must be at least 1",
+    ("audit", "--ranks", "3", "--max-height", "0"): "error: audit max height must be at least 1",
+    ("audit", "--ranks", "3", "--max-height", "-2"): "error: audit max height must be at least 1",
 }
 
 

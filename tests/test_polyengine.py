@@ -2,6 +2,7 @@ import copy
 import pickle
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,65 @@ def test_rational_arithmetic_is_exact(a, b):
     assert third == a
 
 
+# -- the integer core against plain coefficient dicts ---------------------
+
+
+def _canonical(p):
+    assert p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    if isinstance(p, UPoly):
+        assert p.den == 1
+
+
+def _plain(p):
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def _plain_combine(a, b, sign):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _plain_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = (ea[0] + eb[0], ea[1] + eb[1])
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+same_ring_pairs = st.one_of(st.tuples(upolys, upolys), st.tuples(xpolys, xpolys))
+
+
+@given(same_ring_pairs, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+@settings(max_examples=80, deadline=None)
+def test_integer_core_matches_plain_coefficients(pair, factor):
+    a, b = pair
+    pa, pb = _plain(a), _plain(b)
+    if isinstance(a, UPoly):
+        factor = factor.numerator
+    results = {
+        "+": (a + b, _plain_combine(pa, pb, 1)),
+        "-": (a - b, _plain_combine(pa, pb, -1)),
+        "*": (a * b, _plain_mul(pa, pb)),
+        "scale": (a.scale(factor), {e: c * factor for e, c in pa.items() if c * factor}),
+        "negate_variables": (
+            a.negate_variables(),
+            {e: -c if sum(e) % 2 else c for e, c in pa.items()},
+        ),
+    }
+    if not b.is_zero:
+        results["divide"] = (poly_divide_exact(a * b, b), pa)
+    for op, (got, expected) in results.items():
+        assert type(got) is type(a), op
+        _canonical(got)
+        assert _plain(got) == expected, op
+
+
 def test_pow_matches_repeated_mul():
     p = up(2, [(1, {1: 1}), (2, {})])
     assert p**3 == p * p * p
@@ -184,6 +244,12 @@ def test_substitute_polynomials():
     u2 = rationalize(UPoly.variable(2, 1))
     expected = u1 * u1 + u1 * u2.scale(3) + u2 * u2
     assert p.substitute([u1 + u2, u1 * u2]) == expected
+
+
+def test_substitute_rational_coefficients_into_integer_ring_refused():
+    half = XPoly(1, {(1,): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        half.substitute([UPoly.variable(1, 0)])
 
 
 def test_evaluate_exact():
@@ -219,6 +285,24 @@ def test_det_matches_signed_permutation_definition(matrix):
     assert poly_det(matrix) == expected
     assert det_cofactor(matrix) == expected
     assert det_bareiss(matrix) == expected
+
+
+small_xentries = st.dictionaries(
+    exponents, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)), max_size=2
+).map(lambda d: XPoly(2, d))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_det_methods_agree_on_rational_matrices(n, data):
+    row = st.lists(small_xentries, min_size=n, max_size=n)
+    matrix = data.draw(st.lists(row, min_size=n, max_size=n))
+    expected = det_cofactor(matrix)
+    _canonical(expected)
+    assert det_bareiss(matrix) == expected
+    assert poly_det(matrix) == expected
+    assert expected == _permanent_style_det(matrix)
 
 
 def test_det_identity():
