@@ -219,7 +219,9 @@ def _power_sum_x(n: int, Q: int) -> XPoly:
     if Q == 0:
         return XPoly.constant(nvars, n)
     if Q < n:
-        return XPoly.monomial(nvars, _unit(nvars, Q), Q)
+        # built straight from its integer numerator: every merge step of
+        # every column asks for it, too often for the validating constructor
+        return XPoly._make(nvars, {_unit(nvars, Q): Q})
     cached = _psum_cache.get((n, Q))
     if cached is not None:
         return cached

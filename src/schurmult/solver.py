@@ -62,18 +62,29 @@ class MultiplicityTable:
 SYSTEM_CACHE_SIZE = 16
 
 
+# The one modulus of the modular factorization, the Mersenne prime 2**61 - 1.
+MODULUS = (1 << 61) - 1
+
+
 class HeightClassSystem:
     """Orbit-character system of one height class, factored once.
 
     The unknowns are the orbit multiplicities of ``members``; there is one
     row per monomial of the column support, in descending graded-lex
-    order, scaled by the lcm of its denominators to integers.
-    Construction runs fraction-free elimination with pivot columns visited
-    largest-support first, and keeps the eliminated rows plus every step's
-    ``(pivot row, pivot, prev, factors)``; :meth:`solve` replays those
-    steps on a right-hand side.  The object is never mutated after
-    construction, so one instance is shared by every solve of the class,
-    across threads too.
+    order.  Construction factors the rows modulo :data:`MODULUS`, with
+    pivot columns visited largest-support first, and keeps every step's
+    ``(pivot row, pivot inverse, target rows, factors)`` plus the nonzero
+    tail of each normalized pivot row.  :meth:`solve` replays those steps
+    on a right-hand side, lifts the solution to the symmetric range and
+    certifies it exactly in integers against the columns: the nonzero
+    pivots mean the rational system has a unique solution, so an integer
+    vector that satisfies every equation is that solution.
+
+    If a pivot vanishes modulo the modulus, construction runs the exact
+    fraction-free elimination instead and keeps it.  If a certificate
+    fails, a fraction-free elimination built for that call answers it.
+    The object is never mutated after construction, so one instance is
+    shared by every solve of the class, across threads too.
 
     Raises :class:`SolverError` when a pivot is missing (non-unique
     solution).
@@ -81,21 +92,155 @@ class HeightClassSystem:
 
     def __init__(self, members: Sequence[DominantWeight], columns: Sequence[XPoly]):
         self.members = tuple(members)
-        n = len(columns)
+        self.columns = tuple(columns)
         support: set[tuple[int, ...]] = set()
         for col in columns:
             support.update(col.num)
         monomials = sorted(support, key=_grlex_key, reverse=True)
-        self.row_of = row_of = {mono: i for i, mono in enumerate(monomials)}
+        self.row_of = {mono: i for i, mono in enumerate(monomials)}
+        self.order = tuple(sorted(range(len(columns)), key=lambda c: (-len(columns[c].num), c)))
+        # the certificate compares every equation over L, the lcm of the
+        # column denominators, so column j is scaled by L / den_j; its
+        # numerators are read in the order of its rows here
+        self.den_lcm = lcm(*(col.den for col in columns))
+        self.multipliers = tuple(self.den_lcm // col.den for col in columns)
+        self.column_rows = tuple(tuple(self.row_of[mono] for mono in col.num) for col in columns)
+        self.modulus = MODULUS
+        factored = self._factor_modular()
+        if factored is None:
+            self.steps = self.upper = ()
+            self.fraction_free = _FractionFree(self.row_of, self.columns, self.order)
+        else:
+            self.steps, self.upper = factored
+            self.fraction_free = None
+
+    def _factor_modular(self) -> tuple[tuple, tuple] | None:
+        """Steps and pivot-row tails modulo the modulus; ``None`` when a
+        column denominator or a pivot vanishes modulo it."""
+        p = self.modulus
+        rows = [[0] * len(self.columns) for _ in self.row_of]
+        for j, col in enumerate(self.columns):
+            if col.den % p == 0:
+                return None
+            inv = pow(col.den, -1, p)
+            for mono, c in col.num.items():
+                rows[self.row_of[mono]][j] = c * inv % p
+        steps = []
+        upper = []
+        # entries below the pivot rows are reduced only when read: each
+        # update adds less than p**2, so they stay a few words long
+        for step, col in enumerate(self.order):
+            pivot_row = next((i for i in range(step, len(rows)) if rows[i][col] % p), None)
+            if pivot_row is None:
+                return None
+            rows[step], rows[pivot_row] = rows[pivot_row], rows[step]
+            inv = pow(rows[step][col], -1, p)
+            # the nonzero tail of the normalized pivot row; earlier pivot
+            # columns are already zero in it, so a sparse row costs little
+            tail = [j for j, v in enumerate(rows[step]) if j != col and v % p]
+            tail_values = [rows[step][j] * inv % p for j in tail]
+            targets = []
+            factors = []
+            for i in range(step + 1, len(rows)):
+                row = rows[i]
+                factor = row[col] % p
+                if not factor:
+                    continue
+                targets.append(i)
+                factors.append(factor)
+                row[col] = 0
+                for j, v in zip(tail, tail_values):
+                    row[j] -= factor * v
+            steps.append((pivot_row, inv, tuple(targets), tuple(factors)))
+            upper.append((tuple(tail), tuple(tail_values)))
+        return tuple(steps), tuple(upper)
+
+    def solve(self, rhs: XPoly) -> list[int] | list[Fraction]:
+        """Unique exact solution for the right-hand side ``rhs``.
+
+        A certified solution is a list of ints; the fraction-free fallback
+        returns ``Fraction``s, which may be non-integral.  Raises
+        :class:`SolverError` when ``rhs`` is outside the column span
+        (inconsistent system).
+        """
+        entries = []
+        for mono, coeff in rhs.num.items():
+            i = self.row_of.get(mono)
+            if i is None:
+                raise SolverError(
+                    f"system is inconsistent: rhs monomial {mono} lies outside the column support"
+                )
+            entries.append((i, coeff))
+        if self.fraction_free is not None:
+            return self.fraction_free.solve(entries, rhs.den)
+        if rhs.den % self.modulus:
+            x = self._solve_modular(entries, rhs.den)
+            if self._certifies(x, entries, rhs.den):
+                return x
+        # the modulus divides the rhs denominator, or the lift is not the
+        # solution (it is non-integral, too large, or there is none)
+        return _FractionFree(self.row_of, self.columns, self.order).solve(entries, rhs.den)
+
+    def _solve_modular(self, entries, denom: int) -> list[int]:
+        """Solution modulo the modulus, lifted to the symmetric range."""
+        p = self.modulus
+        inv = pow(denom, -1, p)
+        b = [0] * len(self.row_of)
+        for i, coeff in entries:
+            b[i] = coeff * inv % p
+        for step, (pivot_row, pivot_inv, targets, factors) in enumerate(self.steps):
+            b[step], b[pivot_row] = b[pivot_row], b[step]
+            top = b[step] = b[step] * pivot_inv % p
+            if top:
+                for i, factor in zip(targets, factors):
+                    b[i] -= factor * top
+        x = [0] * len(self.order)
+        for step in reversed(range(len(self.order))):
+            tail, tail_values = self.upper[step]
+            x[self.order[step]] = (b[step] - sum(v * x[j] for j, v in zip(tail, tail_values))) % p
+        half = p // 2
+        return [v - p if v > half else v for v in x]
+
+    def _certifies(self, x: list[int], entries, denom: int) -> bool:
+        """Whether ``sum_j x_j num_j (L / den_j) * denom == L * rhs.num`` holds
+        exactly on every monomial."""
+        acc = [0] * len(self.row_of)
+        for value, mult, rows, col in zip(x, self.multipliers, self.column_rows, self.columns):
+            if value:
+                value *= mult
+                for i, c in zip(rows, col.num.values()):
+                    acc[i] += value * c
+        if denom != 1:
+            acc = [a * denom for a in acc]
+        for i, coeff in entries:
+            acc[i] -= self.den_lcm * coeff
+        return not any(acc)
+
+
+class _FractionFree:
+    """Exact fraction-free (Bareiss) factorization of the integer rows.
+
+    Each row is scaled by the lcm of its denominators to integers; the
+    elimination keeps the eliminated rows plus every step's
+    ``(pivot row, pivot, prev, factors)``, and :meth:`solve` replays them
+    on a right-hand side.  Pivots grow to hundreds of bits, so this is
+    the fallback of :class:`HeightClassSystem`, never its first route.
+
+    Raises :class:`SolverError` when a pivot is missing (non-unique
+    solution).
+    """
+
+    def __init__(self, row_of, columns, order):
+        n = len(columns)
         # a row's scale is the lcm of its entries' denominators in lowest terms
-        scales = [1] * len(monomials)
+        scales = [1] * len(row_of)
         for col in columns:
             d = col.den
             if d != 1:
                 for mono, c in col.num.items():
                     i = row_of[mono]
                     scales[i] = lcm(scales[i], d // gcd(c, d))
-        rows: list[list[int]] = [[0] * n for _ in monomials]
+        rows: list[list[int]] = [[0] * n for _ in row_of]
         for j, col in enumerate(columns):
             d = col.den
             for mono, c in col.num.items():
@@ -103,7 +248,7 @@ class HeightClassSystem:
                 rows[i][j] = c * scales[i] // d
         self.scales = tuple(scales)
 
-        self.order = tuple(sorted(range(n), key=lambda c: (-len(columns[c].num), c)))
+        self.order = order
         steps = []
         prev = 1
         for step, col in enumerate(self.order):
@@ -132,23 +277,14 @@ class HeightClassSystem:
         self.steps = tuple(steps)
         self.rows = tuple(tuple(row) for row in rows[:n])
 
-    def solve(self, rhs: XPoly) -> list[Fraction]:
-        """Unique exact solution for the right-hand side ``rhs``.
-
-        Raises :class:`SolverError` when ``rhs`` is outside the column span
-        (inconsistent system).
-        """
+    def solve(self, entries, denom: int) -> list[Fraction]:
+        """Exact solution for the right-hand side whose ``(row, numerator)``
+        pairs are ``entries``, over the common denominator ``denom``."""
         # the rhs denominator is common to the whole augmented column, so it
         # stays integral and the exactness checks of the elimination hold
         # for it as well
-        denom = rhs.den
         b = [0] * len(self.scales)
-        for mono, coeff in rhs.num.items():
-            i = self.row_of.get(mono)
-            if i is None:
-                raise SolverError(
-                    f"system is inconsistent: rhs monomial {mono} lies outside the column support"
-                )
+        for i, coeff in entries:
             b[i] = coeff * self.scales[i]
 
         for step, (pivot_row, pivot, prev, factors) in enumerate(self.steps):

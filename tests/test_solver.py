@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurmult import orbitchar
+from schurmult import orbitchar, solver
 from schurmult.lattice import (
     AlgebraContext,
     DominantWeight,
@@ -193,6 +193,14 @@ def test_solve_fractional_rhs_takes_common_denominator():
     assert system.solve(rhs * 2) == [Fraction(3), Fraction(2, 3)]
 
 
+def test_wrapped_lift_is_answered_by_fraction_free_fallback(monkeypatch):
+    # modulo 5 the lone unknown is 6 = 1, which the exact certificate refuses
+    monkeypatch.setattr(solver, "MODULUS", 5)
+    system = _system(_cols({0: 1}))
+    assert system.fraction_free is None
+    assert system.solve(XPoly(1, {(0,): Fraction(6)})) == [Fraction(6)]
+
+
 # -- shared height-class systems -------------------------------------------------
 
 
@@ -311,3 +319,42 @@ def test_table_is_immutable_value():
     assert len(table) == len(sub_Q_lambda1(2, AlgebraContext(3)))
     with pytest.raises(AttributeError):
         table.dimension = 0
+
+
+@pytest.fixture
+def fresh_systems():
+    height_class_system.cache_clear()
+    yield
+    height_class_system.cache_clear()
+
+
+@pytest.mark.parametrize("prime", [5, 7])
+def test_tiny_modulus_takes_fallbacks_and_keeps_tables(monkeypatch, fresh_systems, prime):
+    # pivots vanish and lifts wrap modulo a tiny prime, so the kept
+    # fraction-free factorization and the per-call fallback both answer
+    monkeypatch.setattr(solver, "MODULUS", prime)
+    for n, q in [(6, 7), (5, 6)]:
+        for w in _highest_weights(n, q):
+            _assert_matches_oracles(solve_multiplicities(w), q)
+    assert (height_class_system(6, 7).fraction_free is not None) == (prime == 5)
+    assert height_class_system(5, 6).fraction_free is None
+
+
+def test_full_modulus_certifies_without_fallback(monkeypatch, fresh_systems):
+    def refuse(*_):
+        raise AssertionError("a solve fell back to fraction-free elimination")
+
+    monkeypatch.setattr(solver, "_FractionFree", refuse)
+    for n, q in [(6, 7), (5, 6), (3, 20)]:
+        for w in _highest_weights(n, q):
+            _assert_matches_oracles(solve_multiplicities(w), q)
+
+
+def test_a1_large_height_tables_are_all_ones():
+    ctx = AlgebraContext(2)
+    for q in (200, 301, 600):
+        w = DominantWeight((q,), ctx)
+        table = solve_multiplicities(w)
+        assert len(table) == q // 2 + 1
+        assert all(m == 1 for _, m in table), q
+        assert table.dimension == dimension(w) == q + 1
