@@ -17,14 +17,7 @@ from .lattice import (
     partition_to_dominant,
     sub_Q_lambda1,
 )
-from .orbitchar import (
-    GeneratorExpr,
-    degenerate_x,
-    generator_to_x,
-    orbit_char_u,
-    orbit_char_x,
-    reduce_to_generators,
-)
+from .orbitchar import degenerate_x, orbit_char_u, orbit_char_x
 from .polyengine import (
     InexactDivisionError,
     UPoly,
@@ -45,7 +38,6 @@ __all__ = [
     "AlgebraContext",
     "DominantWeight",
     "FactorizationReport",
-    "GeneratorExpr",
     "InexactDivisionError",
     "MultiplicityTable",
     "Partition",
@@ -59,7 +51,6 @@ __all__ = [
     "dimension",
     "elementary_schur",
     "generalized_schur",
-    "generator_to_x",
     "height",
     "orbit_char_u",
     "orbit_char_x",
@@ -68,7 +59,6 @@ __all__ = [
     "partition_to_dominant",
     "poly_det",
     "poly_divide_exact",
-    "reduce_to_generators",
     "schur_context",
     "solve_multiplicities",
     "star_schur",

@@ -452,9 +452,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="schurmult", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, fmt_default="text"):
+    def add(name, help_text, fmt_default="text", formats=("json", "csv", "text")):
         sub = commands.add_parser(name, help=help_text)
-        sub.add_argument("--format", choices=("json", "csv", "text"), default=fmt_default)
+        sub.add_argument("--format", choices=formats, default=fmt_default)
         return sub
 
     mult = add("mult", "multiplicity table of an irreducible representation", "json")
@@ -462,8 +462,12 @@ def _build_parser() -> _Parser:
     orbit = add("orbit", "weights of one Weyl orbit")
     character = add("character", "irreducible character from the alternant quotient")
     sub_cmd = add("sub", "dominant weights of one height class")
-    audit = add("audit", "cross-check solver against the independent oracles")
-    bench = add("bench", "time the Schur route against the alternant route")
+    audit = add(
+        "audit", "cross-check solver against the independent oracles", formats=("text",)
+    )
+    bench = add(
+        "bench", "time the Schur route against the alternant route", formats=("json", "text")
+    )
 
     for cmd in (mult, schur, orbit, character, sub_cmd):
         cmd.add_argument("--rank", type=int, required=True, help="number of rows N (algebra A(N-1))")

@@ -1,91 +1,22 @@
-"""Weyl-orbit characters and their two polynomial realizations.
+"""Weyl-orbit characters in the u-variables and in the x-indeterminates.
 
 An orbit character is a monomial symmetric polynomial in u1..uN (each
-distinct monomial exactly once).  It can equivalently be rewritten as a
-polynomial in the power-sum generators and, from there, pushed into the
-x-indeterminates via K(Q) -> Q*x_Q.  Because the product of all u's is
-constrained to 1, the x-variables of degree >= N are not independent:
-their expressions in x1..x(N-1) are produced here by the Newton recursion
-with the top elementary symmetric polynomial pinned to 1.
-
-K(Q) -> Q*x_Q is a ring homomorphism, so one merge recursion serves both
-rings: :func:`orbit_char_x` runs it directly on x-polynomials (memoized
-per rank), while :func:`reduce_to_generators` followed by
-:func:`generator_to_x` is kept as the reference route that tests compare
-against.
+distinct monomial exactly once); :func:`orbit_char_u` builds it directly.
+:func:`orbit_char_x` writes the same character in the x-indeterminates,
+where K(Q) -> Q*x_Q sends the Q-th power sum to Q*x_Q.  Because the
+product of all u's is constrained to 1, the x-variables of degree >= N
+are not independent: their expressions in x1..x(N-1) are produced here by
+the Newton recursion with the top elementary symmetric polynomial pinned
+to 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from .lattice import AlgebraContext, Partition
 from .polyengine import UPoly, XPoly
-
-
-@dataclass(frozen=True)
-class GeneratorExpr:
-    """Formal polynomial in the power-sum generators with rational coefficients.
-
-    Keys are descending-sorted multisets (Q1,...,Qm) standing for the
-    product K(Q1)...K(Qm); the empty multiset is the constant 1.  A zero
-    degree is dropped on construction since K(0) is 1 by convention.
-    """
-
-    terms: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for multiset, coeff in self.terms.items():
-            key = tuple(sorted((q for q in multiset if q != 0), reverse=True))
-            if any(q < 0 for q in key):
-                raise ValueError(f"generator degrees must be nonnegative, got {multiset}")
-            c = clean.get(key, Fraction(0)) + Fraction(coeff)
-            if c:
-                clean[key] = c
-            else:
-                clean.pop(key, None)
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def one(cls) -> "GeneratorExpr":
-        return cls({(): Fraction(1)})
-
-    @classmethod
-    def generator(cls, Q: int) -> "GeneratorExpr":
-        return cls({(Q,): Fraction(1)})
-
-    def __add__(self, other: "GeneratorExpr") -> "GeneratorExpr":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return GeneratorExpr(out)
-
-    def __sub__(self, other: "GeneratorExpr") -> "GeneratorExpr":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, GeneratorExpr):
-            out: dict[tuple[int, ...], Fraction] = {}
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    key = tuple(sorted(ka + kb, reverse=True))
-                    out[key] = out.get(key, Fraction(0)) + ca * cb
-            return GeneratorExpr(out)
-        return GeneratorExpr({k: c * Fraction(other) for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for key in sorted(self.terms, key=lambda k: (sum(k), len(k), k)):
-            prod = "*".join(f"K({q})" for q in key) if key else "1"
-            pieces.append(f"{self.terms[key]} {prod}")
-        return " + ".join(pieces)
 
 
 def orbit_char_u(p: Partition, ctx: AlgebraContext) -> UPoly:
@@ -121,56 +52,6 @@ def orbit_char_u(p: Partition, ctx: AlgebraContext) -> UPoly:
 
     place(0, tuple(range(n)), [0] * n)
     return UPoly(n, terms)
-
-
-_reduce_cache: dict[tuple[None, tuple[int, ...]], GeneratorExpr] = {}
-
-
-def reduce_to_generators(p: Partition) -> GeneratorExpr:
-    """Rewrite an orbit character as a polynomial in the generators K(Q).
-
-    The reference route to :func:`orbit_char_x`: the merge recursion of
-    :func:`_newton_merge` run in the formal generator ring.  The result
-    does not depend on the number of variables.
-    """
-    return _newton_merge(
-        None, p.parts, GeneratorExpr.generator, GeneratorExpr.one(), _reduce_cache
-    )
-
-
-def _newton_merge(rank, parts, generator, one, cache):
-    """Orbit character of ``parts`` in a ring where K(Q) maps to ``generator(Q)``.
-
-    Eliminates the largest part recursively: multiplying the shorter
-    character by K(q1) reproduces the original (with multiplicity equal
-    to the count of q1) plus characters where q1 merged into another
-    part, each weighted by the merged value's multiplicity.  K(Q) -> p_Q
-    is a ring homomorphism, so the same recursion holds in every ring the
-    generators map into.  Values are memoized in ``cache`` under
-    ``(rank, parts)``; each call recurses on strictly shorter partitions.
-    """
-    key = (rank, parts)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    if len(parts) == 0:
-        value = one
-    elif len(parts) == 1:
-        value = generator(parts[0])
-    else:
-        q1 = parts[0]
-        rest = parts[1:]
-        r = parts.count(q1)
-        value = generator(q1) * _newton_merge(rank, rest, generator, one, cache)
-        for v in sorted(set(rest), reverse=True):
-            i = rest.index(v)
-            merged = tuple(sorted(rest[:i] + (v + q1,) + rest[i + 1 :], reverse=True))
-            lower = _newton_merge(rank, merged, generator, one, cache)
-            value = value - merged.count(v + q1) * lower
-        if r != 1:
-            value = value * Fraction(1, r)
-    cache[key] = value
-    return value
 
 
 _elem_cache: dict[tuple[int, int], XPoly] = {}
@@ -247,30 +128,43 @@ def degenerate_x(Q: int, ctx: AlgebraContext) -> XPoly:
     return _power_sum_x(ctx.N, Q) * Fraction(1, Q)
 
 
-def generator_to_x(g: GeneratorExpr, ctx: AlgebraContext) -> XPoly:
-    """Substitute K(Q) -> Q*x_Q, degenerating dependent degrees, and expand."""
-    nvars = ctx.N - 1
-    out = XPoly.zero(nvars)
-    for multiset, coeff in g.terms.items():
-        term = XPoly.constant(nvars, coeff)
-        for Q in multiset:
-            term = term * _power_sum_x(ctx.N, Q)
-        out = out + term
-    return out
-
-
 _orbit_x_cache: dict[tuple[int, tuple[int, ...]], XPoly] = {}
 
 
 def orbit_char_x(p: Partition, ctx: AlgebraContext) -> XPoly:
     """Orbit character as a polynomial in the independent x-indeterminates.
 
-    Runs the merge recursion directly in x, so each column costs one
-    product of a power sum with a smaller memoized column; it equals
-    ``generator_to_x(reduce_to_generators(p), ctx)``.  Partitions with
-    more than N parts give zero.
+    Eliminates the largest part recursively: multiplying the shorter
+    character by the power sum of q1 reproduces the original (with
+    multiplicity equal to the count of q1) plus characters where q1 merged
+    into another part, each weighted by the merged value's multiplicity.
+    Each column thus costs one product of a power sum with a smaller
+    column, memoized per rank; every call recurses on strictly shorter
+    partitions.  Partitions with more than N parts give zero.
     """
     n = ctx.N
-    return _newton_merge(
-        n, p.parts, lambda Q: _power_sum_x(n, Q), XPoly.one(n - 1), _orbit_x_cache
-    )
+
+    def merge(parts: tuple[int, ...]) -> XPoly:
+        key = (n, parts)
+        cached = _orbit_x_cache.get(key)
+        if cached is not None:
+            return cached
+        if len(parts) == 0:
+            value = XPoly.one(n - 1)
+        elif len(parts) == 1:
+            value = _power_sum_x(n, parts[0])
+        else:
+            q1 = parts[0]
+            rest = parts[1:]
+            r = parts.count(q1)
+            value = _power_sum_x(n, q1) * merge(rest)
+            for v in sorted(set(rest), reverse=True):
+                i = rest.index(v)
+                merged = tuple(sorted(rest[:i] + (v + q1,) + rest[i + 1 :], reverse=True))
+                value = value - merged.count(v + q1) * merge(merged)
+            if r != 1:
+                value = value * Fraction(1, r)
+        _orbit_x_cache[key] = value
+        return value
+
+    return merge(p.parts)

@@ -171,13 +171,6 @@ class _SparsePoly:
     def coefficient(self, exponents: Sequence[int]):
         return self.terms.get(tuple(exponents), self._zero_coeff())
 
-    def leading_term(self) -> tuple[tuple[int, ...], object]:
-        """Largest (monomial, coefficient) pair in graded-lex order."""
-        if not self.num:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.num, key=_grlex_key)
-        return exps, self.terms[exps]
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
         """Terms in ascending graded-lex order (the canonical print order)."""
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))

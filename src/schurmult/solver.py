@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .lattice import (
     AlgebraContext,
@@ -80,14 +80,12 @@ class HeightClassSystem:
     pivots mean the rational system has a unique solution, so an integer
     vector that satisfies every equation is that solution.
 
-    If a pivot vanishes modulo the modulus, construction runs the exact
-    fraction-free elimination instead and keeps it.  If a certificate
-    fails, a fraction-free elimination built for that call answers it.
-    The object is never mutated after construction, so one instance is
-    shared by every solve of the class, across threads too.
-
-    Raises :class:`SolverError` when a pivot is missing (non-unique
-    solution).
+    If a column denominator or a pivot vanishes modulo the modulus,
+    ``steps`` and ``upper`` are ``None``.  Every solve the modular route
+    cannot certify, those included, is answered by
+    :func:`_fraction_free_solve`.  The object is never mutated after
+    construction, so one instance is shared by every solve of the class,
+    across threads too.
     """
 
     def __init__(self, members: Sequence[DominantWeight], columns: Sequence[XPoly]):
@@ -106,13 +104,7 @@ class HeightClassSystem:
         self.multipliers = tuple(self.den_lcm // col.den for col in columns)
         self.column_rows = tuple(tuple(self.row_of[mono] for mono in col.num) for col in columns)
         self.modulus = MODULUS
-        factored = self._factor_modular()
-        if factored is None:
-            self.steps = self.upper = ()
-            self.fraction_free = _FractionFree(self.row_of, self.columns, self.order)
-        else:
-            self.steps, self.upper = factored
-            self.fraction_free = None
+        self.steps, self.upper = self._factor_modular() or (None, None)
 
     def _factor_modular(self) -> tuple[tuple, tuple] | None:
         """Steps and pivot-row tails modulo the modulus; ``None`` when a
@@ -161,7 +153,7 @@ class HeightClassSystem:
         A certified solution is a list of ints; the fraction-free fallback
         returns ``Fraction``s, which may be non-integral.  Raises
         :class:`SolverError` when ``rhs`` is outside the column span
-        (inconsistent system).
+        (inconsistent system) or the system is singular.
         """
         entries = []
         for mono, coeff in rhs.num.items():
@@ -171,15 +163,14 @@ class HeightClassSystem:
                     f"system is inconsistent: rhs monomial {mono} lies outside the column support"
                 )
             entries.append((i, coeff))
-        if self.fraction_free is not None:
-            return self.fraction_free.solve(entries, rhs.den)
-        if rhs.den % self.modulus:
+        if self.steps is not None and rhs.den % self.modulus:
             x = self._solve_modular(entries, rhs.den)
             if self._certifies(x, entries, rhs.den):
                 return x
-        # the modulus divides the rhs denominator, or the lift is not the
-        # solution (it is non-integral, too large, or there is none)
-        return _FractionFree(self.row_of, self.columns, self.order).solve(entries, rhs.den)
+        # no modular factorization, the modulus divides the rhs denominator,
+        # or the lift is not the solution (it is non-integral, too large, or
+        # there is none)
+        return _fraction_free_solve(self.row_of, self.columns, self.order, entries, rhs.den)
 
     def _solve_modular(self, entries, denom: int) -> list[int]:
         """Solution modulo the modulus, lifted to the symmetric range."""
@@ -217,101 +208,64 @@ class HeightClassSystem:
         return not any(acc)
 
 
-class _FractionFree:
-    """Exact fraction-free (Bareiss) factorization of the integer rows.
+def _fraction_free_solve(row_of, columns, order, entries, denom: int) -> list[Fraction]:
+    """Exact solution by fraction-free (Bareiss) elimination.
 
-    Each row is scaled by the lcm of its denominators to integers; the
-    elimination keeps the eliminated rows plus every step's
-    ``(pivot row, pivot, prev, factors)``, and :meth:`solve` replays them
-    on a right-hand side.  Pivots grow to hundreds of bits, so this is
-    the fallback of :class:`HeightClassSystem`, never its first route.
+    The rows of the ``columns`` and, as a last entry, the right-hand side
+    (``(row, numerator)`` pairs in ``entries`` over the common denominator
+    ``denom``) are scaled by the lcm of the column denominators to
+    integers, and the pivot columns are eliminated in ``order``.  Pivots
+    grow to hundreds of bits, so this answers only the solves that the
+    modular route of :class:`HeightClassSystem` cannot certify.
 
-    Raises :class:`SolverError` when a pivot is missing (non-unique
-    solution).
+    Raises :class:`SolverError` when a pivot is missing (singular system)
+    or a residual equation is nonzero (inconsistent system).
     """
+    n = len(columns)
+    scale = lcm(*(col.den for col in columns))
+    rows = [[0] * (n + 1) for _ in row_of]
+    for j, col in enumerate(columns):
+        mult = scale // col.den
+        for mono, c in col.num.items():
+            rows[row_of[mono]][j] = c * mult
+    # the rhs denominator is common to the whole augmented column, so the
+    # scaled system is solved for denom times the unknowns
+    for i, coeff in entries:
+        rows[i][n] = coeff * scale
 
-    def __init__(self, row_of, columns, order):
-        n = len(columns)
-        # a row's scale is the lcm of its entries' denominators in lowest terms
-        scales = [1] * len(row_of)
-        for col in columns:
-            d = col.den
-            if d != 1:
-                for mono, c in col.num.items():
-                    i = row_of[mono]
-                    scales[i] = lcm(scales[i], d // gcd(c, d))
-        rows: list[list[int]] = [[0] * n for _ in row_of]
-        for j, col in enumerate(columns):
-            d = col.den
-            for mono, c in col.num.items():
-                i = row_of[mono]
-                rows[i][j] = c * scales[i] // d
-        self.scales = tuple(scales)
-
-        self.order = order
-        steps = []
-        prev = 1
-        for step, col in enumerate(self.order):
-            pivot_row = next((i for i in range(step, len(rows)) if rows[i][col]), None)
-            if pivot_row is None:
-                raise SolverError(f"no pivot for unknown {col}: system is singular")
-            rows[step], rows[pivot_row] = rows[pivot_row], rows[step]
-            pivot = rows[step][col]
-            factors = []
-            for i in range(step + 1, len(rows)):
-                # a row with a zero coefficient part stays zero; solve only
-                # checks its right-hand side entry at the end
-                if not any(rows[i]):
-                    continue
-                factor = rows[i][col]
-                factors.append((i, factor))
-                new_row = []
-                for j in range(n):
-                    value, rem = divmod(pivot * rows[i][j] - factor * rows[step][j], prev)
-                    if rem:
-                        raise SolverError("fraction-free elimination lost exactness")
-                    new_row.append(value)
-                rows[i] = new_row
-            steps.append((pivot_row, pivot, prev, tuple(factors)))
-            prev = pivot
-        self.steps = tuple(steps)
-        self.rows = tuple(tuple(row) for row in rows[:n])
-
-    def solve(self, entries, denom: int) -> list[Fraction]:
-        """Exact solution for the right-hand side whose ``(row, numerator)``
-        pairs are ``entries``, over the common denominator ``denom``."""
-        # the rhs denominator is common to the whole augmented column, so it
-        # stays integral and the exactness checks of the elimination hold
-        # for it as well
-        b = [0] * len(self.scales)
-        for i, coeff in entries:
-            b[i] = coeff * self.scales[i]
-
-        for step, (pivot_row, pivot, prev, factors) in enumerate(self.steps):
-            b[step], b[pivot_row] = b[pivot_row], b[step]
-            top = b[step]
-            for i, factor in factors:
-                value, rem = divmod(pivot * b[i] - factor * top, prev)
+    prev = 1
+    for step, col in enumerate(order):
+        pivot_row = next((i for i in range(step, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            raise SolverError(f"no pivot for unknown {col}: system is singular")
+        rows[step], rows[pivot_row] = rows[pivot_row], rows[step]
+        top = rows[step]
+        pivot = top[col]
+        for i in range(step + 1, len(rows)):
+            factor = rows[i][col]
+            new_row = []
+            for a, b in zip(rows[i], top):
+                value, rem = divmod(pivot * a - factor * b, prev)
                 if rem:
                     raise SolverError("fraction-free elimination lost exactness")
-                b[i] = value
+                new_row.append(value)
+            rows[i] = new_row
+        prev = pivot
+    if any(row[n] for row in rows[n:]):
+        raise SolverError("system is inconsistent: residual equation is nonzero")
 
-        n = len(self.order)
-        if any(b[n:]):
-            raise SolverError("system is inconsistent: residual equation is nonzero")
-
-        # the last pivot is the determinant of the eliminated square system,
-        # so by Cramer's rule it times each unknown is an integer
-        det = self.steps[-1][1]
-        scaled = [0] * n
-        for step in reversed(range(n)):
-            col = self.order[step]
-            row = self.rows[step]
-            acc = det * b[step] - sum(row[c] * scaled[c] for c in self.order[step + 1 :])
-            scaled[col], rem = divmod(acc, row[col])
-            if rem:
-                raise SolverError("fraction-free back-substitution lost exactness")
-        return [Fraction(value, det * denom) for value in scaled]
+    # the last pivot is the determinant of the eliminated square system,
+    # so by Cramer's rule it times each unknown is an integer
+    det = prev
+    scaled = [0] * n
+    for step in reversed(range(n)):
+        col = order[step]
+        row = rows[step]
+        acc = det * row[n] - sum(row[c] * scaled[c] for c in order[step + 1 :])
+        scaled[col], rem = divmod(acc, row[col])
+        if rem:
+            raise SolverError("fraction-free back-substitution lost exactness")
+    return [Fraction(value, det * denom) for value in scaled]
 
 
 @lru_cache(maxsize=SYSTEM_CACHE_SIZE)

@@ -23,7 +23,7 @@ from schurmult.lattice import (
     sub_Q_lambda1,
 )
 from schurmult.oracle import freudenthal, inflated_exponents, kostka, kostka_multiplicity
-from schurmult.orbitchar import GeneratorExpr, degenerate_x, reduce_to_generators
+from schurmult.orbitchar import degenerate_x, orbit_char_x
 from schurmult.schur import elementary_schur, generalized_schur, schur_context
 from schurmult.solver import dimension, solve_multiplicities
 from schurmult.weyl import alternant_matrix, verify_factorization
@@ -269,54 +269,54 @@ def test_criterion_8_symmetric_and_antisymmetric_extremes():
                     assert mult == (1 if member == target else 0), (n, q, member)
 
 
-def _gen(*degrees):
-    expr = GeneratorExpr.one()
-    for q in degrees:
-        expr = expr * GeneratorExpr.generator(q)
-    return expr
+def _gen(ctx, q):
+    return orbit_char_x(Partition((q,)), ctx)
 
 
-def _red(*parts):
-    return reduce_to_generators(Partition(tuple(sorted(parts, reverse=True))))
+def _red(ctx, *parts):
+    return orbit_char_x(Partition(tuple(sorted(parts, reverse=True))), ctx)
 
 
 def test_criterion_9_reduction_rules_and_determinant_identities():
     with criterion(9, "reduction-rule and determinant-identity goldens", 120.0):
         half, third = Fraction(1, 2), Fraction(1, 3)
-        for q1, q2, q3 in [(3, 2, 1), (4, 2, 1), (5, 3, 2)]:
-            assert _red(q1, q2) == _gen(q1) * _gen(q2) - _gen(q1 + q2)
-            assert _red(q1, q1) == half * (_gen(q1) * _gen(q1) - _gen(2 * q1))
-            assert _red(q1, q2, q3) == (
-                _gen(q1) * _red(q2, q3) - _red(q1 + q2, q3) - _red(q1 + q3, q2)
-            )
-            assert _red(q1, q2, q2) == _gen(q1) * _red(q2, q2) - _red(q1 + q2, q2)
-            assert _red(q1, q1, q2) == half * (
-                _gen(q1) * _red(q1, q2) - _red(2 * q1, q2) - _red(q1 + q2, q1)
-            )
-            assert _red(q1, q1, q1) == third * (
-                _gen(q1) * _red(q1, q1) - _red(2 * q1, q1)
-            )
-            assert _red(q1, q2, q2, q2) == (
-                _gen(q1) * _red(q2, q2, q2) - _red(q1 + q2, q2, q2)
-            )
-            assert _red(q1, q2, q3, q3) == (
-                _gen(q1) * _red(q2, q3, q3)
-                - _red(q1 + q2, q3, q3)
-                - _red(q1 + q3, q2, q3)
-            )
-            assert _red(q1, q1, q1, q2) == third * (
-                _gen(q1) * _red(q1, q1, q2)
-                - _red(2 * q1, q1, q2)
-                - _red(q1 + q2, q1, q1)
-            )
-            assert _red(q1, q2, q2, q2, q2) == (
-                _gen(q1) * _red(q2, q2, q2, q2) - _red(q1 + q2, q2, q2, q2)
-            )
-            assert _red(q1, q1, q2, q2, q2) == half * (
-                _gen(q1) * _red(q1, q2, q2, q2)
-                - _red(2 * q1, q2, q2, q2)
-                - _red(q1 + q2, q2, q2, q1)
-            )
+        # K(Q) -> Q*x_Q is a ring homomorphism, so every rule holds in x
+        # for each rank, with K(Q) the single-part class
+        for c in (AlgebraContext(n) for n in range(2, 8)):
+            for q1, q2, q3 in [(3, 2, 1), (4, 2, 1), (5, 3, 2)]:
+                assert _red(c, q1, q2) == _gen(c, q1) * _gen(c, q2) - _gen(c, q1 + q2)
+                assert _red(c, q1, q1) == half * (_gen(c, q1) * _gen(c, q1) - _gen(c, 2 * q1))
+                assert _red(c, q1, q2, q3) == (
+                    _gen(c, q1) * _red(c, q2, q3) - _red(c, q1 + q2, q3) - _red(c, q1 + q3, q2)
+                )
+                assert _red(c, q1, q2, q2) == _gen(c, q1) * _red(c, q2, q2) - _red(c, q1 + q2, q2)
+                assert _red(c, q1, q1, q2) == half * (
+                    _gen(c, q1) * _red(c, q1, q2) - _red(c, 2 * q1, q2) - _red(c, q1 + q2, q1)
+                )
+                assert _red(c, q1, q1, q1) == third * (
+                    _gen(c, q1) * _red(c, q1, q1) - _red(c, 2 * q1, q1)
+                )
+                assert _red(c, q1, q2, q2, q2) == (
+                    _gen(c, q1) * _red(c, q2, q2, q2) - _red(c, q1 + q2, q2, q2)
+                )
+                assert _red(c, q1, q2, q3, q3) == (
+                    _gen(c, q1) * _red(c, q2, q3, q3)
+                    - _red(c, q1 + q2, q3, q3)
+                    - _red(c, q1 + q3, q2, q3)
+                )
+                assert _red(c, q1, q1, q1, q2) == third * (
+                    _gen(c, q1) * _red(c, q1, q1, q2)
+                    - _red(c, 2 * q1, q1, q2)
+                    - _red(c, q1 + q2, q1, q1)
+                )
+                assert _red(c, q1, q2, q2, q2, q2) == (
+                    _gen(c, q1) * _red(c, q2, q2, q2, q2) - _red(c, q1 + q2, q2, q2, q2)
+                )
+                assert _red(c, q1, q1, q2, q2, q2) == half * (
+                    _gen(c, q1) * _red(c, q1, q2, q2, q2)
+                    - _red(c, 2 * q1, q2, q2, q2)
+                    - _red(c, q1 + q2, q2, q2, q1)
+                )
 
         for n in (3, 4, 5, 6):
             sctx = schur_context(n)

@@ -167,6 +167,9 @@ REFUSED_UP_FRONT = {
     ("bench", "--ranks", "3", "--heights", "0"): "error: bench heights must be at least 1",
     ("audit", "--ranks", "3", "--max-height", "0"): "error: audit max height must be at least 1",
     ("audit", "--ranks", "3", "--max-height", "-2"): "error: audit max height must be at least 1",
+    ("audit", "--format", "json"): "invalid choice",
+    ("audit", "--format", "csv"): "invalid choice",
+    ("bench", "--format", "csv"): "invalid choice",
 }
 
 

@@ -7,15 +7,7 @@ from hypothesis import strategies as st
 
 from schurmult import orbitchar
 from schurmult.lattice import AlgebraContext, Partition, orbit_size, partition_to_dominant, partitions_of
-from schurmult.orbitchar import (
-    GeneratorExpr,
-    degenerate_x,
-    elementary_symmetric_x,
-    generator_to_x,
-    orbit_char_u,
-    orbit_char_x,
-    reduce_to_generators,
-)
+from schurmult.orbitchar import degenerate_x, elementary_symmetric_x, orbit_char_u, orbit_char_x
 from schurmult.polyengine import UPoly, XPoly, rationalize
 from schurmult.weyl import product_one_normal_form
 
@@ -25,16 +17,17 @@ A5 = AlgebraContext(6)
 A2 = AlgebraContext(3)
 
 
-def K(*degrees):
-    expr = GeneratorExpr.one()
-    for q in degrees:
-        expr = expr * GeneratorExpr.generator(q)
-    return expr
+# the reduction rules hold in every rank, with K(Q) the single-part class
+RANKS = [AlgebraContext(n) for n in range(2, 8)]
 
 
-def R(*parts):
+def K(ctx, q):
+    return orbit_char_x(Partition((q,)), ctx)
+
+
+def R(ctx, *parts):
     # class functions are labeled by multisets; sort into partition form
-    return reduce_to_generators(Partition(tuple(sorted(parts, reverse=True))))
+    return orbit_char_x(Partition(tuple(sorted(parts, reverse=True))), ctx)
 
 
 # -- direct monomial-symmetric construction ------------------------------
@@ -79,103 +72,97 @@ def test_orbit_char_u_term_count_is_orbit_size():
                 assert all(c == 1 for c in poly.terms.values())
 
 
-# -- reduction to generators ---------------------------------------------
+# -- reduction rules in x ---------------------------------------------
 
 
 @pytest.mark.parametrize("q1,q2", [(2, 1), (3, 1), (5, 2)])
 def test_reduction_two_distinct(q1, q2):
-    assert R(q1, q2) == K(q1) * K(q2) - K(q1 + q2)
+    for c in RANKS:
+        assert R(c, q1, q2) == K(c, q1) * K(c, q2) - K(c, q1 + q2), c
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_reduction_two_equal(q):
-    assert R(q, q) == Fraction(1, 2) * (K(q) * K(q) - K(2 * q))
+    for c in RANKS:
+        assert R(c, q, q) == Fraction(1, 2) * (K(c, q) * K(c, q) - K(c, 2 * q)), c
 
 
 @pytest.mark.parametrize("q1,q2,q3", [(3, 2, 1), (4, 2, 1), (5, 3, 2)])
 def test_reduction_three_distinct(q1, q2, q3):
-    expected = K(q1) * R(q2, q3) - R(q1 + q2, q3) - R(q1 + q3, q2)
-    assert R(q1, q2, q3) == expected
+    for c in RANKS:
+        expected = K(c, q1) * R(c, q2, q3) - R(c, q1 + q2, q3) - R(c, q1 + q3, q2)
+        assert R(c, q1, q2, q3) == expected, c
 
 
 @pytest.mark.parametrize("q1,q2", [(3, 2), (2, 1), (4, 1)])
 def test_reduction_one_then_pair(q1, q2):
-    assert R(q1, q2, q2) == K(q1) * R(q2, q2) - R(q1 + q2, q2)
+    for c in RANKS:
+        assert R(c, q1, q2, q2) == K(c, q1) * R(c, q2, q2) - R(c, q1 + q2, q2), c
 
 
 @pytest.mark.parametrize("q1,q2", [(2, 1), (3, 1), (3, 2)])
 def test_reduction_pair_then_one(q1, q2):
-    expected = Fraction(1, 2) * (
-        K(q1) * R(q1, q2) - R(2 * q1, q2) - R(q1 + q2, q1)
-    )
-    assert R(q1, q1, q2) == expected
+    for c in RANKS:
+        expected = Fraction(1, 2) * (
+            K(c, q1) * R(c, q1, q2) - R(c, 2 * q1, q2) - R(c, q1 + q2, q1)
+        )
+        assert R(c, q1, q1, q2) == expected, c
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_reduction_three_equal(q):
-    expected = Fraction(1, 3) * (K(q) * R(q, q) - R(2 * q, q))
-    assert R(q, q, q) == expected
+    for c in RANKS:
+        expected = Fraction(1, 3) * (K(c, q) * R(c, q, q) - R(c, 2 * q, q))
+        assert R(c, q, q, q) == expected, c
 
 
 @pytest.mark.parametrize("q1,q2", [(4, 1), (3, 2), (2, 1)])
 def test_reduction_one_then_triple(q1, q2):
-    assert R(q1, q2, q2, q2) == K(q1) * R(q2, q2, q2) - R(q1 + q2, q2, q2)
+    for c in RANKS:
+        expected = K(c, q1) * R(c, q2, q2, q2) - R(c, q1 + q2, q2, q2)
+        assert R(c, q1, q2, q2, q2) == expected, c
 
 
 @pytest.mark.parametrize("q1,q2,q3", [(3, 2, 1), (4, 2, 1), (5, 3, 1)])
 def test_reduction_one_one_pair(q1, q2, q3):
-    expected = (
-        K(q1) * R(q2, q3, q3) - R(q1 + q2, q3, q3) - R(q1 + q3, q2, q3)
-    )
-    assert R(q1, q2, q3, q3) == expected
+    for c in RANKS:
+        expected = (
+            K(c, q1) * R(c, q2, q3, q3) - R(c, q1 + q2, q3, q3) - R(c, q1 + q3, q2, q3)
+        )
+        assert R(c, q1, q2, q3, q3) == expected, c
 
 
 @pytest.mark.parametrize("q1,q2", [(2, 1), (3, 1), (3, 2)])
 def test_reduction_triple_then_one(q1, q2):
-    expected = Fraction(1, 3) * (
-        K(q1) * R(q1, q1, q2) - R(2 * q1, q1, q2) - R(q1 + q2, q1, q1)
-    )
-    assert R(q1, q1, q1, q2) == expected
+    for c in RANKS:
+        expected = Fraction(1, 3) * (
+            K(c, q1) * R(c, q1, q1, q2) - R(c, 2 * q1, q1, q2) - R(c, q1 + q2, q1, q1)
+        )
+        assert R(c, q1, q1, q1, q2) == expected, c
 
 
 @pytest.mark.parametrize("q1,q2", [(3, 1), (2, 1)])
 def test_reduction_one_then_quadruple(q1, q2):
-    assert R(q1, q2, q2, q2, q2) == K(q1) * R(q2, q2, q2, q2) - R(q1 + q2, q2, q2, q2)
+    for c in RANKS:
+        expected = K(c, q1) * R(c, q2, q2, q2, q2) - R(c, q1 + q2, q2, q2, q2)
+        assert R(c, q1, q2, q2, q2, q2) == expected, c
 
 
 @pytest.mark.parametrize("q1,q2", [(2, 1), (3, 2)])
 def test_reduction_pair_then_triple(q1, q2):
-    expected = Fraction(1, 2) * (
-        K(q1) * R(q1, q2, q2, q2)
-        - R(2 * q1, q2, q2, q2)
-        - R(q1 + q2, q2, q2, q1)
-    )
-    assert R(q1, q1, q2, q2, q2) == expected
+    for c in RANKS:
+        expected = Fraction(1, 2) * (
+            K(c, q1) * R(c, q1, q2, q2, q2)
+            - R(c, 2 * q1, q2, q2, q2)
+            - R(c, q1 + q2, q2, q2, q1)
+        )
+        assert R(c, q1, q1, q2, q2, q2) == expected, c
 
 
 def test_reduction_single_and_empty():
-    assert R(5) == K(5)
-    assert R() == GeneratorExpr.one()
-
-
-def test_generator_expr_drops_degree_zero():
-    assert GeneratorExpr({(0, 3): Fraction(2)}) == GeneratorExpr({(3,): Fraction(2)})
-
-
-def test_reduction_is_rank_independent_and_matches_direct_expansion():
-    # the reduced expression evaluated on power sums reproduces the
-    # monomial-symmetric polynomial in any number of variables
-    for n in (3, 4, 5):
-        ctx = AlgebraContext(n)
-        for parts in [(2, 1), (2, 2), (3, 1, 1), (2, 2, 1)]:
-            expr = R(*parts)
-            acc = XPoly.zero(n)
-            for multiset, coeff in expr.terms.items():
-                term = XPoly.constant(n, coeff)
-                for q in multiset:
-                    term = term * rationalize(orbit_char_u(Partition((q,)), ctx))
-                acc = acc + term
-            assert acc == rationalize(orbit_char_u(Partition(parts), ctx))
+    for c in RANKS:
+        assert R(c, 5) == K(c, 5)
+        assert R(c) == XPoly.one(c.N - 1)
 
 
 # -- degenerated indeterminates ------------------------------------------
@@ -281,20 +268,6 @@ def test_elementary_symmetric_against_numeric():
 # -- substitution into x -------------------------------------------------
 
 
-def test_generator_to_x_single():
-    assert generator_to_x(K(1), A5) == XPoly.variable(5, 0)
-
-
-def test_generator_to_x_product():
-    got = generator_to_x(K(2, 1), AlgebraContext(5))
-    assert got == xp(4, [(2, {1: 1, 2: 1})])
-
-
-def test_generator_to_x_constant_convention():
-    assert generator_to_x(GeneratorExpr.one(), A5) == XPoly.one(5)
-    assert generator_to_x(GeneratorExpr({(0,): Fraction(1)}), A5) == XPoly.one(5)
-
-
 def test_full_column_class_is_one():
     assert orbit_char_x(Partition((1,) * 6), A5) == XPoly.one(5)
 
@@ -315,20 +288,7 @@ def test_column_classes_reduce_to_lower_generators():
         ctx = AlgebraContext(n)
         for extra in (1, 2, 3):
             parts = (extra + 1,) + (1,) * (n - 1)
-            assert orbit_char_x(Partition(parts), ctx) == generator_to_x(K(extra), ctx)
-
-
-def test_orbit_char_x_matches_generator_route(monkeypatch):
-    # parts >= N take degenerated degrees; more than N parts must give zero
-    monkeypatch.setattr(orbitchar, "_orbit_x_cache", {})
-    for n in range(2, 7):
-        ctx = AlgebraContext(n)
-        for total in range(10):
-            for parts in partitions_of(total, n + 1):
-                p = Partition(parts)
-                expected = generator_to_x(reduce_to_generators(p), ctx)
-                assert orbit_char_x(p, ctx) == expected, (n, parts)
-                assert expected.is_zero == (len(parts) > n), (n, parts)
+            assert orbit_char_x(Partition(parts), ctx) == K(ctx, extra)
 
 
 def test_orbit_char_x_overlong_partition_vanishes():
@@ -349,16 +309,35 @@ def test_full_length_class_factors_through_bottom():
 
 def test_route_consistency_u_vs_x():
     # substituting power sums into the x-route must reproduce the direct
-    # u-route modulo the product-one constraint
-    for n in (3, 4, 5, 6):
+    # u-route modulo the product-one constraint; with N + 1 parts both vanish
+    for n in (2, 3, 4, 5, 6):
         ctx = AlgebraContext(n)
         power_sums = [
             rationalize(orbit_char_u(Partition((k,)), ctx)) * Fraction(1, k)
             for k in range(1, n)
         ]
         for total in range(1, 8):
-            for parts in partitions_of(total, n):
+            for parts in partitions_of(total, n + 1):
                 p = Partition(parts)
-                via_x = orbit_char_x(p, ctx).substitute(power_sums)
+                via_x = orbit_char_x(p, ctx)
+                assert via_x.is_zero == (len(parts) > n), (n, parts)
                 direct = rationalize(orbit_char_u(p, ctx))
-                assert product_one_normal_form(via_x) == product_one_normal_form(direct), (n, parts)
+                assert product_one_normal_form(via_x.substitute(power_sums)) == (
+                    product_one_normal_form(direct)
+                ), (n, parts)
+
+
+def test_orbit_char_x_evaluates_to_orbit_sum(monkeypatch):
+    # at a point with product one, the x-route must give the orbit sum of
+    # u-monomials exactly; parts >= N take degenerated degrees
+    monkeypatch.setattr(orbitchar, "_orbit_x_cache", {})
+    rng = random.Random(17)
+    for n in range(2, 7):
+        ctx = AlgebraContext(n)
+        for us in (_random_point(n, rng), _random_point(n, rng)):
+            xs = [sum(u**i for u in us) / i for i in range(1, n)]
+            for total in range(10):
+                for parts in partitions_of(total, n + 1):
+                    p = Partition(parts)
+                    expected = orbit_char_u(p, ctx).evaluate(us)
+                    assert orbit_char_x(p, ctx).evaluate(xs) == expected, (n, parts, us)

@@ -197,7 +197,7 @@ def test_wrapped_lift_is_answered_by_fraction_free_fallback(monkeypatch):
     # modulo 5 the lone unknown is 6 = 1, which the exact certificate refuses
     monkeypatch.setattr(solver, "MODULUS", 5)
     system = _system(_cols({0: 1}))
-    assert system.fraction_free is None
+    assert system.steps is not None
     assert system.solve(XPoly(1, {(0,): Fraction(6)})) == [Fraction(6)]
 
 
@@ -232,18 +232,6 @@ def test_whole_class_solves_share_one_system():
     info = height_class_system.cache_info()
     assert info.misses == len(classes)
     assert info.hits == 2 * len(targets) - len(classes)
-
-
-def test_class_build_never_takes_the_generator_route(monkeypatch):
-    def refuse(*_):
-        raise AssertionError("orbit columns went through the generator route")
-
-    monkeypatch.setattr(orbitchar, "_orbit_x_cache", {})
-    monkeypatch.setattr(orbitchar, "generator_to_x", refuse)
-    monkeypatch.setattr(orbitchar, "reduce_to_generators", refuse)
-    height_class_system.cache_clear()
-    for w in _highest_weights(6, 7):
-        _assert_matches_oracles(solve_multiplicities(w), 7)
 
 
 @st.composite
@@ -330,21 +318,22 @@ def fresh_systems():
 
 @pytest.mark.parametrize("prime", [5, 7])
 def test_tiny_modulus_takes_fallbacks_and_keeps_tables(monkeypatch, fresh_systems, prime):
-    # pivots vanish and lifts wrap modulo a tiny prime, so the kept
-    # fraction-free factorization and the per-call fallback both answer
+    # pivots vanish and lifts wrap modulo a tiny prime, so solves of a
+    # system without a modular factorization and uncertified lifts both
+    # fall back to fraction-free elimination
     monkeypatch.setattr(solver, "MODULUS", prime)
     for n, q in [(6, 7), (5, 6)]:
         for w in _highest_weights(n, q):
             _assert_matches_oracles(solve_multiplicities(w), q)
-    assert (height_class_system(6, 7).fraction_free is not None) == (prime == 5)
-    assert height_class_system(5, 6).fraction_free is None
+    assert (height_class_system(6, 7).steps is None) == (prime == 5)
+    assert height_class_system(5, 6).steps is not None
 
 
 def test_full_modulus_certifies_without_fallback(monkeypatch, fresh_systems):
     def refuse(*_):
         raise AssertionError("a solve fell back to fraction-free elimination")
 
-    monkeypatch.setattr(solver, "_FractionFree", refuse)
+    monkeypatch.setattr(solver, "_fraction_free_solve", refuse)
     for n, q in [(6, 7), (5, 6), (3, 20)]:
         for w in _highest_weights(n, q):
             _assert_matches_oracles(solve_multiplicities(w), q)
