@@ -169,6 +169,20 @@ def partitions_of(total: int, max_parts: int, max_part: int | None = None) -> It
             yield (first,) + rest
 
 
+def class_size(Q: int, ctx: AlgebraContext) -> int:
+    """Number of members of the height-``Q`` class, without enumerating it.
+
+    Partitions with at most N parts are the conjugates of those with
+    parts at most N, which the recurrence over the largest allowed part
+    counts in O(N * Q) additions.
+    """
+    ways = [1] + [0] * Q
+    for part in range(1, min(ctx.N, Q) + 1):
+        for total in range(part, Q + 1):
+            ways[total] += ways[total - part]
+    return ways[Q]
+
+
 def sub_Q_lambda1(Q: int, ctx: AlgebraContext) -> list[DominantWeight]:
     """Dominant weights of all partitions of Q with at most N rows.
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lattice import AlgebraContext, Partition
-from .polyengine import UPoly, XPoly
+from .polyengine import UPoly, XPoly, pack_monomial, poly_dot
 
 
 def orbit_char_u(p: Partition, ctx: AlgebraContext) -> UPoly:
@@ -73,11 +73,15 @@ def elementary_symmetric_x(n: int, k: int) -> XPoly:
     cached = _elem_cache.get((n, k))
     if cached is not None:
         return cached
-    acc = XPoly.zero(nvars)
-    for i in range(1, k + 1):
-        term = elementary_symmetric_x(n, k - i) * XPoly.monomial(nvars, _unit(nvars, i), i)
-        acc = acc + term if i % 2 == 1 else acc - term
-    result = acc * Fraction(1, k) if k != 1 else acc
+    # Newton's identity k*e_k = sum (-1)**(i-1) * e_(k-i) * p_i, with p_i = i*x_i
+    result = poly_dot(
+        XPoly,
+        nvars,
+        [
+            (Fraction(1 if i % 2 else -1, k), elementary_symmetric_x(n, k - i), _power_sum_x(n, i))
+            for i in range(1, k + 1)
+        ],
+    )
     _elem_cache[(n, k)] = result
     return result
 
@@ -102,7 +106,7 @@ def _power_sum_x(n: int, Q: int) -> XPoly:
     if Q < n:
         # built straight from its integer numerator: every merge step of
         # every column asks for it, too often for the validating constructor
-        return XPoly._make(nvars, {_unit(nvars, Q): Q})
+        return XPoly._make(nvars, {pack_monomial(_unit(nvars, Q), nvars): Q})
     cached = _psum_cache.get((n, Q))
     if cached is not None:
         return cached
@@ -110,14 +114,18 @@ def _power_sum_x(n: int, Q: int) -> XPoly:
     while start > n and (n, start - 1) not in _psum_cache:
         start -= 1
     for d in range(start, Q + 1):
-        acc = XPoly.zero(nvars)
-        for i in range(1, n + 1):
-            lower = d - i
-            term = elementary_symmetric_x(n, i) * (
-                _psum_cache[(n, lower)] if lower >= n else _power_sum_x(n, lower)
-            )
-            acc = acc + term if i % 2 == 1 else acc - term
-        _psum_cache[(n, d)] = acc
+        _psum_cache[(n, d)] = poly_dot(
+            XPoly,
+            nvars,
+            [
+                (
+                    1 if i % 2 else -1,
+                    elementary_symmetric_x(n, i),
+                    _psum_cache[(n, d - i)] if d - i >= n else _power_sum_x(n, d - i),
+                )
+                for i in range(1, n + 1)
+            ],
+        )
     return _psum_cache[(n, Q)]
 
 
@@ -157,13 +165,14 @@ def orbit_char_x(p: Partition, ctx: AlgebraContext) -> XPoly:
             q1 = parts[0]
             rest = parts[1:]
             r = parts.count(q1)
-            value = _power_sum_x(n, q1) * merge(rest)
+            products = [(1, _power_sum_x(n, q1), merge(rest))]
             for v in sorted(set(rest), reverse=True):
                 i = rest.index(v)
                 merged = tuple(sorted(rest[:i] + (v + q1,) + rest[i + 1 :], reverse=True))
-                value = value - merged.count(v + q1) * merge(merged)
+                products.append((-merged.count(v + q1), merge(merged), None))
             if r != 1:
-                value = value * Fraction(1, r)
+                products = [(Fraction(c, r), a, b) for c, a, b in products]
+            value = poly_dot(XPoly, n - 1, products)
         _orbit_x_cache[key] = value
         return value
 

@@ -3,16 +3,30 @@
 Two concrete rings are provided: :class:`XPoly` with arbitrary-precision
 rational coefficients and :class:`UPoly` with arbitrary-precision integer
 coefficients.  Both are one integer representation: a map ``num`` from
-exponent tuples (one entry per variable) to nonzero integer numerators
-over one positive common denominator ``den``, in lowest terms
-(``gcd(den, *num.values()) == 1``; ``den`` is always 1 for ``UPoly``).
-Equality is therefore structural and all arithmetic is integer
-arithmetic on numerators.  ``terms`` is a read-only coefficient view
-built on each access: integers for ``UPoly``, fractions for ``XPoly``.
-Exact division divides the numerators by the divisor's primitive part in
-Z[x] (Gauss's lemma keeps the quotient integral) and moves the divisor's
-content into the denominator.  The canonical term order is graded
-lexicographic.
+packed monomials to nonzero integer numerators over one positive common
+denominator ``den``, in lowest terms (``gcd(den, *num.values()) == 1``;
+``den`` is always 1 for ``UPoly``).  Equality is therefore structural and
+all arithmetic is integer arithmetic on numerators.
+
+A packed monomial is one int (Monagan and Pearce, ISSAC 2009): each
+exponent takes a field of :data:`FIELD_BITS` bits, the first variable's
+field highest, and the total degree sits above all of them.  Int order
+is therefore graded-lexicographic order, the canonical term order, and
+the product of two monomials is the sum of their keys.  The top bit of
+every exponent field stays clear, so total degrees stay below
+:data:`DEGREE_LIMIT`; packing or multiplying past it raises
+:class:`OverflowError` instead of wrapping into another monomial.
+Everything outside this module sees exponent tuples: the constructor,
+:meth:`~_SparsePoly.monomial`, :meth:`~_SparsePoly.coefficient`,
+:meth:`~_SparsePoly.sorted_terms` and ``terms``, a read-only view that
+packs a key on lookup and unpacks on iteration (integers for ``UPoly``,
+fractions for ``XPoly``).
+
+:func:`poly_dot` is the one accumulate kernel: it sums ``c * a * b`` over
+many products in one numerator map over one lcm denominator.  Exact
+division divides the numerators by the divisor's primitive part in Z[x]
+(Gauss's lemma keeps the quotient integral) and moves the divisor's
+content into the denominator.
 
 Values are immutable after construction; every operation returns a new
 polynomial.
@@ -24,36 +38,76 @@ import heapq
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add, neg, sub
-from types import MappingProxyType
 from typing import Sequence
+
+# Bits per exponent field of a packed monomial.  The field's top bit is a
+# guard (see ``poly_divide_exact``), so total degrees stay below 2**15.
+FIELD_BITS = 16
+DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class InexactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-def _grlex_key(exponents: tuple[int, ...]) -> tuple:
-    return (sum(exponents), exponents)
+def pack_monomial(exponents: Sequence[int], nvars: int) -> int:
+    """Packed key of an exponent tuple of length ``nvars``.
+
+    Raises :class:`ValueError` for a wrong length or a negative exponent
+    and :class:`OverflowError` for a total degree of at least
+    :data:`DEGREE_LIMIT`.
+    """
+    if len(exponents) != nvars:
+        raise ValueError(
+            f"exponent tuple {tuple(exponents)} has length {len(exponents)}, expected {nvars}"
+        )
+    key = 0
+    degree = 0
+    for e in exponents:
+        if e < 0:
+            raise ValueError(f"negative exponent in {tuple(exponents)}")
+        key = key << FIELD_BITS | e
+        degree += e
+    if degree >= DEGREE_LIMIT:
+        raise OverflowError(
+            f"monomial {tuple(exponents)} has total degree {degree}, "
+            f"at or above the packed-monomial limit {DEGREE_LIMIT}"
+        )
+    return degree << (FIELD_BITS * nvars) | key
 
 
-class _FractionView(Mapping):
-    """Read-only ``{exponents: Fraction}`` view of numerators over one denominator."""
+def unpack_monomial(key: int, nvars: int) -> tuple[int, ...]:
+    """Exponent tuple of a packed key."""
+    return tuple(
+        key >> shift & _FIELD_MASK for shift in range(FIELD_BITS * (nvars - 1), -1, -FIELD_BITS)
+    )
 
-    __slots__ = ("_num", "_den")
 
-    def __init__(self, num: dict, den: int):
-        self._num = num
-        self._den = den
+class _TermsView(Mapping):
+    """Read-only ``{exponents: coefficient}`` view of a polynomial's packed terms."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "_SparsePoly"):
+        self._poly = poly
 
     def __getitem__(self, exps):
-        return Fraction(self._num[exps], self._den)
+        p = self._poly
+        try:
+            c = p.num.get(pack_monomial(exps, p.nvars))
+        except (TypeError, ValueError, OverflowError):
+            c = None
+        if c is None:
+            raise KeyError(exps)
+        return p._coefficient_value(c)
 
     def __iter__(self):
-        return iter(self._num)
+        nvars = self._poly.nvars
+        return (unpack_monomial(key, nvars) for key in self._poly.num)
 
     def __len__(self) -> int:
-        return len(self._num)
+        return len(self._poly.num)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -63,8 +117,8 @@ class _SparsePoly:
     """Shared machinery for exact sparse polynomials.
 
     Subclasses fix the coefficient domain via :meth:`_coerce` and the
-    symbol used for printing.  ``num`` maps fixed-length exponent tuples
-    to nonzero integers and ``den`` is the positive common denominator.
+    symbol used for printing.  ``num`` maps packed monomials to nonzero
+    integers and ``den`` is the positive common denominator.
     """
 
     __slots__ = ("nvars", "num", "den")
@@ -74,19 +128,13 @@ class _SparsePoly:
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], object] | None = None):
         if nvars < 0:
             raise ValueError("number of variables must be nonnegative")
-        coeffs: dict[tuple[int, ...], object] = {}
+        coeffs: dict[int, object] = {}
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != nvars:
-                    raise ValueError(
-                        f"exponent tuple {exps} has length {len(exps)}, expected {nvars}"
-                    )
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
+                key = pack_monomial(tuple(exps), nvars)
                 c = self._coerce(coeff)
                 if c:
-                    coeffs[exps] = coeffs.get(exps, 0) + c
+                    coeffs[key] = coeffs.get(key, 0) + c
         den = lcm(*(c.denominator for c in coeffs.values()))
         num = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items() if c}
         self._assign(nvars, num, den)
@@ -123,6 +171,14 @@ class _SparsePoly:
     def _zero_coeff(cls):
         return cls._coerce(0)
 
+    def _coefficient_value(self, numerator: int):
+        raise NotImplementedError
+
+    @property
+    def terms(self) -> Mapping:
+        """Read-only ``{exponents: coefficient}`` view, built on each access."""
+        return _TermsView(self)
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -131,7 +187,7 @@ class _SparsePoly:
 
     @classmethod
     def one(cls, nvars: int):
-        return cls._make(nvars, {(0,) * nvars: 1})
+        return cls._make(nvars, {0: 1})
 
     @classmethod
     def constant(cls, nvars: int, value):
@@ -166,14 +222,17 @@ class _SparsePoly:
         """Total degree; undefined (raises) for the zero polynomial."""
         if not self.num:
             raise ValueError("degree of the zero polynomial is undefined")
-        return max(sum(e) for e in self.num)
+        return max(self.num) >> FIELD_BITS * self.nvars
 
     def coefficient(self, exponents: Sequence[int]):
         return self.terms.get(tuple(exponents), self._zero_coeff())
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
         """Terms in ascending graded-lex order (the canonical print order)."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
+        return [
+            (unpack_monomial(key, self.nvars), self._coefficient_value(self.num[key]))
+            for key in sorted(self.num)
+        ]
 
     # -- arithmetic ----------------------------------------------------
 
@@ -193,55 +252,18 @@ class _SparsePoly:
             and self.num == other.num
         )
 
-    def _combine(self, other, sign: int):
-        """``self + sign * other`` over the lcm of the two denominators."""
-        self._check_ring(other)
-        da, db = self.den, other.den
-        if da == db:
-            out = dict(self.num)
-            fb = sign
-        else:
-            g = gcd(da, db)
-            fa = db // g
-            fb = sign * (da // g)
-            da *= fa
-            out = {e: c * fa for e, c in self.num.items()}
-        for exps, coeff in other.num.items():
-            acc = out.get(exps)
-            if acc is None:
-                out[exps] = coeff * fb
-            else:
-                acc += coeff * fb
-                if acc:
-                    out[exps] = acc
-                else:
-                    del out[exps]
-        return self._make(self.nvars, out, da)
-
     def __add__(self, other):
-        return self._combine(other, 1)
+        return poly_dot(type(self), self.nvars, [(1, self, None), (1, other, None)])
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return poly_dot(type(self), self.nvars, [(1, self, None), (-1, other, None)])
 
     def __neg__(self):
         return self._make(self.nvars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, _SparsePoly):
-            self._check_ring(other)
-            a, b = self.num, other.num
-            if len(a) < len(b):
-                a, b = b, a
-            out: dict[tuple[int, ...], int] = {}
-            get = out.get
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    exps = tuple(map(add, ea, eb))
-                    out[exps] = get(exps, 0) + ca * cb
-            return self._make(
-                self.nvars, {e: c for e, c in out.items() if c}, self.den * other.den
-            )
+            return poly_dot(type(self), self.nvars, [(1, self, other)])
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -266,15 +288,17 @@ class _SparsePoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def negate_variables(self):
         """Substitute -v for every variable (signs flip by monomial parity)."""
+        shift = FIELD_BITS * self.nvars
         return self._make(
             self.nvars,
-            {e: (-c if sum(e) % 2 else c) for e, c in self.num.items()},
+            {e: (-c if e >> shift & 1 else c) for e, c in self.num.items()},
             self.den,
         )
 
@@ -285,7 +309,7 @@ class _SparsePoly:
 
         Each power is the previous one times the value, once per call.
         """
-        top = [max(column) for column in zip(*self.num)]
+        top = [max(column) for column in zip(*self.terms)]
         table = []
         for value, t in zip(values, top):
             powers = [one]
@@ -298,7 +322,8 @@ class _SparsePoly:
         """Evaluate with each variable replaced by a polynomial.
 
         All replacement polynomials must live in one common ring; the
-        result lives there too.
+        result lives there too.  Each term's last power factor goes into
+        one :func:`poly_dot` with the term's coefficient.
         """
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} replacement values, got {len(values)}")
@@ -307,16 +332,20 @@ class _SparsePoly:
         target = values[0]
         for v in values[1:]:
             target._check_ring(v)
-        one = target.one(target.nvars)
+        ring, nvars = type(target), target.nvars
+        one = ring.one(nvars)
         table = self._power_table(values, one)
-        out = target.zero(target.nvars)
-        for exps, coeff in self.num.items():
-            term = one
-            for powers, e in zip(table, exps):
-                if e:
-                    term = term * powers[e]
-            out = out + term.scale(coeff)
-        result = target._make(target.nvars, out.num, out.den * self.den)
+        products = []
+        for key, coeff in self.num.items():
+            factors = [
+                powers[e] for powers, e in zip(table, unpack_monomial(key, self.nvars)) if e
+            ]
+            head = one
+            for factor in factors[:-1]:
+                head = head * factor
+            products.append((coeff, head, factors[-1] if factors else None))
+        out = poly_dot(ring, nvars, products)
+        result = ring._make(nvars, out.num, out.den * self.den)
         if result.den != 1 and isinstance(result, UPoly):
             raise TypeError(f"substitution into UPoly values left denominator {result.den}")
         return result
@@ -327,9 +356,9 @@ class _SparsePoly:
             raise ValueError(f"expected {self.nvars} coordinates, got {len(point)}")
         table = self._power_table(point, 1)
         total = self._zero_coeff()
-        for exps, coeff in self.num.items():
+        for key, coeff in self.num.items():
             term = coeff
-            for powers, e in zip(table, exps):
+            for powers, e in zip(table, unpack_monomial(key, self.nvars)):
                 if e:
                     term = term * powers[e]
             total = total + term
@@ -378,10 +407,8 @@ class XPoly(_SparsePoly):
             return Fraction(value)
         raise TypeError(f"XPoly coefficients must be rational, got {type(value).__name__}")
 
-    @property
-    def terms(self) -> Mapping:
-        """Read-only ``{exponents: Fraction}`` view, built on each access."""
-        return _FractionView(self.num, self.den)
+    def _coefficient_value(self, numerator: int) -> Fraction:
+        return Fraction(numerator, self.den)
 
 
 class UPoly(_SparsePoly):
@@ -396,15 +423,88 @@ class UPoly(_SparsePoly):
             return value
         raise TypeError(f"UPoly coefficients must be integers, got {type(value).__name__}")
 
-    @property
-    def terms(self) -> Mapping:
-        """Read-only ``{exponents: int}`` view, built on each access."""
-        return MappingProxyType(self.num)
+    def _coefficient_value(self, numerator: int) -> int:
+        return numerator
 
 
 def rationalize(p: UPoly) -> XPoly:
     """View an integer-coefficient polynomial in the rational ring."""
     return XPoly._make(p.nvars, p.num)
+
+
+def _accumulate(out: dict, factor: int, a: dict, b: dict, nvars: int) -> None:
+    """Add ``factor * a * b`` (packed numerator maps) into ``out``.
+
+    One row of key shifts per term of the shorter operand, so a monomial
+    operand costs one pass over the other.  Raises :class:`OverflowError`
+    when the operand degrees sum to :data:`DEGREE_LIMIT` or more, before
+    any key could wrap.
+    """
+    if not a or not b:
+        return
+    if len(a) < len(b):
+        a, b = b, a
+    # every exponent field is below the guard bit, so adding the largest
+    # keys adds their degree fields without a carry
+    degree = max(a) + max(b) >> FIELD_BITS * nvars
+    if degree >= DEGREE_LIMIT:
+        raise OverflowError(
+            f"product of total degree {degree} is at or above the packed-monomial "
+            f"limit {DEGREE_LIMIT}"
+        )
+    rows = iter(b.items())
+    if not out:
+        kb, cb = next(rows)
+        fb = factor * cb
+        out.update({ka + kb: fb * ca for ka, ca in a.items()})
+    get = out.get
+    for kb, cb in rows:
+        fb = factor * cb
+        for ka, ca in a.items():
+            key = ka + kb
+            out[key] = get(key, 0) + fb * ca
+
+
+def _add_scaled(out: dict, factor: int, a: dict) -> None:
+    """Add ``factor * a`` into ``out``, keeping ``a``'s key objects."""
+    if not out:
+        out.update(a if factor == 1 else {ka: factor * ca for ka, ca in a.items()})
+        return
+    get = out.get
+    for ka, ca in a.items():
+        out[ka] = get(ka, 0) + factor * ca
+
+
+def poly_dot(ring: type, nvars: int, products: Sequence) -> _SparsePoly:
+    """``sum(c * a * b)`` over ``products``, a sequence of ``(c, a, b)`` triples.
+
+    ``c`` is a coefficient of ``ring`` and ``a``, ``b`` are polynomials of
+    ``ring`` in ``nvars`` variables; ``b`` may be ``None`` for the term
+    ``c * a``.  Every term goes into one numerator map over the lcm of the
+    term denominators, so no partial sum is ever normalized.
+    """
+    terms = []
+    for c, a, b in products:
+        for p in (a, b) if b is not None else (a,):
+            if type(p) is not ring:
+                raise TypeError(f"cannot mix {ring.__name__} and {type(p).__name__}")
+            if p.nvars != nvars:
+                raise ValueError(f"ring size mismatch: {nvars} vs {p.nvars}")
+        if type(c) is not int:
+            c = ring._coerce(c)
+        if c:
+            terms.append((c, a, b, c.denominator * a.den * (1 if b is None else b.den)))
+    den = lcm(*(d for _, _, _, d in terms))
+    out: dict[int, int] = {}
+    for c, a, b, d in terms:
+        factor = c.numerator * (den // d)
+        if b is None:
+            _add_scaled(out, factor, a.num)
+        else:
+            _accumulate(out, factor, a.num, b.num, nvars)
+    if 0 in out.values():
+        out = {e: v for e, v in out.items() if v}
+    return ring._make(nvars, out, den)
 
 
 def _check_square(matrix: Sequence[Sequence[_SparsePoly]]) -> int:
@@ -422,8 +522,11 @@ def _check_square(matrix: Sequence[Sequence[_SparsePoly]]) -> int:
 
 
 def det_cofactor(matrix: Sequence[Sequence[_SparsePoly]]) -> _SparsePoly:
-    """Exact determinant by recursive cofactor expansion along the first row."""
-    n = _check_square(matrix)
+    """Exact determinant by recursive cofactor expansion along the first row.
+
+    Each expansion is one :func:`poly_dot` over its nonzero cofactors.
+    """
+    _check_square(matrix)
     ring = type(matrix[0][0])
     nvars = matrix[0][0].nvars
 
@@ -432,17 +535,18 @@ def det_cofactor(matrix: Sequence[Sequence[_SparsePoly]]) -> _SparsePoly:
         if m == 1:
             return rows[0][0]
         if m == 2:
-            return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        acc = ring.zero(nvars)
+            return poly_dot(
+                ring, nvars, [(1, rows[0][0], rows[1][1]), (-1, rows[0][1], rows[1][0])]
+            )
         sub = rows[1:]
+        products = []
         for j in range(m):
             top = rows[0][j]
             if top.is_zero:
                 continue
             minor = [[row[c] for c in range(m) if c != j] for row in sub]
-            piece = top * expand(minor)
-            acc = acc + piece if j % 2 == 0 else acc - piece
-        return acc
+            products.append((-1 if j % 2 else 1, top, expand(minor)))
+        return poly_dot(ring, nvars, products)
 
     return expand([list(row) for row in matrix])
 
@@ -471,7 +575,7 @@ def det_bareiss(matrix: Sequence[Sequence[_SparsePoly]]) -> _SparsePoly:
         pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                elt = pivot * m[i][j] - m[i][k] * m[k][j]
+                elt = poly_dot(ring, nvars, [(1, pivot, m[i][j]), (-1, m[i][k], m[k][j])])
                 m[i][j] = poly_divide_exact(elt, prev)
             m[i][k] = ring.zero(nvars)
         prev = pivot
@@ -521,55 +625,58 @@ def poly_divide_exact(num: _SparsePoly, den: _SparsePoly) -> _SparsePoly:
     """
     num._check_ring(den)
     ring = type(num)
+    nvars = num.nvars
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if num.is_zero:
-        return ring.zero(num.nvars)
+        return ring.zero(nvars)
 
     content = gcd(*den.num.values())
     divisor = den.num if content == 1 else {e: c // content for e, c in den.num.items()}
-    den_lead = max(divisor, key=_grlex_key)
+    den_lead = max(divisor)
     den_lc = divisor[den_lead]
     den_rest = [(e, c) for e, c in divisor.items() if e != den_lead]
+    # With every guard bit set, subtracting the leading key borrows from
+    # no neighbouring field; a field keeps its guard bit exactly when its
+    # exponent is at least the divisor's.
+    guards = ((1 << FIELD_BITS * nvars) - 1) // _FIELD_MASK << (FIELD_BITS - 1)
     rem = dict(num.num)
-    quot: dict[tuple[int, ...], int] = {}
+    quot: dict[int, int] = {}
 
-    # Lazy max-heap over the remainder's monomials (grlex order).
-    heap: list[tuple] = []
-    seen: set[tuple[int, ...]] = set()
-
-    def push(exps):
-        if exps not in seen:
-            seen.add(exps)
-            heapq.heappush(heap, (-sum(exps), tuple(map(neg, exps)), exps))
-
-    for exps in rem:
-        push(exps)
+    # Lazy max-heap over the remainder's keys (grlex order is int order).
+    heap = [-key for key in rem]
+    heapq.heapify(heap)
+    seen = set(rem)
 
     while heap:
-        _, _, exps = heapq.heappop(heap)
-        seen.discard(exps)
-        coeff = rem.get(exps)
+        key = -heapq.heappop(heap)
+        seen.discard(key)
+        coeff = rem.get(key)
         if not coeff:
             continue
-        qexps = tuple(map(sub, exps, den_lead))
-        if any(e < 0 for e in qexps):
+        if (key | guards) - den_lead & guards != guards:
             raise InexactDivisionError(
-                f"leading monomial {exps} is not divisible by {den_lead}"
+                f"leading monomial {unpack_monomial(key, nvars)} is not divisible by "
+                f"{unpack_monomial(den_lead, nvars)}"
             )
+        qkey = key - den_lead
         qc, r = divmod(coeff, den_lc)
         if r:
             raise InexactDivisionError(f"coefficient {coeff} is not divisible by {den_lc}")
         # leading monomials strictly decrease, so each quotient monomial is new
-        quot[qexps] = qc
-        del rem[exps]
+        quot[qkey] = qc
+        del rem[key]
+        # den_lead has the largest degree of the divisor, so no target
+        # exceeds the degree of key
         for e, c in den_rest:
-            target = tuple(map(add, qexps, e))
+            target = qkey + e
             acc = rem.get(target)
             delta = qc * c
             if acc is None:
                 rem[target] = -delta
-                push(target)
+                if target not in seen:
+                    seen.add(target)
+                    heapq.heappush(heap, -target)
             else:
                 acc = acc - delta
                 if acc:
@@ -578,7 +685,7 @@ def poly_divide_exact(num: _SparsePoly, den: _SparsePoly) -> _SparsePoly:
                     del rem[target]
     if den.den != 1:
         quot = {e: c * den.den for e, c in quot.items()}
-    quotient = ring._make(num.nvars, quot, num.den * content)
+    quotient = ring._make(nvars, quot, num.den * content)
     if quotient.den != 1 and isinstance(quotient, UPoly):
         raise InexactDivisionError(f"quotient coefficients are not divisible by {content}")
     return quotient

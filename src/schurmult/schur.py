@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .lattice import Partition
 from .orbitchar import elementary_symmetric_x
-from .polyengine import XPoly, poly_det
+from .polyengine import XPoly, poly_det, poly_dot
 
 
 class SchurContext:
@@ -62,18 +62,21 @@ def elementary_schur(Q: int, ctx: SchurContext) -> XPoly:
         if d == 0:
             result = XPoly.one(nvars)
         elif d < ctx.N:
-            acc = XPoly.zero(nvars)
+            products = []
             for i in range(1, d + 1):
                 exps = [0] * nvars
                 exps[i - 1] = 1
-                acc = acc + XPoly.monomial(nvars, exps, i) * cache[d - i]
-            result = acc * Fraction(1, d) if d != 1 else acc
+                products.append((Fraction(i, d), XPoly.monomial(nvars, exps), cache[d - i]))
+            result = poly_dot(XPoly, nvars, products)
         else:
-            acc = XPoly.zero(nvars)
-            for k in range(1, ctx.N + 1):
-                term = elementary_symmetric_x(ctx.N, k) * cache[d - k]
-                acc = acc + term if k % 2 == 1 else acc - term
-            result = acc
+            result = poly_dot(
+                XPoly,
+                nvars,
+                [
+                    (1 if k % 2 else -1, elementary_symmetric_x(ctx.N, k), cache[d - k])
+                    for k in range(1, ctx.N + 1)
+                ],
+            )
         cache[d] = result
     return cache[Q]
 

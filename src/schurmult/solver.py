@@ -24,7 +24,7 @@ from .lattice import (
     sub_Q_lambda1,
 )
 from .orbitchar import orbit_char_x
-from .polyengine import XPoly, _grlex_key
+from .polyengine import XPoly, unpack_monomial
 from .schur import generalized_schur, schur_context
 
 
@@ -91,10 +91,11 @@ class HeightClassSystem:
     def __init__(self, members: Sequence[DominantWeight], columns: Sequence[XPoly]):
         self.members = tuple(members)
         self.columns = tuple(columns)
-        support: set[tuple[int, ...]] = set()
+        support: set[int] = set()
         for col in columns:
             support.update(col.num)
-        monomials = sorted(support, key=_grlex_key, reverse=True)
+        # packed monomials sort in graded-lex order as ints
+        monomials = sorted(support, reverse=True)
         self.row_of = {mono: i for i, mono in enumerate(monomials)}
         self.order = tuple(sorted(range(len(columns)), key=lambda c: (-len(columns[c].num), c)))
         # the certificate compares every equation over L, the lcm of the
@@ -160,7 +161,8 @@ class HeightClassSystem:
             i = self.row_of.get(mono)
             if i is None:
                 raise SolverError(
-                    f"system is inconsistent: rhs monomial {mono} lies outside the column support"
+                    f"system is inconsistent: rhs monomial {unpack_monomial(mono, rhs.nvars)} "
+                    "lies outside the column support"
                 )
             entries.append((i, coeff))
         if self.steps is not None and rhs.den % self.modulus:

@@ -21,7 +21,14 @@ from math import factorial
 
 from .lattice import AlgebraContext, DominantWeight, Partition
 from .orbitchar import orbit_char_u
-from .polyengine import UPoly, XPoly, poly_divide_exact, rationalize
+from .polyengine import (
+    UPoly,
+    XPoly,
+    pack_monomial,
+    poly_divide_exact,
+    rationalize,
+    unpack_monomial,
+)
 from .schur import generalized_schur, schur_context
 
 # The alternant has N! terms; 8 rows is 40320 of them.
@@ -54,7 +61,7 @@ def alternant_matrix(p: Partition, ctx: AlgebraContext) -> UPoly:
     # inversion of the permutation.
     for key in permutations(_shifted_exponents(p, ctx)):
         rises = sum(1 for a in range(n) for b in range(a + 1, n) if key[a] < key[b])
-        terms[key] = -1 if rises % 2 else 1
+        terms[pack_monomial(key, n)] = -1 if rises % 2 else 1
     return UPoly._make(n, terms)
 
 
@@ -85,12 +92,14 @@ def product_one_normal_form(p):
     minimum-zero monomials are a basis of the quotient ring, so two
     polynomials are congruent iff their normal forms are equal.
     """
-    out: dict[tuple[int, ...], int] = {}
-    for e, c in p.num.items():
-        low = min(e)
+    n = p.nvars
+    ones = pack_monomial((1,) * n, n)
+    out: dict[int, int] = {}
+    for key, c in p.num.items():
+        low = min(unpack_monomial(key, n))
         if low:
-            e = tuple(v - low for v in e)
-        out[e] = out.get(e, 0) + c
+            key -= low * ones
+        out[key] = out.get(key, 0) + c
     return type(p)._make(p.nvars, {e: c for e, c in out.items() if c}, p.den)
 
 

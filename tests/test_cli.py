@@ -10,11 +10,13 @@ from schurmult.cli import (
     EXIT_USAGE,
     AuditMismatch,
     Query,
+    _alternant_table,
     _check_against_oracles,
     main,
     parse_query,
     run,
 )
+from schurmult import polyengine
 from schurmult.lattice import AlgebraContext, DominantWeight
 from schurmult.solver import MultiplicityTable, SolverError, solve_multiplicities
 
@@ -170,6 +172,8 @@ REFUSED_UP_FRONT = {
     ("audit", "--format", "json"): "invalid choice",
     ("audit", "--format", "csv"): "invalid choice",
     ("bench", "--format", "csv"): "invalid choice",
+    ("mult", "--rank", "12", "--weight", "1,1,0,0,0,0,0,0,0,0,2"): "has 1686 members",
+    ("sub", "--rank", "40", "--height", "60"): "has 964380 members",
 }
 
 
@@ -183,6 +187,24 @@ def test_alternant_commands_refuse_rank_9_up_front(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert REFUSED_UP_FRONT[tuple(argv)] in captured.err
+
+
+def test_audit_reads_characters_by_key_lookup(monkeypatch):
+    # the alternant route looks each class member up in the character;
+    # unpacking the whole term map per member would be O(terms) each
+    calls = []
+    original = polyengine.unpack_monomial
+
+    def counting(key, nvars):
+        calls.append(key)
+        return original(key, nvars)
+
+    monkeypatch.setattr(polyengine, "unpack_monomial", counting)
+    target = DominantWeight((2, 1, 1), AlgebraContext(4))
+    assert _alternant_table(target) == [m for _, m in solve_multiplicities(target)]
+    status, out = run(Query("audit", ranks=(3, 4), max_height=4))
+    assert status == EXIT_OK, out
+    assert calls == []
 
 
 def test_internal_error_maps_to_exit_code(monkeypatch):

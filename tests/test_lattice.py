@@ -7,6 +7,7 @@ from schurmult.lattice import (
     DominantWeight,
     Partition,
     Weight,
+    class_size,
     distinct_permutations,
     height,
     orbit_size,
@@ -135,11 +136,12 @@ def test_height_class_three_rows():
 
 
 def test_height_class_no_duplicates_and_height_mod():
-    for n in (2, 3, 4, 5, 6):
+    for n in (2, 3, 4, 5, 6, 9):
         ctx = AlgebraContext(n)
-        for q in range(1, 9):
+        for q in range(1, 13):
             members = sub_Q_lambda1(q, ctx)
             assert len(set(members)) == len(members)
+            assert class_size(q, ctx) == len(members)
             for m in members:
                 assert height(m) % n == q % n
             if q < n:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurmult.polyengine import (
+    DEGREE_LIMIT,
     InexactDivisionError,
     UPoly,
     XPoly,
@@ -16,6 +17,7 @@ from schurmult.polyengine import (
     det_cofactor,
     poly_det,
     poly_divide_exact,
+    poly_dot,
     rationalize,
 )
 
@@ -420,3 +422,90 @@ def test_str_rendering():
     p = xp(2, [(-1, {}), (1, {1: 2}), (-1, {2: 1})], prefactor=2)
     assert str(p) == "-1/2 - 1/2 x2 + 1/2 x1^2"
     assert str(UPoly.zero(2)) == "0"
+
+
+# -- the packed core -------------------------------------------------------
+
+
+def _grlex_key(exponents):
+    return (sum(exponents), exponents)
+
+
+exponents3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+upolys3 = st.dictionaries(exponents3, coeffs, max_size=5).map(lambda d: UPoly(3, d))
+xpolys3 = st.dictionaries(exponents3, xcoeffs, max_size=5).map(lambda d: XPoly(3, d))
+
+
+@st.composite
+def dot_products(draw):
+    """A ring and a list of ``(c, a, b)`` terms, ``b`` sometimes ``None`` or a monomial."""
+    ring, polys, scalars = draw(
+        st.sampled_from(
+            [(UPoly, upolys3, st.integers(-9, 9)), (XPoly, xpolys3, xcoeffs)]
+        )
+    )
+    monomials = st.builds(
+        lambda e, c: ring.monomial(3, e, c), exponents3, scalars.filter(bool)
+    )
+    second = st.one_of(st.none(), polys, monomials)
+    return ring, draw(st.lists(st.tuples(scalars, polys, second), max_size=5))
+
+
+@given(dot_products())
+@settings(max_examples=80, deadline=None)
+def test_poly_dot_matches_mul_add_scale(case):
+    ring, products = case
+    expected = ring.zero(3)
+    for c, a, b in products:
+        expected = expected + (a if b is None else a * b).scale(c)
+    got = poly_dot(ring, 3, products)
+    assert type(got) is ring
+    _canonical(got)
+    assert got == expected
+
+
+@given(st.one_of(upolys3, xpolys3))
+def test_sorted_terms_is_grlex_order(p):
+    order = [e for e, _ in p.sorted_terms()]
+    assert order == sorted(p.terms, key=_grlex_key)
+
+
+def test_degree_limit_raises_and_never_wraps():
+    top = DEGREE_LIMIT - 1
+    for ring in (UPoly, XPoly):
+        high = ring.monomial(2, (top, 0))
+        assert high.degree() == top
+        assert high.coefficient((top, 0)) == 1
+        with pytest.raises(OverflowError, match=str(DEGREE_LIMIT)):
+            ring.monomial(2, (top, 1))
+        with pytest.raises(OverflowError, match=str(DEGREE_LIMIT)):
+            ring(2, {(DEGREE_LIMIT // 2, DEGREE_LIMIT // 2): 1})
+        x2 = ring.variable(2, 1)
+        for product in (
+            lambda: high * x2,
+            lambda: x2 * high,
+            lambda: high * (x2 + ring.one(2)),
+            lambda: poly_dot(ring, 2, [(1, ring.one(2), None), (1, x2, high)]),
+            lambda: high.substitute([ring.variable(2, 0) * x2, x2]),
+        ):
+            with pytest.raises(OverflowError, match=f"degree {DEGREE_LIMIT}"):
+                product()
+        # one below the limit still multiplies, into the expected monomial
+        lower = ring.monomial(2, (top - 1, 0))
+        assert (lower * x2).terms == {(top - 1, 1): 1}
+
+
+@pytest.mark.parametrize("ring", [UPoly, XPoly])
+def test_terms_lookup_of_invalid_keys_is_missing(ring):
+    p = ring(2, {(0, 0): 3, (1, 0): 5, (0, 1): 7})
+    wrong_length = [(0,), (1,), (0, 0, 0), (0, 0, 1)]
+    negative = [(-1, 1), (1, -1)]
+    over_limit = [(0, DEGREE_LIMIT), (DEGREE_LIMIT, 0), (0, 2 * DEGREE_LIMIT)]
+    for key in wrong_length + negative + over_limit + ["ab", 5, None]:
+        assert key not in p.terms
+        assert p.terms.get(key) is None
+        with pytest.raises(KeyError):
+            p.terms[key]
+    assert p.coefficient((2, -1)) == 0
+    assert p.coefficient((1, 0)) == 5
+    assert dict(p.terms) == {(0, 0): 3, (1, 0): 5, (0, 1): 7}
