@@ -25,7 +25,7 @@ from .polyengine import (
     poly_det,
     poly_divide_exact,
 )
-from .schur import SchurContext, elementary_schur, generalized_schur, schur_context, star_schur
+from .schur import elementary_schur, generalized_schur, star_schur
 from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
 from .weyl import (
     FactorizationReport,
@@ -41,7 +41,6 @@ __all__ = [
     "InexactDivisionError",
     "MultiplicityTable",
     "Partition",
-    "SchurContext",
     "SolverError",
     "UPoly",
     "Weight",
@@ -59,7 +58,6 @@ __all__ = [
     "partition_to_dominant",
     "poly_det",
     "poly_divide_exact",
-    "schur_context",
     "solve_multiplicities",
     "star_schur",
     "sub_Q_lambda1",

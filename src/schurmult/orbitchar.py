@@ -13,45 +13,22 @@ to 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
-from .lattice import AlgebraContext, Partition
+from .lattice import AlgebraContext, Partition, distinct_permutations
 from .polyengine import UPoly, XPoly, pack_monomial, poly_dot
 
 
 def orbit_char_u(p: Partition, ctx: AlgebraContext) -> UPoly:
     """Orbit character as a polynomial in u1..uN.
 
-    Sum over all monomials with the parts of ``p`` placed at distinct
-    variable indices, each distinct monomial counted once.  Partitions
-    with more than N parts have no valid placement and give zero.
+    Sum over the distinct permutations of the zero-padded parts of ``p``,
+    each distinct monomial counted once.  Partitions with more than N
+    parts have no valid placement and give zero.
     """
     n = ctx.N
     if p.length > n:
         return UPoly.zero(n)
-    groups = []
-    for q in p.parts:
-        if groups and groups[-1][0] == q:
-            groups[-1][1] += 1
-        else:
-            groups.append([q, 1])
-    terms: dict[tuple[int, ...], int] = {}
-
-    def place(gi: int, free: tuple[int, ...], exps: list[int]):
-        if gi == len(groups):
-            terms[tuple(exps)] = 1
-            return
-        value, count = groups[gi]
-        for chosen in combinations(free, count):
-            for i in chosen:
-                exps[i] = value
-            remaining = tuple(i for i in free if i not in chosen)
-            place(gi + 1, remaining, exps)
-            for i in chosen:
-                exps[i] = 0
-
-    place(0, tuple(range(n)), [0] * n)
-    return UPoly(n, terms)
+    return UPoly(n, dict.fromkeys(distinct_permutations(p.padded(n)), 1))
 
 
 _elem_cache: dict[tuple[int, int], XPoly] = {}

@@ -13,34 +13,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import Partition
+from .lattice import AlgebraContext, Partition
 from .orbitchar import elementary_symmetric_x
 from .polyengine import XPoly, poly_det, poly_dot
 
-
-class SchurContext:
-    """Per-rank cache of elementary and generalized Schur functions."""
-
-    def __init__(self, N: int):
-        if N < 2:
-            raise ValueError("rank context requires N >= 2")
-        self.N = N
-        self._elementary: dict[int, XPoly] = {}
-        self._generalized: dict[tuple[int, ...], XPoly] = {}
+_elementary_cache: dict[tuple[int, int], XPoly] = {}
+_generalized_cache: dict[tuple[int, tuple[int, ...]], XPoly] = {}
 
 
-_contexts: dict[int, SchurContext] = {}
-
-
-def schur_context(N: int) -> SchurContext:
-    """Shared per-rank context (idempotent; safe to call repeatedly)."""
-    ctx = _contexts.get(N)
-    if ctx is None:
-        ctx = _contexts.setdefault(N, SchurContext(N))
-    return ctx
-
-
-def elementary_schur(Q: int, ctx: SchurContext) -> XPoly:
+def elementary_schur(Q: int, ctx: AlgebraContext) -> XPoly:
     """Elementary Schur function of degree Q over x1..x(N-1).
 
     Degree 0 is 1 and negative degrees are 0.  Degrees at or above N are
@@ -48,47 +29,48 @@ def elementary_schur(Q: int, ctx: SchurContext) -> XPoly:
     filled upward from the lowest missing degree, so every degree from 0
     to Q ends up cached and no call recurses.
     """
-    nvars = ctx.N - 1
+    n = ctx.N
+    nvars = n - 1
     if Q < 0:
         return XPoly.zero(nvars)
-    cache = ctx._elementary
-    cached = cache.get(Q)
+    cache = _elementary_cache
+    cached = cache.get((n, Q))
     if cached is not None:
         return cached
     start = Q
-    while start > 0 and start - 1 not in cache:
+    while start > 0 and (n, start - 1) not in cache:
         start -= 1
     for d in range(start, Q + 1):
         if d == 0:
             result = XPoly.one(nvars)
-        elif d < ctx.N:
-            products = []
-            for i in range(1, d + 1):
-                exps = [0] * nvars
-                exps[i - 1] = 1
-                products.append((Fraction(i, d), XPoly.monomial(nvars, exps), cache[d - i]))
+        elif d < n:
+            products = [
+                (Fraction(i, d), XPoly.variable(nvars, i - 1), cache[(n, d - i)])
+                for i in range(1, d + 1)
+            ]
             result = poly_dot(XPoly, nvars, products)
         else:
             result = poly_dot(
                 XPoly,
                 nvars,
                 [
-                    (1 if k % 2 else -1, elementary_symmetric_x(ctx.N, k), cache[d - k])
-                    for k in range(1, ctx.N + 1)
+                    (1 if k % 2 else -1, elementary_symmetric_x(n, k), cache[(n, d - k)])
+                    for k in range(1, n + 1)
                 ],
             )
-        cache[d] = result
-    return cache[Q]
+        cache[(n, d)] = result
+    return cache[(n, Q)]
 
 
-def star_schur(Q: int, ctx: SchurContext) -> XPoly:
+def star_schur(Q: int, ctx: AlgebraContext) -> XPoly:
     """Elementary Schur function with every variable negated."""
     return elementary_schur(Q, ctx).negate_variables()
 
 
-def generalized_schur(p: Partition, ctx: SchurContext) -> XPoly:
+def generalized_schur(p: Partition, ctx: AlgebraContext) -> XPoly:
     """Generalized Schur function: determinant with entries S_(q_i - i + j)."""
-    cached = ctx._generalized.get(p.parts)
+    key = (ctx.N, p.parts)
+    cached = _generalized_cache.get(key)
     if cached is not None:
         return cached
     k = p.length
@@ -100,5 +82,5 @@ def generalized_schur(p: Partition, ctx: SchurContext) -> XPoly:
             for i in range(k)
         ]
         result = poly_det(matrix)
-    ctx._generalized[p.parts] = result
+    _generalized_cache[key] = result
     return result

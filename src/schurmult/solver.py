@@ -25,7 +25,7 @@ from .lattice import (
 )
 from .orbitchar import orbit_char_x
 from .polyengine import XPoly, unpack_monomial
-from .schur import generalized_schur, schur_context
+from .schur import generalized_schur
 
 
 class SolverError(RuntimeError):
@@ -292,7 +292,7 @@ def solve_multiplicities(w: DominantWeight) -> MultiplicityTable:
         return MultiplicityTable(w, ((w, 1),), 1)
 
     system = height_class_system(ctx.N, q)
-    rhs = generalized_schur(w.to_partition(), schur_context(ctx.N))
+    rhs = generalized_schur(w.to_partition(), ctx)
     solution = system.solve(rhs)
 
     entries = []

@@ -29,7 +29,7 @@ from .polyengine import (
     rationalize,
     unpack_monomial,
 )
-from .schur import generalized_schur, schur_context
+from .schur import generalized_schur
 
 # The alternant has N! terms; 8 rows is 40320 of them.
 ALTERNANT_MAX_ROWS = 8
@@ -133,7 +133,7 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
         rationalize(orbit_char_u(Partition((k,)), ctx)) * Fraction(1, k)
         for k in range(1, n)
     ]
-    product = generalized_schur(p, schur_context(n)).substitute(power_sums)
+    product = generalized_schur(p, ctx).substitute(power_sums)
     for factor in _linear_factors(XPoly, n):
         product = product * factor
     lhs = product_one_normal_form(rationalize(alternant_matrix(p, ctx)))

@@ -24,7 +24,7 @@ from schurmult.lattice import (
 )
 from schurmult.oracle import freudenthal, inflated_exponents, kostka, kostka_multiplicity
 from schurmult.orbitchar import degenerate_x, orbit_char_x
-from schurmult.schur import elementary_schur, generalized_schur, schur_context
+from schurmult.schur import elementary_schur, generalized_schur
 from schurmult.solver import dimension, solve_multiplicities
 from schurmult.weyl import alternant_matrix, verify_factorization
 from schurmult.polyengine import UPoly
@@ -166,9 +166,8 @@ GOLDEN_S7 = xp(
 
 def test_criterion_3_degenerated_schur_functions():
     with criterion(3, "degenerated Schur functions S6, S7 for six rows", 1.0):
-        sctx = schur_context(6)
-        s6 = elementary_schur(6, sctx)
-        s7 = elementary_schur(7, sctx)
+        s6 = elementary_schur(6, A5)
+        s7 = elementary_schur(7, A5)
         assert s6 == GOLDEN_S6 and len(s6.terms) == 7
         assert s7 == GOLDEN_S7 and len(s7.terms) == 12
         # low-degree coefficients are forced by the all-ones evaluation:
@@ -194,7 +193,7 @@ GOLDEN_S61 = xp(
 
 def test_criterion_4_two_row_generalized_schur():
     with criterion(4, "generalized Schur function of (6,1) for six rows", 1.0):
-        got = generalized_schur(Partition((6, 1)), schur_context(6))
+        got = generalized_schur(Partition((6, 1)), A5)
         assert got == GOLDEN_S61
         # the degree-1 coefficient is forced: the all-ones evaluation is
         # the dimension of the corresponding irreducible representation
@@ -319,14 +318,14 @@ def test_criterion_9_reduction_rules_and_determinant_identities():
                 )
 
         for n in (3, 4, 5, 6):
-            sctx = schur_context(n)
+            ctx = AlgebraContext(n)
 
             def s(q):
-                return elementary_schur(q, sctx)
+                return elementary_schur(q, ctx)
 
             for q1 in range(1, 8):
                 for q2 in range(1, q1 + 1):
-                    got = generalized_schur(Partition((q1, q2)), sctx)
+                    got = generalized_schur(Partition((q1, q2)), ctx)
                     assert got == s(q1) * s(q2) - s(q1 + 1) * s(q2 - 1), (n, q1, q2)
             for total in range(3, 9):
                 for parts in (p for p in partitions_of(total, 3) if len(p) == 3):
@@ -336,7 +335,7 @@ def test_criterion_9_reduction_rules_and_determinant_identities():
                         - s(q1 + 1) * (s(q2 - 1) * s(q3) - s(q2 + 1) * s(q3 - 2))
                         + s(q1 + 2) * (s(q2 - 1) * s(q3 - 1) - s(q2) * s(q3 - 2))
                     )
-                    assert generalized_schur(Partition(parts), sctx) == expected, (n, parts)
+                    assert generalized_schur(Partition(parts), ctx) == expected, (n, parts)
 
 
 def test_criterion_10_alternant_cross_check():

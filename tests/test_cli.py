@@ -174,6 +174,9 @@ REFUSED_UP_FRONT = {
     ("bench", "--format", "csv"): "invalid choice",
     ("mult", "--rank", "12", "--weight", "1,1,0,0,0,0,0,0,0,0,2"): "has 1686 members",
     ("sub", "--rank", "40", "--height", "60"): "has 964380 members",
+    ("character", "--rank", "3", "--weight", "40000,0"): (
+        "total degree 40003, at or above the packed-monomial limit 32768"
+    ),
 }
 
 

@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +156,11 @@ def test_height_class_no_duplicates_and_height_mod():
 def test_distinct_permutations():
     assert list(distinct_permutations((1, 1, 0))) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
     assert list(distinct_permutations(())) == [()]
+    # every vector of length <= 5 over {0, 1, 2}: each distinct
+    # permutation once, in ascending lexicographic order
+    for length in range(6):
+        for v in product((0, 1, 2), repeat=length):
+            assert list(distinct_permutations(v)) == sorted(set(permutations(v))), v
 
 
 def test_orbit_weights_examples():

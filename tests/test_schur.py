@@ -6,26 +6,20 @@ from math import prod
 
 import pytest
 
-from schurmult import orbitchar
+from schurmult import orbitchar, schur
 from schurmult.lattice import AlgebraContext, Partition, partitions_of
 from schurmult.orbitchar import degenerate_x
-from schurmult.schur import (
-    SchurContext,
-    elementary_schur,
-    generalized_schur,
-    schur_context,
-    star_schur,
-)
+from schurmult.schur import elementary_schur, generalized_schur, star_schur
 from schurmult.polyengine import XPoly
 
 from helpers import character_value, power_sum_values, product_one_point, xp
 
 
-S6CTX = schur_context(6)
+A5 = AlgebraContext(6)
 
 
 def S(q, n=6):
-    return elementary_schur(q, schur_context(n))
+    return elementary_schur(q, AlgebraContext(n))
 
 
 # Degenerated values for six rows.  Every frozen polynomial below is
@@ -281,7 +275,7 @@ GOLDEN_HEIGHT7 = {
 
 
 def test_low_degree_values():
-    ctx = schur_context(6)
+    ctx = AlgebraContext(6)
     assert elementary_schur(0, ctx) == XPoly.one(5)
     assert elementary_schur(1, ctx) == XPoly.variable(5, 0)
     assert elementary_schur(2, ctx) == xp(5, [(1, {2: 1}), (1, {1: 2})], prefactor=1) - xp(
@@ -294,13 +288,13 @@ def test_degree_two_spelled_out():
 
 
 def test_negative_degree_is_zero():
-    assert elementary_schur(-3, S6CTX).is_zero
+    assert elementary_schur(-3, A5).is_zero
 
 
 def test_rank_independence_below_bound():
     for q in range(6):
-        small = elementary_schur(q, schur_context(6))
-        large = elementary_schur(q, schur_context(7))
+        small = elementary_schur(q, AlgebraContext(6))
+        large = elementary_schur(q, AlgebraContext(7))
         trimmed = {
             tuple(e[i] for i in range(5)): c for e, c in large.terms.items()
         }
@@ -309,7 +303,7 @@ def test_rank_independence_below_bound():
 
 def test_graded_homogeneity():
     for n in (3, 4, 6):
-        ctx = schur_context(n)
+        ctx = AlgebraContext(n)
         for q in range(1, n):
             poly = elementary_schur(q, ctx)
             degrees = {sum((i + 1) * e for i, e in enumerate(exps)) for exps in poly.terms}
@@ -341,7 +335,7 @@ def test_degenerated_seven_golden():
 def test_degenerated_values_match_homogeneous_sums():
     rng = random.Random(3)
     for n in (2, 3, 4, 6):
-        ctx = schur_context(n)
+        ctx = AlgebraContext(n)
         us = product_one_point(n, rng)
         xs = power_sum_values(us)
         for q in range(n, n + 2):
@@ -356,9 +350,9 @@ def test_degenerated_six_all_ones_dimension():
 
 
 def test_star_low_degrees():
-    assert star_schur(0, S6CTX) == XPoly.one(5)
-    assert star_schur(1, S6CTX) == -XPoly.variable(5, 0)
-    assert star_schur(2, S6CTX) == xp(5, [(-2, {2: 1}), (1, {1: 2})], prefactor=2)
+    assert star_schur(0, A5) == XPoly.one(5)
+    assert star_schur(1, A5) == -XPoly.variable(5, 0)
+    assert star_schur(2, A5) == xp(5, [(-2, {2: 1}), (1, {1: 2})], prefactor=2)
 
 
 def test_star_recursion_variant_deviates_by_frozen_amount():
@@ -369,9 +363,9 @@ def test_star_recursion_variant_deviates_by_frozen_amount():
     for m in (6, 7, 8):
         variant = S(m - 7)
         for k in range(1, 7):
-            variant = variant - star_schur(k, S6CTX) * S(m - k)
+            variant = variant - star_schur(k, A5) * S(m - k)
         deviation = variant - S(m)
-        expected = S(m - 7) + (XPoly.one(5) - star_schur(6, S6CTX)) * S(m - 6)
+        expected = S(m - 7) + (XPoly.one(5) - star_schur(6, A5)) * S(m - 6)
         assert deviation == expected
         assert not deviation.is_zero
 
@@ -381,11 +375,11 @@ def test_star_recursion_variant_deviates_by_frozen_amount():
 
 def test_single_row_is_elementary():
     for q in (0, 1, 3, 6, 7):
-        assert generalized_schur(Partition((q,)) if q else Partition(()), S6CTX) == S(q)
+        assert generalized_schur(Partition((q,)) if q else Partition(()), A5) == S(q)
 
 
 def test_six_one_golden():
-    got = generalized_schur(Partition((6, 1)), S6CTX)
+    got = generalized_schur(Partition((6, 1)), A5)
     assert got == GOLDEN_S61
     assert got == S(6) * S(1) - S(7)
 
@@ -397,7 +391,7 @@ def test_six_one_all_ones_is_dimension():
 
 @pytest.mark.parametrize("parts", sorted(GOLDEN_HEIGHT7))
 def test_height7_generalized_golden(parts):
-    assert generalized_schur(Partition(parts), S6CTX) == GOLDEN_HEIGHT7[parts]
+    assert generalized_schur(Partition(parts), A5) == GOLDEN_HEIGHT7[parts]
 
 
 @pytest.mark.parametrize("parts", sorted(GOLDEN_HEIGHT7) + [(6, 1)])
@@ -411,7 +405,7 @@ def test_height7_generalized_against_alternant_quotient(parts):
 
 def test_two_row_determinant_identity():
     for n in (3, 4, 5, 6):
-        ctx = schur_context(n)
+        ctx = AlgebraContext(n)
         for q1 in range(1, 8):
             for q2 in range(1, q1 + 1):
                 got = generalized_schur(Partition((q1, q2)), ctx)
@@ -424,7 +418,7 @@ def test_two_row_determinant_identity():
 
 def test_three_row_expansion_identity():
     for n in (3, 4, 5, 6):
-        ctx = schur_context(n)
+        ctx = AlgebraContext(n)
         for total in range(3, 9):
             for parts in partitions_of(total, 3):
                 if len(parts) != 3:
@@ -445,7 +439,7 @@ def test_three_row_expansion_identity():
 def test_antisymmetric_column_is_constant_or_variable():
     # a full column gives 1; a column of length q < n gives the
     # character of the q-th antisymmetric power
-    ctx = schur_context(4)
+    ctx = AlgebraContext(4)
     assert generalized_schur(Partition((1, 1, 1, 1)), ctx) == XPoly.one(3)
     rng = random.Random(5)
     us = product_one_point(4, rng)
@@ -456,11 +450,16 @@ def test_antisymmetric_column_is_constant_or_variable():
     assert got.evaluate(power_sum_values(us)) == expected
 
 
-def test_context_caching_and_reuse():
-    assert schur_context(6) is schur_context(6)
-    ctx = SchurContext(3)
-    first = elementary_schur(4, ctx)
-    assert elementary_schur(4, ctx) is first
+def test_context_caching_and_reuse(monkeypatch):
+    # separate contexts of one rank share the module memos
+    monkeypatch.setattr(schur, "_elementary_cache", {})
+    monkeypatch.setattr(schur, "_generalized_cache", {})
+    first = elementary_schur(4, AlgebraContext(3))
+    assert elementary_schur(4, AlgebraContext(3)) is first
+    two_row = generalized_schur(Partition((2, 1)), AlgebraContext(3))
+    assert generalized_schur(Partition((2, 1)), AlgebraContext(3)) is two_row
+    assert sorted(schur._elementary_cache) == [(3, d) for d in range(5)]
+    assert sorted(schur._generalized_cache) == [(3, (2, 1))]
 
 
 def _stack_depth():
@@ -472,18 +471,20 @@ def _stack_depth():
 
 def test_high_degrees_do_not_recurse(monkeypatch):
     monkeypatch.setattr(orbitchar, "_psum_cache", {})
-    ctx = SchurContext(2)
+    monkeypatch.setattr(schur, "_elementary_cache", {})
+    ctx = AlgebraContext(2)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 60)
     try:
         elementary_schur(300, ctx)
-        x300 = degenerate_x(300, AlgebraContext(2))
+        x300 = degenerate_x(300, ctx)
     finally:
         sys.setrecursionlimit(limit)
-    assert sorted(ctx._elementary) == list(range(301))
+    full = schur._elementary_cache
+    assert sorted(full) == [(2, d) for d in range(301)]
     assert sorted(orbitchar._psum_cache) == [(2, d) for d in range(2, 301)]
     assert x300.nvars == 1 and x300.terms
     # filling upward from a partly cached prefix gives the same values
-    partial = SchurContext(2)
-    elementary_schur(40, partial)
-    assert elementary_schur(120, partial) == ctx._elementary[120]
+    monkeypatch.setattr(schur, "_elementary_cache", {})
+    elementary_schur(40, ctx)
+    assert elementary_schur(120, ctx) == full[(2, 120)]
