@@ -3,9 +3,8 @@
 Commands: ``mult`` (multiplicity table), ``schur`` (generalized Schur
 polynomial), ``orbit`` (orbit weights), ``character`` (alternant-quotient
 character), ``sub`` (height class of dominant weights), ``audit``
-(oracle-equivalence sweep), ``bench`` (Schur route vs alternant route
-timings).  Output is JSON, CSV, or text; everything except the measured
-times in ``bench`` is byte-identical across runs.
+(oracle-equivalence sweep).  Output is JSON, CSV, or text, and is
+byte-identical across runs.
 
 Exit codes: 0 success, 1 usage error, 2 audit mismatch, 3 internal
 inconsistency (inexact division or a bad linear system).
@@ -18,7 +17,6 @@ import csv
 import io
 import json
 import sys
-import time
 from dataclasses import dataclass
 from math import factorial
 
@@ -46,9 +44,9 @@ EXIT_USAGE = 1
 EXIT_AUDIT = 2
 EXIT_INTERNAL = 3
 
-# Largest height class that ``mult`` and ``sub`` take on.  On a 2-core
-# machine A11 at height 20 (582 members) takes about 4 s and 80 MB, while
-# A11 at height 25 (1,686 members) has run for minutes past 700 MB.
+# Largest height class that ``mult``, ``schur`` and ``sub`` take on.  On a
+# 2-core machine A11 at height 20 (582 members) takes about 4 s and 80 MB,
+# while A11 at height 25 (1,686 members) has run for minutes past 700 MB.
 MAX_CLASS_MEMBERS = 1000
 
 
@@ -73,7 +71,6 @@ class Query:
     oracle: bool = False
     ranks: tuple[int, ...] = ()
     max_height: int = 4
-    heights: tuple[int, ...] = ()
     flagship: bool = False
 
 
@@ -232,6 +229,7 @@ def _run_schur(q: Query) -> str:
     if q.partition is None:
         raise UsageError("schur requires --partition")
     p = _partition_arg(q, ctx)
+    _check_class_size(p.weight, ctx)
     poly = generalized_schur(p, ctx)
     if q.fmt == "json":
         return _dump_json(
@@ -390,47 +388,6 @@ def _run_audit(q: Query) -> str:
     return text
 
 
-def _run_bench(q: Query) -> str:
-    ranks = q.ranks or (3, 4, 5)
-    heights = q.heights or (3, 4, 5)
-    for n in ranks:
-        if n < 2:
-            raise UsageError("bench ranks must be at least 2")
-        _check_alternant_rank(n)
-    if any(h < 1 for h in heights):
-        raise UsageError("bench heights must be at least 1")
-    rows = []
-    for n in ranks:
-        ctx = AlgebraContext(n)
-        for h in heights:
-            target = partition_to_dominant(Partition((h,)), ctx)
-            t0 = time.perf_counter()
-            solve_multiplicities(target)
-            schur_ms = (time.perf_counter() - t0) * 1000
-            t0 = time.perf_counter()
-            _alternant_table(target)
-            alternant_ms = (time.perf_counter() - t0) * 1000
-            rows.append((n, h, schur_ms, alternant_ms))
-    if q.fmt == "json":
-        return _dump_json(
-            {
-                "cells": [
-                    {
-                        "rank": n,
-                        "height": h,
-                        "schur_route_ms": round(a, 3),
-                        "alternant_route_ms": round(b, 3),
-                    }
-                    for n, h, a, b in rows
-                ]
-            }
-        )
-    lines = [f"{'rank':>4} {'height':>6} {'schur_ms':>10} {'alternant_ms':>13}"]
-    for n, h, a, b in rows:
-        lines.append(f"{n:>4} {h:>6} {a:>10.3f} {b:>13.3f}")
-    return "\n".join(lines) + "\n"
-
-
 _RUNNERS = {
     "mult": _run_mult,
     "schur": _run_schur,
@@ -438,7 +395,6 @@ _RUNNERS = {
     "character": _run_character,
     "sub": _run_sub,
     "audit": _run_audit,
-    "bench": _run_bench,
 }
 
 
@@ -486,9 +442,6 @@ def _build_parser() -> _Parser:
     audit = add(
         "audit", "cross-check solver against the independent oracles", formats=("text",)
     )
-    bench = add(
-        "bench", "time the Schur route against the alternant route", formats=("json", "text")
-    )
 
     for cmd in (mult, schur, orbit, character, sub_cmd):
         cmd.add_argument("--rank", type=int, required=True, help="number of rows N (algebra A(N-1))")
@@ -502,9 +455,6 @@ def _build_parser() -> _Parser:
     audit.add_argument("--ranks", type=_int_tuple, default=())
     audit.add_argument("--max-height", type=int, default=4)
     audit.add_argument("--flagship", action="store_true")
-
-    bench.add_argument("--ranks", type=_int_tuple, default=())
-    bench.add_argument("--heights", type=_int_tuple, default=())
     return parser
 
 

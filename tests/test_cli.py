@@ -127,14 +127,6 @@ def test_audit_flagship():
     assert "A5 h=7 (6,1)" in out
 
 
-def test_bench_reports_grid():
-    status, out = run(Query("bench", ranks=(3,), heights=(2, 3), fmt="json"))
-    assert status == EXIT_OK
-    cells = json.loads(out)["cells"]
-    assert len(cells) == 2
-    assert {"rank", "height", "schur_route_ms", "alternant_route_ms"} == set(cells[0])
-
-
 # -- error paths ---------------------------------------------------------------
 
 
@@ -164,16 +156,16 @@ def test_weight_must_be_nonnegative():
 REFUSED_UP_FRONT = {
     ("character", "--rank", "9", "--partition", "1"): "9! = 362880 terms",
     ("audit", "--ranks", "3,9"): "9! = 362880 terms",
-    ("bench", "--ranks", "9"): "9! = 362880 terms",
-    ("bench", "--ranks", "1"): "error: bench ranks must be at least 2",
-    ("bench", "--ranks", "3", "--heights", "0"): "error: bench heights must be at least 1",
     ("audit", "--ranks", "3", "--max-height", "0"): "error: audit max height must be at least 1",
     ("audit", "--ranks", "3", "--max-height", "-2"): "error: audit max height must be at least 1",
     ("audit", "--format", "json"): "invalid choice",
     ("audit", "--format", "csv"): "invalid choice",
-    ("bench", "--format", "csv"): "invalid choice",
     ("mult", "--rank", "12", "--weight", "1,1,0,0,0,0,0,0,0,0,2"): "has 1686 members",
     ("sub", "--rank", "40", "--height", "60"): "has 964380 members",
+    ("schur", "--rank", "2", "--partition", "2000"): "at least 1001 members",
+    ("schur", "--rank", "12", "--partition", "25"): "has 1686 members",
+    ("schur", "--rank", "3", "--partition", "1,1,1,1"): "partition (1,1,1,1) has more than 3 rows",
+    ("bench",): "invalid choice: 'bench'",
     ("character", "--rank", "3", "--weight", "40000,0"): (
         "total degree 40003, at or above the packed-monomial limit 32768"
     ),

@@ -450,6 +450,22 @@ def test_antisymmetric_column_is_constant_or_variable():
     assert got.evaluate(power_sum_values(us)) == expected
 
 
+def test_full_column_identity_through_seven_and_eight_rows(monkeypatch):
+    # a full column of N boxes is the constant 1, so adding one leaves the
+    # function unchanged; N = 7 and 8 send 7- and 8-row matrices through
+    # poly_det
+    monkeypatch.setattr(schur, "_generalized_cache", {})
+    for n in range(2, 9):
+        ctx = AlgebraContext(n)
+        for c in (1, 2):
+            assert generalized_schur(Partition((c,) * n), ctx) == XPoly.one(n - 1), (n, c)
+        for total in range(4):
+            for parts in partitions_of(total, n):
+                p = Partition(parts)
+                widened = Partition(tuple(q + 1 for q in p.padded(n)))
+                assert generalized_schur(widened, ctx) == generalized_schur(p, ctx), (n, parts)
+
+
 def test_context_caching_and_reuse(monkeypatch):
     # separate contexts of one rank share the module memos
     monkeypatch.setattr(schur, "_elementary_cache", {})
