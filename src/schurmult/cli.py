@@ -7,7 +7,8 @@ character), ``sub`` (height class of dominant weights), ``audit``
 byte-identical across runs.
 
 Exit codes: 0 success, 1 usage error, 2 audit mismatch, 3 internal
-inconsistency (inexact division or a bad linear system).
+inconsistency (inexact division, or a linear system that is singular,
+inconsistent or not integral).
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial
 
 from .lattice import (
@@ -48,6 +51,12 @@ EXIT_INTERNAL = 3
 # 2-core machine A11 at height 20 (582 members) takes about 4 s and 80 MB,
 # while A11 at height 25 (1,686 members) has run for minutes past 700 MB.
 MAX_CLASS_MEMBERS = 1000
+
+# Largest representation whose character ``character`` expands.  Its term
+# count is at most the dimension: on a 2-core machine A2 800,0 (dimension
+# 321,201) takes about 3 s and 141 MB, and A2 1000,0 (501,501) 5.5 s and
+# 219 MB.
+MAX_CHARACTER_DIMENSION = 500_000
 
 
 class UsageError(Exception):
@@ -135,24 +144,36 @@ def _height_partition(member: DominantWeight, total: int) -> list[int]:
     return [v for v in inflated_exponents(member, total) if v > 0]
 
 
-def _poly_terms_json(p) -> list[dict]:
-    out = []
+def _poly_terms_json(p) -> Iterator[dict]:
     for exps, coeff in p.sorted_terms():
         c = coeff if isinstance(coeff, int) else str(coeff)
-        out.append({"monomial": list(exps), "coefficient": c})
-    return out
+        yield {"monomial": list(exps), "coefficient": c}
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _csv_rows(entries: Iterable[dict], header: list[str]) -> Iterator[list]:
+    """One CSV row per JSON entry, holding its values under ``header``; a
+    list value becomes its items joined by spaces."""
+    for e in entries:
+        yield [" ".join(map(str, e[k])) if isinstance(e[k], list) else e[k] for k in header]
 
 
-def _dump_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _render(q: Query, payload: dict, header: list[str], rows: Iterable, lines: Iterable) -> str:
+    """The output of ``q`` in its format: ``payload`` as JSON, ``rows``
+    under ``header`` as CSV, or ``lines`` as text.
+
+    Only the format asked for is built: ``rows`` and ``lines`` may be
+    generators, and so may a list inside ``payload``.  A text line is any
+    object whose ``str`` is that line, such as a polynomial.
+    """
+    if q.fmt == "json":
+        return json.dumps(payload, indent=2, default=list) + "\n"
+    if q.fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+    return "\n".join(map(str, lines)) + "\n"
 
 
 def _run_mult(q: Query) -> str:
@@ -177,21 +198,7 @@ def _run_mult(q: Query) -> str:
             for member, mult in table
         ],
     }
-    if q.oracle:
-        payload["oracle_check"] = "ok"
-    if q.fmt == "json":
-        return _dump_json(payload)
-    if q.fmt == "csv":
-        rows = [
-            [
-                " ".join(map(str, e["weight"])),
-                " ".join(map(str, e["partition"])),
-                e["multiplicity"],
-                e["orbit_size"],
-            ]
-            for e in payload["entries"]
-        ]
-        return _dump_csv(["weight", "partition", "multiplicity", "orbit_size"], rows)
+    header = ["weight", "partition", "multiplicity", "orbit_size"]
     lines = [
         f"{payload['algebra']}  highest weight {payload['highest_weight']}  dimension {table.dimension}"
     ]
@@ -202,8 +209,9 @@ def _run_mult(q: Query) -> str:
             f" multiplicity {e['multiplicity']:3d}  orbit {e['orbit_size']}"
         )
     if q.oracle:
+        payload["oracle_check"] = "ok"
         lines.append("oracle check: ok")
-    return "\n".join(lines) + "\n"
+    return _render(q, payload, header, _csv_rows(payload["entries"], header), lines)
 
 
 def _check_against_oracles(table: MultiplicityTable) -> None:
@@ -231,22 +239,14 @@ def _run_schur(q: Query) -> str:
     p = _partition_arg(q, ctx)
     _check_class_size(p.weight, ctx)
     poly = generalized_schur(p, ctx)
-    if q.fmt == "json":
-        return _dump_json(
-            {
-                "algebra": str(ctx),
-                "partition": list(p.parts),
-                "variables": ctx.N - 1,
-                "terms": _poly_terms_json(poly),
-            }
-        )
-    if q.fmt == "csv":
-        rows = [
-            [" ".join(map(str, exps)), str(coeff)]
-            for exps, coeff in poly.sorted_terms()
-        ]
-        return _dump_csv(["monomial", "coefficient"], rows)
-    return f"{poly}\n"
+    payload = {
+        "algebra": str(ctx),
+        "partition": list(p.parts),
+        "variables": ctx.N - 1,
+        "terms": _poly_terms_json(poly),
+    }
+    header = ["monomial", "coefficient"]
+    return _render(q, payload, header, _csv_rows(_poly_terms_json(poly), header), [poly])
 
 
 def _run_orbit(q: Query) -> str:
@@ -258,17 +258,14 @@ def _run_orbit(q: Query) -> str:
         "weight": list(target.coords),
         "partition": list(target.to_partition().parts),
         "orbit_size": orbit_size(target),
-        "weights": [list(w.mu_exponents) for w in weights],
+        "weights": (list(w.mu_exponents) for w in weights),
     }
-    if q.fmt == "json":
-        return _dump_json(payload)
-    if q.fmt == "csv":
-        return _dump_csv(
-            ["exponents"], [[" ".join(map(str, w.mu_exponents))] for w in weights]
-        )
-    lines = [f"{payload['algebra']}  weight {payload['weight']}  orbit size {payload['orbit_size']}"]
-    lines.extend("  " + " ".join(map(str, w.mu_exponents)) for w in weights)
-    return "\n".join(lines) + "\n"
+    rows = ([" ".join(map(str, w.mu_exponents))] for w in weights)
+    lines = chain(
+        [f"{payload['algebra']}  weight {payload['weight']}  orbit size {payload['orbit_size']}"],
+        ("  " + " ".join(map(str, w.mu_exponents)) for w in weights),
+    )
+    return _render(q, payload, ["exponents"], rows, lines)
 
 
 def _run_character(q: Query) -> str:
@@ -281,23 +278,23 @@ def _run_character(q: Query) -> str:
             f"the alternant of {target} has total degree {degree}, "
             f"at or above the packed-monomial limit {DEGREE_LIMIT}"
         )
+    size = dimension(target)
+    if size > MAX_CHARACTER_DIMENSION:
+        raise UsageError(
+            f"the character of {target} has dimension {size}; "
+            f"at most {MAX_CHARACTER_DIMENSION} is supported"
+        )
     ch = weyl_character_u(target)
     dim = sum(ch.terms.values())
-    if q.fmt == "json":
-        return _dump_json(
-            {
-                "algebra": str(ctx),
-                "weight": list(target.coords),
-                "dimension": dim,
-                "terms": _poly_terms_json(ch),
-            }
-        )
-    if q.fmt == "csv":
-        rows = [
-            [" ".join(map(str, exps)), coeff] for exps, coeff in ch.sorted_terms()
-        ]
-        return _dump_csv(["monomial", "coefficient"], rows)
-    return f"dimension {dim}\n{ch}\n"
+    payload = {
+        "algebra": str(ctx),
+        "weight": list(target.coords),
+        "dimension": dim,
+        "terms": _poly_terms_json(ch),
+    }
+    header = ["monomial", "coefficient"]
+    rows = _csv_rows(_poly_terms_json(ch), header)
+    return _render(q, payload, header, rows, [f"dimension {dim}", ch])
 
 
 def _run_sub(q: Query) -> str:
@@ -315,19 +312,8 @@ def _run_sub(q: Query) -> str:
         }
         for member in members
     ]
-    if q.fmt == "json":
-        return _dump_json({"algebra": str(ctx), "height": q.height, "entries": entries})
-    if q.fmt == "csv":
-        rows = [
-            [
-                " ".join(map(str, e["partition"])),
-                " ".join(map(str, e["weight"])),
-                e["height"],
-                e["orbit_size"],
-            ]
-            for e in entries
-        ]
-        return _dump_csv(["partition", "weight", "height", "orbit_size"], rows)
+    payload = {"algebra": str(ctx), "height": q.height, "entries": entries}
+    header = ["partition", "weight", "height", "orbit_size"]
     lines = [f"{ctx}  height class {q.height}: {len(entries)} dominant weights"]
     for e in entries:
         lines.append(
@@ -335,7 +321,7 @@ def _run_sub(q: Query) -> str:
             f" weight {' '.join(map(str, e['weight'])):14s}"
             f" height {e['height']:2d}  orbit {e['orbit_size']}"
         )
-    return "\n".join(lines) + "\n"
+    return _render(q, payload, header, _csv_rows(entries, header), lines)
 
 
 def _alternant_table(target: DominantWeight) -> list[int]:

@@ -121,7 +121,9 @@ def kostka(shape: Partition, content) -> int:
     """Number of semistandard fillings of ``shape`` with the given content.
 
     Rows weakly increase, columns strictly increase, and entry ``i+1``
-    appears exactly ``content[i]`` times.  Brute-force backtracking.
+    appears exactly ``content[i]`` times.  Brute-force backtracking over
+    the cells in row order, with an explicit stack, so a long row costs no
+    recursion depth.
     """
     counts = list(content)
     if any(c < 0 for c in counts):
@@ -133,23 +135,37 @@ def kostka(shape: Partition, content) -> int:
     cells = [(r, c) for r in range(len(rows)) for c in range(rows[r])]
     grid = [[0] * rows[r] for r in range(len(rows))]
 
-    def fill(pos: int) -> int:
-        if pos == len(cells):
-            return 1
+    if not cells:
+        return 1
+    total = 0
+    # the value in each filled cell, then the cell being filled (0 before
+    # its first value); popping a cell returns to the one before it
+    stack = [0]
+    while stack:
+        pos = len(stack) - 1
         r, c = cells[pos]
-        lo = grid[r][c - 1] if c else 1
-        if r and grid[r - 1][c] + 1 > lo:
-            lo = grid[r - 1][c] + 1
-        total = 0
-        for val in range(lo, nvals + 1):
-            if counts[val - 1]:
-                counts[val - 1] -= 1
-                grid[r][c] = val
-                total += fill(pos + 1)
-                counts[val - 1] += 1
-        return total
-
-    return fill(0)
+        val = stack[pos]
+        if val:
+            counts[val - 1] += 1
+        else:
+            val = grid[r][c - 1] - 1 if c else 0
+            if r and grid[r - 1][c] > val:
+                val = grid[r - 1][c]
+        # the next value above val still left in the content
+        val += 1
+        while val <= nvals and not counts[val - 1]:
+            val += 1
+        if val > nvals:
+            stack.pop()
+            continue
+        counts[val - 1] -= 1
+        grid[r][c] = val
+        stack[pos] = val
+        if pos + 1 < len(cells):
+            stack.append(0)
+        else:
+            total += 1
+    return total
 
 
 def brute_orbit_char(w: DominantWeight) -> UPoly:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -62,8 +61,10 @@ class MultiplicityTable:
 SYSTEM_CACHE_SIZE = 16
 
 
-# The one modulus of the modular factorization, the Mersenne prime 2**61 - 1.
-MODULUS = (1 << 61) - 1
+# The primes of the modular solve, Mersenne primes tried in order: every
+# class is factored modulo the first, and a solve it cannot certify is
+# retried modulo the next.
+PRIMES = ((1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1)
 
 
 class HeightClassSystem:
@@ -71,21 +72,21 @@ class HeightClassSystem:
 
     The unknowns are the orbit multiplicities of ``members``; there is one
     row per monomial of the column support, in descending graded-lex
-    order.  Construction factors the rows modulo :data:`MODULUS`, with
-    pivot columns visited largest-support first, and keeps every step's
-    ``(pivot row, pivot inverse, target rows, factors)`` plus the nonzero
-    tail of each normalized pivot row.  :meth:`solve` replays those steps
-    on a right-hand side, lifts the solution to the symmetric range and
+    order.  The rows are scaled to integers by the lcm L of the column
+    denominators.  Construction factors them modulo the first of
+    :data:`PRIMES`, with pivot columns visited largest-support first, and
+    keeps in ``factored`` every step's ``(pivot row, pivot inverse, target
+    rows, factors)`` plus the nonzero tail of each normalized pivot row, or
+    ``None`` if a pivot vanishes.  :meth:`solve` replays those steps on a
+    right-hand side, lifts the solution to the symmetric range and
     certifies it exactly in integers against the columns: the nonzero
     pivots mean the rational system has a unique solution, so an integer
     vector that satisfies every equation is that solution.
 
-    If a column denominator or a pivot vanishes modulo the modulus,
-    ``steps`` and ``upper`` are ``None``.  Every solve the modular route
-    cannot certify, those included, is answered by
-    :func:`_fraction_free_solve`.  The object is never mutated after
-    construction, so one instance is shared by every solve of the class,
-    across threads too.
+    A solve that the first prime cannot certify factors the rows again
+    modulo each later prime in turn, within the call.  The object is never
+    mutated after construction, so one instance is shared by every solve
+    of the class, across threads too.
     """
 
     def __init__(self, members: Sequence[DominantWeight], columns: Sequence[XPoly]):
@@ -98,26 +99,22 @@ class HeightClassSystem:
         monomials = sorted(support, reverse=True)
         self.row_of = {mono: i for i, mono in enumerate(monomials)}
         self.order = tuple(sorted(range(len(columns)), key=lambda c: (-len(columns[c].num), c)))
-        # the certificate compares every equation over L, the lcm of the
-        # column denominators, so column j is scaled by L / den_j; its
-        # numerators are read in the order of its rows here
+        # the system is compared over L, the lcm of the column denominators,
+        # so column j is scaled by L / den_j; its numerators are read in the
+        # order of its rows here
         self.den_lcm = lcm(*(col.den for col in columns))
         self.multipliers = tuple(self.den_lcm // col.den for col in columns)
         self.column_rows = tuple(tuple(self.row_of[mono] for mono in col.num) for col in columns)
-        self.modulus = MODULUS
-        self.steps, self.upper = self._factor_modular() or (None, None)
+        self.prime = PRIMES[0]
+        self.factored = self._factor(self.prime)
 
-    def _factor_modular(self) -> tuple[tuple, tuple] | None:
-        """Steps and pivot-row tails modulo the modulus; ``None`` when a
-        column denominator or a pivot vanishes modulo it."""
-        p = self.modulus
+    def _factor(self, p: int) -> tuple[tuple, tuple] | None:
+        """Steps and pivot-row tails of the scaled rows modulo ``p``;
+        ``None`` when a pivot vanishes modulo it."""
         rows = [[0] * len(self.columns) for _ in self.row_of]
-        for j, col in enumerate(self.columns):
-            if col.den % p == 0:
-                return None
-            inv = pow(col.den, -1, p)
+        for j, (mult, col) in enumerate(zip(self.multipliers, self.columns)):
             for mono, c in col.num.items():
-                rows[self.row_of[mono]][j] = c * inv % p
+                rows[self.row_of[mono]][j] = c * mult % p
         steps = []
         upper = []
         # entries below the pivot rows are reduced only when read: each
@@ -148,13 +145,13 @@ class HeightClassSystem:
             upper.append((tuple(tail), tuple(tail_values)))
         return tuple(steps), tuple(upper)
 
-    def solve(self, rhs: XPoly) -> list[int] | list[Fraction]:
-        """Unique exact solution for the right-hand side ``rhs``.
+    def solve(self, rhs: XPoly) -> list[int]:
+        """Unique solution for the right-hand side ``rhs``, certified in integers.
 
-        A certified solution is a list of ints; the fraction-free fallback
-        returns ``Fraction``s, which may be non-integral.  Raises
-        :class:`SolverError` when ``rhs`` is outside the column span
-        (inconsistent system) or the system is singular.
+        Raises :class:`SolverError` when ``rhs`` has a monomial outside the
+        column support, when a pivot vanishes modulo every prime (singular
+        system), or when no prime yields a certified solution (the system
+        is inconsistent or its solution is not integral).
         """
         entries = []
         for mono, coeff in rhs.num.items():
@@ -165,23 +162,30 @@ class HeightClassSystem:
                     "lies outside the column support"
                 )
             entries.append((i, coeff))
-        if self.steps is not None and rhs.den % self.modulus:
-            x = self._solve_modular(entries, rhs.den)
-            if self._certifies(x, entries, rhs.den):
-                return x
-        # no modular factorization, the modulus divides the rhs denominator,
-        # or the lift is not the solution (it is non-integral, too large, or
-        # there is none)
-        return _fraction_free_solve(self.row_of, self.columns, self.order, entries, rhs.den)
+        singular = True
+        for p in PRIMES:
+            factored = self.factored if p == self.prime else self._factor(p)
+            if factored is None:
+                continue
+            singular = False
+            # a lift that fails the certificate is non-integral, too large
+            # for p, or not a solution at all
+            if rhs.den % p:
+                x = self._solve_modular(p, factored, entries, rhs.den)
+                if self._certifies(x, entries, rhs.den):
+                    return x
+        if singular:
+            raise SolverError("system is singular: a pivot vanishes modulo every prime")
+        raise SolverError("system is inconsistent or not integral: no prime certifies a solution")
 
-    def _solve_modular(self, entries, denom: int) -> list[int]:
-        """Solution modulo the modulus, lifted to the symmetric range."""
-        p = self.modulus
-        inv = pow(denom, -1, p)
+    def _solve_modular(self, p: int, factored, entries, denom: int) -> list[int]:
+        """Solution modulo ``p``, lifted to the symmetric range."""
+        steps, upper = factored
+        scale = self.den_lcm * pow(denom, -1, p)
         b = [0] * len(self.row_of)
         for i, coeff in entries:
-            b[i] = coeff * inv % p
-        for step, (pivot_row, pivot_inv, targets, factors) in enumerate(self.steps):
+            b[i] = coeff * scale % p
+        for step, (pivot_row, pivot_inv, targets, factors) in enumerate(steps):
             b[step], b[pivot_row] = b[pivot_row], b[step]
             top = b[step] = b[step] * pivot_inv % p
             if top:
@@ -189,7 +193,7 @@ class HeightClassSystem:
                     b[i] -= factor * top
         x = [0] * len(self.order)
         for step in reversed(range(len(self.order))):
-            tail, tail_values = self.upper[step]
+            tail, tail_values = upper[step]
             x[self.order[step]] = (b[step] - sum(v * x[j] for j, v in zip(tail, tail_values))) % p
         half = p // 2
         return [v - p if v > half else v for v in x]
@@ -208,66 +212,6 @@ class HeightClassSystem:
         for i, coeff in entries:
             acc[i] -= self.den_lcm * coeff
         return not any(acc)
-
-
-def _fraction_free_solve(row_of, columns, order, entries, denom: int) -> list[Fraction]:
-    """Exact solution by fraction-free (Bareiss) elimination.
-
-    The rows of the ``columns`` and, as a last entry, the right-hand side
-    (``(row, numerator)`` pairs in ``entries`` over the common denominator
-    ``denom``) are scaled by the lcm of the column denominators to
-    integers, and the pivot columns are eliminated in ``order``.  Pivots
-    grow to hundreds of bits, so this answers only the solves that the
-    modular route of :class:`HeightClassSystem` cannot certify.
-
-    Raises :class:`SolverError` when a pivot is missing (singular system)
-    or a residual equation is nonzero (inconsistent system).
-    """
-    n = len(columns)
-    scale = lcm(*(col.den for col in columns))
-    rows = [[0] * (n + 1) for _ in row_of]
-    for j, col in enumerate(columns):
-        mult = scale // col.den
-        for mono, c in col.num.items():
-            rows[row_of[mono]][j] = c * mult
-    # the rhs denominator is common to the whole augmented column, so the
-    # scaled system is solved for denom times the unknowns
-    for i, coeff in entries:
-        rows[i][n] = coeff * scale
-
-    prev = 1
-    for step, col in enumerate(order):
-        pivot_row = next((i for i in range(step, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            raise SolverError(f"no pivot for unknown {col}: system is singular")
-        rows[step], rows[pivot_row] = rows[pivot_row], rows[step]
-        top = rows[step]
-        pivot = top[col]
-        for i in range(step + 1, len(rows)):
-            factor = rows[i][col]
-            new_row = []
-            for a, b in zip(rows[i], top):
-                value, rem = divmod(pivot * a - factor * b, prev)
-                if rem:
-                    raise SolverError("fraction-free elimination lost exactness")
-                new_row.append(value)
-            rows[i] = new_row
-        prev = pivot
-    if any(row[n] for row in rows[n:]):
-        raise SolverError("system is inconsistent: residual equation is nonzero")
-
-    # the last pivot is the determinant of the eliminated square system,
-    # so by Cramer's rule it times each unknown is an integer
-    det = prev
-    scaled = [0] * n
-    for step in reversed(range(n)):
-        col = order[step]
-        row = rows[step]
-        acc = det * row[n] - sum(row[c] * scaled[c] for c in order[step + 1 :])
-        scaled[col], rem = divmod(acc, row[col])
-        if rem:
-            raise SolverError("fraction-free back-substitution lost exactness")
-    return [Fraction(value, det * denom) for value in scaled]
 
 
 @lru_cache(maxsize=SYSTEM_CACHE_SIZE)
@@ -297,12 +241,11 @@ def solve_multiplicities(w: DominantWeight) -> MultiplicityTable:
 
     entries = []
     dim = 0
-    for member, value in zip(system.members, solution):
-        if value.denominator != 1 or value < 0:
+    for member, mult in zip(system.members, solution):
+        if mult < 0:
             raise SolverError(
-                f"multiplicity of {member} solved to {value}; expected a nonnegative integer"
+                f"multiplicity of {member} solved to {mult}; expected a nonnegative integer"
             )
-        mult = int(value)
         entries.append((member, mult))
         dim += mult * orbit_size(member)
     table = MultiplicityTable(w, tuple(entries), dim)

@@ -169,6 +169,7 @@ REFUSED_UP_FRONT = {
     ("character", "--rank", "3", "--weight", "40000,0"): (
         "total degree 40003, at or above the packed-monomial limit 32768"
     ),
+    ("character", "--rank", "3", "--weight", "1000,0"): "has dimension 501501",
 }
 
 

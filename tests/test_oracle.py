@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from schurmult.lattice import (
@@ -83,6 +86,12 @@ def test_tableau_columns_strict():
     assert kostka(Partition((1, 1)), (2,)) == 0
 
 
+def test_tableau_count_of_a_long_row_needs_no_recursion():
+    # one level of recursion per cell would pass the interpreter's limit
+    assert kostka(Partition((1200,)), (600, 600)) == 1
+    assert kostka(Partition(()), ()) == 1
+
+
 def test_inflation_roundtrip():
     w = DominantWeight((1, 0, 0, 0, 0), A5)
     assert inflated_exponents(w, 7) == (2, 1, 1, 1, 1, 1)
@@ -136,3 +145,44 @@ def test_oracles_agree_with_each_other():
                         parts,
                         member_parts,
                     )
+
+
+# -- independence from the Schur pipeline ---------------------------------------
+
+ORACLE = Path(__file__).resolve().parent.parent / "src" / "schurmult" / "oracle.py"
+
+
+def _package_modules(tree: ast.Module) -> set[str]:
+    """The ``schurmult`` modules a syntax tree imports, by short name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = "schurmult" + (f".{node.module}" if node.module else "")
+            names = [base]
+            if base == "schurmult":
+                names = [f"schurmult.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("schurmult."))
+    return found
+
+
+def test_oracle_imports_nothing_from_the_schur_pipeline():
+    modules = _package_modules(ast.parse(ORACLE.read_text(), filename=str(ORACLE)))
+    assert modules <= {"lattice", "polyengine"}
+    assert not modules & {"orbitchar", "schur", "solver", "weyl"}
+
+
+def test_pipeline_import_is_reported():
+    tree = ast.parse(
+        "from .solver import solve_multiplicities\n"
+        "from . import weyl\n"
+        "import schurmult.schur\n"
+        "from schurmult.orbitchar import orbit_char_x\n"
+        "from __future__ import annotations\n"
+    )
+    assert _package_modules(tree) == {"solver", "weyl", "schur", "orbitchar"}

@@ -171,9 +171,11 @@ def test_solve_exact_detects_singularity():
 
 
 def test_solve_exact_fractional_solution_rejected_downstream():
+    # the solution 1/2 lifts to no integer that passes the certificate
     columns = _cols({0: 2})
     rhs = XPoly(1, {(0,): Fraction(1)})
-    assert _solve(columns, rhs) == [Fraction(1, 2)]
+    with pytest.raises(SolverError, match="not integral"):
+        _solve(columns, rhs)
 
 
 def test_solve_rejects_rhs_monomial_outside_column_support():
@@ -184,21 +186,32 @@ def test_solve_rejects_rhs_monomial_outside_column_support():
 
 
 def test_solve_fractional_rhs_takes_common_denominator():
-    # 3/4 x + 5/6 = col0 * (x/2 + 1/3) + col1 * 1 gives col0 = 3/2, col1 = 1/3
+    # 9/2 x + 5 = col0 * (x/2 + 1/3) + col1 * 1 gives col0 = 9, col1 = 2
     columns = _cols({0: Fraction(1, 3), 1: Fraction(1, 2)}, {0: 1})
     rhs = XPoly(1, {(0,): Fraction(5, 6), (1,): Fraction(3, 4)})
     system = _system(columns)
-    assert system.solve(rhs) == [Fraction(3, 2), Fraction(1, 3)]
+    assert system.solve(rhs * 6) == [9, 2]
     # the shared system serves the next right-hand side unchanged
-    assert system.solve(rhs * 2) == [Fraction(3), Fraction(2, 3)]
+    assert system.solve(rhs * 12) == [18, 4]
+    # the solution (3/2, 1/3) of rhs itself is not integral
+    with pytest.raises(SolverError, match="not integral"):
+        system.solve(rhs)
 
 
-def test_wrapped_lift_is_answered_by_fraction_free_fallback(monkeypatch):
-    # modulo 5 the lone unknown is 6 = 1, which the exact certificate refuses
-    monkeypatch.setattr(solver, "MODULUS", 5)
+def test_wrapped_lift_is_answered_by_next_prime(monkeypatch):
+    # modulo 5 the lone unknown is 6 = 1, which the exact certificate
+    # refuses; modulo 13 it lifts to 6
+    monkeypatch.setattr(solver, "PRIMES", (5, 13))
     system = _system(_cols({0: 1}))
-    assert system.steps is not None
-    assert system.solve(XPoly(1, {(0,): Fraction(6)})) == [Fraction(6)]
+    assert system.factored is not None
+    assert system.solve(XPoly(1, {(0,): Fraction(6)})) == [6]
+
+
+def test_solve_fails_when_every_prime_fails(monkeypatch):
+    monkeypatch.setattr(solver, "PRIMES", (5,))
+    system = _system(_cols({0: 1}))
+    with pytest.raises(SolverError, match="inconsistent or not integral"):
+        system.solve(XPoly(1, {(0,): Fraction(6)}))
 
 
 # -- shared height-class systems -------------------------------------------------
@@ -318,22 +331,20 @@ def fresh_systems():
 
 @pytest.mark.parametrize("prime", [5, 7])
 def test_tiny_modulus_takes_fallbacks_and_keeps_tables(monkeypatch, fresh_systems, prime):
-    # pivots vanish and lifts wrap modulo a tiny prime, so solves of a
-    # system without a modular factorization and uncertified lifts both
-    # fall back to fraction-free elimination
-    monkeypatch.setattr(solver, "MODULUS", prime)
+    # pivots vanish and lifts wrap modulo a tiny first prime, so solves of
+    # a system without a factorization modulo it and uncertified lifts
+    # both fall back to the next prime
+    monkeypatch.setattr(solver, "PRIMES", (prime,) + solver.PRIMES)
     for n, q in [(6, 7), (5, 6)]:
         for w in _highest_weights(n, q):
             _assert_matches_oracles(solve_multiplicities(w), q)
-    assert (height_class_system(6, 7).steps is None) == (prime == 5)
-    assert height_class_system(5, 6).steps is not None
+    assert (height_class_system(6, 7).factored is None) == (prime == 5)
+    assert height_class_system(5, 6).factored is not None
 
 
 def test_full_modulus_certifies_without_fallback(monkeypatch, fresh_systems):
-    def refuse(*_):
-        raise AssertionError("a solve fell back to fraction-free elimination")
-
-    monkeypatch.setattr(solver, "_fraction_free_solve", refuse)
+    # with the first prime alone, any solve it cannot certify would raise
+    monkeypatch.setattr(solver, "PRIMES", solver.PRIMES[:1])
     for n, q in [(6, 7), (5, 6), (3, 20)]:
         for w in _highest_weights(n, q):
             _assert_matches_oracles(solve_multiplicities(w), q)
