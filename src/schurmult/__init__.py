@@ -23,7 +23,6 @@ from .polyengine import (
     UPoly,
     XPoly,
     poly_det,
-    poly_divide_exact,
 )
 from .schur import elementary_schur, generalized_schur, star_schur
 from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
@@ -57,7 +56,6 @@ __all__ = [
     "orbit_weights",
     "partition_to_dominant",
     "poly_det",
-    "poly_divide_exact",
     "solve_multiplicities",
     "star_schur",
     "sub_Q_lambda1",

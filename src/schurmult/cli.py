@@ -47,16 +47,19 @@ EXIT_USAGE = 1
 EXIT_AUDIT = 2
 EXIT_INTERNAL = 3
 
-# Largest height class that ``mult``, ``schur`` and ``sub`` take on.  On a
-# 2-core machine A11 at height 20 (582 members) takes about 4 s and 80 MB,
-# while A11 at height 25 (1,686 members) has run for minutes past 700 MB.
+# Largest height class that ``mult``, ``schur``, ``sub`` and ``audit`` take
+# on.  On a 2-core machine A11 at height 20 (582 members) takes about 4 s
+# and 80 MB, while A11 at height 25 (1,686 members) has run for minutes
+# past 700 MB.
 MAX_CLASS_MEMBERS = 1000
 
-# Largest representation whose character ``character`` expands.  Its term
-# count is at most the dimension: on a 2-core machine A2 800,0 (dimension
-# 321,201) takes about 3 s and 141 MB, and A2 1000,0 (501,501) 5.5 s and
-# 219 MB.
-MAX_CHARACTER_DIMENSION = 500_000
+# Most terms that ``character`` and ``orbit`` print: the dimension of a
+# character (a bound on its term count) and the size of an orbit.  On a
+# 2-core machine, text output of the A2 character 800,0 (dimension
+# 321,201) takes about 2.3 s and 121 MB, and of 1000,0 (501,501) 3.1 s
+# and 189 MB; the A8 orbit of 1,...,1 (362,880 weights) takes 2.1 s and
+# 130 MB as text, 5.4 s and 400 MB as JSON.
+MAX_OUTPUT_TERMS = 500_000
 
 
 class UsageError(Exception):
@@ -252,12 +255,17 @@ def _run_schur(q: Query) -> str:
 def _run_orbit(q: Query) -> str:
     ctx = _context(q)
     target = _target_weight(q, ctx)
+    size = orbit_size(target)
+    if size > MAX_OUTPUT_TERMS:
+        raise UsageError(
+            f"the orbit of {target} has {size} weights; at most {MAX_OUTPUT_TERMS} are supported"
+        )
     weights = orbit_weights(target)
     payload = {
         "algebra": str(ctx),
         "weight": list(target.coords),
         "partition": list(target.to_partition().parts),
-        "orbit_size": orbit_size(target),
+        "orbit_size": size,
         "weights": (list(w.mu_exponents) for w in weights),
     }
     rows = ([" ".join(map(str, w.mu_exponents))] for w in weights)
@@ -279,10 +287,10 @@ def _run_character(q: Query) -> str:
             f"at or above the packed-monomial limit {DEGREE_LIMIT}"
         )
     size = dimension(target)
-    if size > MAX_CHARACTER_DIMENSION:
+    if size > MAX_OUTPUT_TERMS:
         raise UsageError(
             f"the character of {target} has dimension {size}; "
-            f"at most {MAX_CHARACTER_DIMENSION} is supported"
+            f"at most {MAX_OUTPUT_TERMS} is supported"
         )
     ch = weyl_character_u(target)
     dim = sum(ch.terms.values())
@@ -341,10 +349,15 @@ def _run_audit(q: Query) -> str:
         _check_alternant_rank(n)
     if q.max_height < 1:
         raise UsageError("audit max height must be at least 1")
+    contexts = [AlgebraContext(n) for n in ranks]
+    # a box added to the first row embeds each class in the next, so the
+    # top height's class is the largest of the sweep
+    for ctx in contexts:
+        _check_class_size(q.max_height, ctx)
     # (target, whether to compare with the alternant route)
     cases = [
         (partition_to_dominant(Partition(parts), ctx), True)
-        for ctx in map(AlgebraContext, ranks)
+        for ctx in contexts
         for h in range(1, q.max_height + 1)
         for parts in partitions_of(h, ctx.N - 1)
     ]

@@ -23,10 +23,10 @@ packs a key on lookup and unpacks on iteration (integers for ``UPoly``,
 fractions for ``XPoly``).
 
 :func:`poly_dot` is the one accumulate kernel: it sums ``c * a * b`` over
-many products in one numerator map over one lcm denominator.  Exact
-division divides the numerators by the divisor's primitive part in Z[x]
-(Gauss's lemma keeps the quotient integral) and moves the divisor's
-content into the denominator.
+many products in one numerator map over one lcm denominator.  The one
+division, :func:`poly_divide_difference`, divides by a difference of two
+variables: one pass of prefix sums over the numerators, each binary form
+in those two variables on its own, over the same denominator.
 
 Values are immutable after construction; every operation returns a new
 polynomial.
@@ -34,14 +34,14 @@ polynomial.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
 # Bits per exponent field of a packed monomial.  The field's top bit is a
-# guard (see ``poly_divide_exact``), so total degrees stay below 2**15.
+# guard: total degrees stay below 2**15, so the sum of two keys within the
+# limit cannot carry from one field into the next.
 FIELD_BITS = 16
 DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
 _FIELD_MASK = (1 << FIELD_BITS) - 1
@@ -547,80 +547,53 @@ def poly_det(matrix: Sequence[Sequence[_SparsePoly]]) -> _SparsePoly:
     return minors.get((1 << n) - 1, ring.zero(nvars))
 
 
-def poly_divide_exact(num: _SparsePoly, den: _SparsePoly) -> _SparsePoly:
-    """Exact quotient ``q`` with ``q * den == num``.
+def poly_divide_difference(p: _SparsePoly, i: int, j: int) -> _SparsePoly:
+    """Exact quotient of ``p`` by ``v_i - v_j``, the difference of two variables.
 
-    The numerators of ``num`` are divided in Z[x] by the primitive part of
-    ``den``'s numerators, by leading-term elimination in graded-lex
-    order; by Gauss's lemma an exact quotient has integer coefficients,
-    so every step is an exact integer division.  ``den``'s content and
-    both denominators then go into the quotient's denominator.  An
-    inexact division raises :class:`InexactDivisionError`; results are
-    never truncated.
+    The terms that agree in every other exponent and in total degree form
+    a binary form ``sum(c_k * v_i**k * v_j**(D - k))``.  It is divisible
+    by ``v_i - v_j`` exactly when its coefficients sum to zero, and then
+    its quotient's coefficient of ``v_i**m * v_j**(D - 1 - m)`` is
+    ``-(c_0 + ... + c_m)``.  So the quotient is one pass of prefix sums
+    over the numerators, kept over ``p.den``.  A form whose coefficients
+    do not sum to zero raises :class:`InexactDivisionError`, and ``i == j``
+    raises :class:`ZeroDivisionError`.  Indices are 0-based.
     """
-    num._check_ring(den)
-    ring = type(num)
-    nvars = num.nvars
-    if den.is_zero:
+    n = p.nvars
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"variable index {i} or {j} out of range for {n} variables")
+    if i == j:
         raise ZeroDivisionError("polynomial division by zero")
-    if num.is_zero:
-        return ring.zero(nvars)
-
-    content = gcd(*den.num.values())
-    divisor = den.num if content == 1 else {e: c // content for e, c in den.num.items()}
-    den_lead = max(divisor)
-    den_lc = divisor[den_lead]
-    den_rest = [(e, c) for e, c in divisor.items() if e != den_lead]
-    # With every guard bit set, subtracting the leading key borrows from
-    # no neighbouring field; a field keeps its guard bit exactly when its
-    # exponent is at least the divisor's.
-    guards = ((1 << FIELD_BITS * nvars) - 1) // _FIELD_MASK << (FIELD_BITS - 1)
-    rem = dict(num.num)
+    si, sj = FIELD_BITS * (n - 1 - i), FIELD_BITS * (n - 1 - j)
+    # A form is keyed by its terms' key with v_i's exponent moved to v_j,
+    # and spans the powers lo[base] to hi[base] of v_i.
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for key in p.num:
+        k = key >> si & _FIELD_MASK
+        base = key - (k << si) + (k << sj)
+        if k < lo.get(base, DEGREE_LIMIT):
+            lo[base] = k
+        if k > hi.get(base, -1):
+            hi[base] = k
+    # A quotient key has one degree less, taken from v_j.
+    step = (1 << si) - (1 << sj)
+    drop = (1 << FIELD_BITS * n) + (1 << sj)
+    get = p.num.get
     quot: dict[int, int] = {}
-
-    # Lazy max-heap over the remainder's keys (grlex order is int order).
-    heap = [-key for key in rem]
-    heapq.heapify(heap)
-    seen = set(rem)
-
-    while heap:
-        key = -heapq.heappop(heap)
-        seen.discard(key)
-        coeff = rem.get(key)
-        if not coeff:
-            continue
-        if (key | guards) - den_lead & guards != guards:
+    for base, k in lo.items():
+        key = base + k * step
+        acc = 0
+        for _ in range(k, hi[base]):
+            acc -= get(key, 0)
+            if acc:
+                quot[key - drop] = acc
+            key += step
+        if acc != get(key, 0):
+            vi, vj = f"{p._symbol}{i + 1}", f"{p._symbol}{j + 1}"
             raise InexactDivisionError(
-                f"leading monomial {unpack_monomial(key, nvars)} is not divisible by "
-                f"{unpack_monomial(den_lead, nvars)}"
+                f"not divisible by {vi} - {vj}: the terms that differ from "
+                f"{unpack_monomial(key, n)} only in the powers of {vi} "
+                f"and {vj} have a nonzero coefficient sum"
             )
-        qkey = key - den_lead
-        qc, r = divmod(coeff, den_lc)
-        if r:
-            raise InexactDivisionError(f"coefficient {coeff} is not divisible by {den_lc}")
-        # leading monomials strictly decrease, so each quotient monomial is new
-        quot[qkey] = qc
-        del rem[key]
-        # den_lead has the largest degree of the divisor, so no target
-        # exceeds the degree of key
-        for e, c in den_rest:
-            target = qkey + e
-            acc = rem.get(target)
-            delta = qc * c
-            if acc is None:
-                rem[target] = -delta
-                if target not in seen:
-                    seen.add(target)
-                    heapq.heappush(heap, -target)
-            else:
-                acc = acc - delta
-                if acc:
-                    rem[target] = acc
-                else:
-                    del rem[target]
-    if den.den != 1:
-        quot = {e: c * den.den for e, c in quot.items()}
-    quotient = ring._make(nvars, quot, num.den * content)
-    if quotient.den != 1 and isinstance(quotient, UPoly):
-        raise InexactDivisionError(f"quotient coefficients are not divisible by {content}")
-    return quotient
+    return type(p)._make(n, quot, p.den)

@@ -4,12 +4,12 @@ The alternant of a shifted dominant weight is built directly as its
 Leibniz expansion: the signed sum over all permutations of the shifted
 exponents, which are strictly decreasing, so every permutation gives its
 own monomial.  The Vandermonde is never expanded: characters are the
-alternant divided by the linear factors u_i - u_j one at a time, and the
-factorization audit multiplies by the same factors.  The product
-constraint on the u's is never imposed here: alternants and their
-quotients live in the free polynomial ring, where exact division is
-available, and the constraint only enters when translating to and from
-the x-indeterminates.
+alternant divided by the linear factors u_i - u_j one at a time, each in
+one pass over the binary forms in u_i and u_j, and the factorization
+audit multiplies by the same factors.  The product constraint on the
+u's is never imposed here: alternants and their quotients live in the
+free polynomial ring, where exact division is available, and the
+constraint only enters when translating to and from the x-indeterminates.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .polyengine import (
     UPoly,
     XPoly,
     pack_monomial,
-    poly_divide_exact,
+    poly_divide_difference,
     rationalize,
     unpack_monomial,
 )
@@ -65,9 +65,9 @@ def alternant_matrix(p: Partition, ctx: AlgebraContext) -> UPoly:
     return UPoly._make(n, terms)
 
 
-def _linear_factors(ring, n: int):
-    """The factors u_i - u_j (i < j) of the Vandermonde, in ``ring``."""
-    u = [ring.variable(n, i) for i in range(n)]
+def _linear_factors(n: int) -> list[XPoly]:
+    """The factors u_i - u_j (i < j) of the Vandermonde, with rational coefficients."""
+    u = [XPoly.variable(n, i) for i in range(n)]
     return [u[i] - u[j] for i in range(n) for j in range(i + 1, n)]
 
 
@@ -79,9 +79,11 @@ def weyl_character_u(w: DominantWeight) -> UPoly:
     polynomial engine propagates.
     """
     ctx = w.context
+    n = ctx.N
     quotient = alternant_matrix(w.to_partition(), ctx)
-    for factor in _linear_factors(UPoly, ctx.N):
-        quotient = poly_divide_exact(quotient, factor)
+    for i in range(n):
+        for j in range(i + 1, n):
+            quotient = poly_divide_difference(quotient, i, j)
     return quotient
 
 
@@ -134,7 +136,7 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
         for k in range(1, n)
     ]
     product = generalized_schur(p, ctx).substitute(power_sums)
-    for factor in _linear_factors(XPoly, n):
+    for factor in _linear_factors(n):
         product = product * factor
     lhs = product_one_normal_form(rationalize(alternant_matrix(p, ctx)))
     rhs = product_one_normal_form(product)

@@ -16,8 +16,9 @@ from schurmult.cli import (
     parse_query,
     run,
 )
-from schurmult import polyengine
+from schurmult import cli, polyengine, weyl
 from schurmult.lattice import AlgebraContext, DominantWeight
+from schurmult.polyengine import UPoly
 from schurmult.solver import MultiplicityTable, SolverError, solve_multiplicities
 
 
@@ -170,6 +171,8 @@ REFUSED_UP_FRONT = {
         "total degree 40003, at or above the packed-monomial limit 32768"
     ),
     ("character", "--rank", "3", "--weight", "1000,0"): "has dimension 501501",
+    ("audit", "--ranks", "3,8", "--max-height", "40"): "height class 40 of A7 has 9749 members",
+    ("orbit", "--rank", "10", "--weight", "1,1,1,1,1,1,1,1,1"): "has 3628800 weights",
 }
 
 
@@ -211,6 +214,33 @@ def test_internal_error_maps_to_exit_code(monkeypatch):
     status, out = run(Query("mult", rank=3, weight=(1, 0), fmt="json"))
     assert status == EXIT_INTERNAL
     assert "internal inconsistency" in out
+
+
+def test_inexact_alternant_quotient_maps_to_exit_code(monkeypatch, capsys):
+    # one stray term leaves the alternant no longer divisible by u1 - u2
+    original = weyl.alternant_matrix
+
+    def doctored(p, ctx):
+        return original(p, ctx) + UPoly.variable(ctx.N, 0)
+
+    monkeypatch.setattr(weyl, "alternant_matrix", doctored)
+    assert main(["character", "--rank", "3", "--weight", "1,1"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal inconsistency: not divisible by u1 - u2")
+
+
+def test_orbit_at_the_term_bound_is_not_refused(monkeypatch):
+    # the orbit of w1 + w2 in A2 has 6 weights
+    query = Query("orbit", rank=3, weight=(1, 1), fmt="json")
+    monkeypatch.setattr(cli, "MAX_OUTPUT_TERMS", 6)
+    status, out = run(query)
+    assert status == EXIT_OK
+    assert json.loads(out)["orbit_size"] == 6
+    monkeypatch.setattr(cli, "MAX_OUTPUT_TERMS", 5)
+    status, out = run(query)
+    assert status == EXIT_USAGE
+    assert out == "error: the orbit of w1 + w2 has 6 weights; at most 5 are supported\n"
 
 
 def test_oracle_mismatch_detected_on_doctored_table():

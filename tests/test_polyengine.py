@@ -14,7 +14,7 @@ from schurmult.polyengine import (
     UPoly,
     XPoly,
     poly_det,
-    poly_divide_exact,
+    poly_divide_difference,
     poly_dot,
     rationalize,
 )
@@ -33,6 +33,9 @@ coeffs = st.integers(-9, 9).filter(bool)
 upolys = st.dictionaries(exponents, coeffs, max_size=5).map(lambda d: UPoly(2, d))
 xcoeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
 xpolys = st.dictionaries(exponents, xcoeffs, max_size=5).map(lambda d: XPoly(2, d))
+exponents3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+upolys3 = st.dictionaries(exponents3, coeffs, max_size=5).map(lambda d: UPoly(3, d))
+xpolys3 = st.dictionaries(exponents3, xcoeffs, max_size=5).map(lambda d: XPoly(3, d))
 
 
 # -- construction and canonical form ------------------------------------
@@ -217,8 +220,8 @@ def test_integer_core_matches_plain_coefficients(pair, factor):
             {e: -c if sum(e) % 2 else c for e, c in pa.items()},
         ),
     }
-    if not b.is_zero:
-        results["divide"] = (poly_divide_exact(a * b, b), pa)
+    difference = type(a).variable(2, 0) - type(a).variable(2, 1)
+    results["divide"] = (poly_divide_difference(a * difference, 0, 1), pa)
     for op, (got, expected) in results.items():
         assert type(got) is type(a), op
         _canonical(got)
@@ -347,54 +350,55 @@ def test_det_of_larger_monomial_matrix():
     assert poly_det(matrix) == expected
 
 
-# -- exact division ------------------------------------------------------
+# -- exact division by u_i - u_j -----------------------------------------
 
 
 def test_divide_difference_of_squares():
     u1, u2 = u_var(0, 2), u_var(1, 2)
-    q = poly_divide_exact(u1 * u1 - u2 * u2, u1 - u2)
-    assert q == u1 + u2
+    assert poly_divide_difference(u1 * u1 - u2 * u2, 0, 1) == u1 + u2
+    assert poly_divide_difference(u1 * u1 - u2 * u2, 1, 0) == -(u1 + u2)
 
 
 def test_divide_vandermonde_ratio():
     # ratio of staircase alternants in two variables
     num = up(2, [(1, {1: 2}), (-1, {2: 2})])
-    den = up(2, [(1, {1: 1}), (-1, {2: 1})])
-    assert poly_divide_exact(num, den) == up(2, [(1, {1: 1}), (1, {2: 1})])
+    assert poly_divide_difference(num, 0, 1) == up(2, [(1, {1: 1}), (1, {2: 1})])
 
 
 def test_divide_inexact_raises():
     u1, u2 = u_var(0, 2), u_var(1, 2)
-    with pytest.raises(InexactDivisionError):
-        poly_divide_exact(u1 * u2, u1 + u2)
+    with pytest.raises(InexactDivisionError, match="not divisible by u1 - u2"):
+        poly_divide_difference(u1 * u2, 0, 1)
 
 
 def test_divide_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        poly_divide_exact(UPoly.one(2), UPoly.zero(2))
+        poly_divide_difference(UPoly.one(2), 1, 1)
+    with pytest.raises(ValueError):
+        poly_divide_difference(UPoly.one(2), 0, 2)
 
 
-def test_divide_integer_coefficient_inexactness():
-    two_x = UPoly(1, {(1,): 2})
-    three = UPoly.constant(1, 3)
-    with pytest.raises(InexactDivisionError):
-        poly_divide_exact(two_x, three)
+index_pairs = st.lists(st.integers(0, 2), min_size=2, max_size=2, unique=True)
 
 
-@given(upolys, upolys)
-@settings(max_examples=50, deadline=None)
-def test_divide_roundtrip(a, b):
-    if a.is_zero or b.is_zero:
-        return
-    assert poly_divide_exact(a * b, b) == a
+@given(upolys3, index_pairs)
+@settings(max_examples=60, deadline=None)
+def test_divide_roundtrip(a, pair):
+    i, j = pair
+    difference = UPoly.variable(3, i) - UPoly.variable(3, j)
+    assert poly_divide_difference(difference * a, i, j) == a
+    assert poly_divide_difference(UPoly.zero(3), i, j) == UPoly.zero(3)
 
 
-@given(xpolys, xpolys)
-@settings(max_examples=30, deadline=None)
-def test_divide_roundtrip_rational(a, b):
-    if a.is_zero or b.is_zero:
-        return
-    assert poly_divide_exact(a * b, b) == a
+@given(xpolys3, index_pairs)
+@settings(max_examples=60, deadline=None)
+def test_divide_roundtrip_rational(a, pair):
+    i, j = pair
+    difference = XPoly.variable(3, i) - XPoly.variable(3, j)
+    quotient = poly_divide_difference(difference * a, i, j)
+    _canonical(quotient)
+    assert quotient == a
+    assert poly_divide_difference(XPoly.zero(3), i, j) == XPoly.zero(3)
 
 
 # -- conversions ---------------------------------------------------------
@@ -425,11 +429,6 @@ def test_str_rendering():
 
 def _grlex_key(exponents):
     return (sum(exponents), exponents)
-
-
-exponents3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
-upolys3 = st.dictionaries(exponents3, coeffs, max_size=5).map(lambda d: UPoly(3, d))
-xpolys3 = st.dictionaries(exponents3, xcoeffs, max_size=5).map(lambda d: XPoly(3, d))
 
 
 @st.composite
