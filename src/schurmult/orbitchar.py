@@ -4,18 +4,21 @@ An orbit character is a monomial symmetric polynomial in u1..uN (each
 distinct monomial exactly once); :func:`orbit_char_u` builds it directly.
 :func:`orbit_char_x` writes the same character in the x-indeterminates,
 where K(Q) -> Q*x_Q sends the Q-th power sum to Q*x_Q.  Because the
-product of all u's is constrained to 1, the x-variables of degree >= N
-are not independent: their expressions in x1..x(N-1) are produced here by
-the Newton recursion with the top elementary symmetric polynomial pinned
-to 1.
+product of all u's is constrained to 1 (e_N = 1), the x-variables of
+degree >= N are not independent.  The power sums from degree N on and
+the complete homogeneous functions then obey one recurrence
+f_m = sum_(k=1..min(m,N)) (-1)^(k+1) e_k f_(m-k), run by one fill-upward
+helper.  For 0 < k < N, e_k is the orbit column of (1^k), which the
+merge recursion builds from p_1..p_k alone, so no call cycles.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 
 from .lattice import AlgebraContext, Partition, distinct_permutations
-from .polyengine import UPoly, XPoly, pack_monomial, poly_dot
+from .polyengine import UPoly, XPoly, poly_dot
 
 
 def orbit_char_u(p: Partition, ctx: AlgebraContext) -> UPoly:
@@ -31,79 +34,62 @@ def orbit_char_u(p: Partition, ctx: AlgebraContext) -> UPoly:
     return UPoly(n, dict.fromkeys(distinct_permutations(p.padded(n)), 1))
 
 
-_elem_cache: dict[tuple[int, int], XPoly] = {}
 _psum_cache: dict[tuple[int, int], XPoly] = {}
 
 
 def elementary_symmetric_x(n: int, k: int) -> XPoly:
     """Elementary symmetric polynomial of n variables, written in x1..x(n-1).
 
-    Built by the Newton recursion from the power sums i*x_i; the top one
-    is pinned to 1 (the degeneration constraint) and everything above
-    vanishes.
+    The top one is pinned to 1 (the degeneration constraint) and degrees
+    outside 0..n vanish; in between, e_k is the orbit column of (1^k).
     """
-    nvars = n - 1
     if k == 0 or k == n:
-        return XPoly.one(nvars)
-    if k > n:
-        return XPoly.zero(nvars)
-    cached = _elem_cache.get((n, k))
-    if cached is not None:
-        return cached
-    # Newton's identity k*e_k = sum (-1)**(i-1) * e_(k-i) * p_i, with p_i = i*x_i
-    result = poly_dot(
-        XPoly,
-        nvars,
-        [
-            (Fraction(1 if i % 2 else -1, k), elementary_symmetric_x(n, k - i), _power_sum_x(n, i))
-            for i in range(1, k + 1)
-        ],
-    )
-    _elem_cache[(n, k)] = result
-    return result
+        return XPoly.one(n - 1)
+    if not 0 < k < n:
+        return XPoly.zero(n - 1)
+    return orbit_char_x(Partition((1,) * k), AlgebraContext(n))
 
 
-def _unit(nvars: int, i: int) -> tuple[int, ...]:
-    exps = [0] * nvars
-    exps[i - 1] = 1
-    return tuple(exps)
+def _fill_upward(
+    cache: dict[tuple[int, int], XPoly],
+    n: int,
+    m: int,
+    first_terms: Callable[[int], list[XPoly]],
+) -> XPoly:
+    """Degree m of a sequence over x1..x(n-1) that obeys the e-recurrence.
+
+    Past the sequence's first terms ``first_terms(n)`` (degrees 0, 1, ...),
+    f_d = sum_(k=1..min(d,n)) (-1)^(k+1) e_k f_(d-k).  ``cache`` maps
+    (n, d) to f_d; it is seeded with the first terms in one update, then
+    filled upward from the highest cached degree, so no call recurses.
+    """
+    if (n, 0) not in cache:
+        cache.update({(n, d): f for d, f in enumerate(first_terms(n))})
+    top = m
+    while (n, top) not in cache:
+        top -= 1
+    if top < m:
+        es = [elementary_symmetric_x(n, k) for k in range(1, min(m, n) + 1)]
+        for d in range(top + 1, m + 1):
+            cache[(n, d)] = poly_dot(
+                XPoly,
+                n - 1,
+                [
+                    (1 if k % 2 else -1, es[k - 1], cache[(n, d - k)])
+                    for k in range(1, min(d, n) + 1)
+                ],
+            )
+    return cache[(n, m)]
+
+
+def _first_power_sums(n: int) -> list[XPoly]:
+    """p_0 = n, and p_i = i*x_i for the independent degrees 0 < i < n."""
+    return [XPoly.constant(n - 1, n)] + [XPoly.variable(n - 1, i - 1) * i for i in range(1, n)]
 
 
 def _power_sum_x(n: int, Q: int) -> XPoly:
-    """Power sum of n constrained variables as a polynomial in x1..x(n-1).
-
-    Independent degrees give Q*x_Q directly; degree zero counts the
-    variables; higher degrees fall back on the Newton recursion with the
-    elementary polynomials of :func:`elementary_symmetric_x`, filling the
-    cache upward from the lowest missing degree so that no call recurses.
-    """
-    nvars = n - 1
-    if Q == 0:
-        return XPoly.constant(nvars, n)
-    if Q < n:
-        # built straight from its integer numerator: every merge step of
-        # every column asks for it, too often for the validating constructor
-        return XPoly._make(nvars, {pack_monomial(_unit(nvars, Q), nvars): Q})
-    cached = _psum_cache.get((n, Q))
-    if cached is not None:
-        return cached
-    start = Q
-    while start > n and (n, start - 1) not in _psum_cache:
-        start -= 1
-    for d in range(start, Q + 1):
-        _psum_cache[(n, d)] = poly_dot(
-            XPoly,
-            nvars,
-            [
-                (
-                    1 if i % 2 else -1,
-                    elementary_symmetric_x(n, i),
-                    _psum_cache[(n, d - i)] if d - i >= n else _power_sum_x(n, d - i),
-                )
-                for i in range(1, n + 1)
-            ],
-        )
-    return _psum_cache[(n, Q)]
+    """Power sum of n constrained variables as a polynomial in x1..x(n-1)."""
+    return _fill_upward(_psum_cache, n, Q, _first_power_sums)
 
 
 def degenerate_x(Q: int, ctx: AlgebraContext) -> XPoly:

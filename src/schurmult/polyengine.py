@@ -350,27 +350,17 @@ class _SparsePoly:
             raise TypeError(f"substitution into UPoly values left denominator {result.den}")
         return result
 
-    def evaluate(self, point: Sequence):
-        """Exact value at a point (one coefficient-domain value per variable)."""
-        if len(point) != self.nvars:
-            raise ValueError(f"expected {self.nvars} coordinates, got {len(point)}")
-        table = self._power_table(point, 1)
-        total = self._zero_coeff()
-        for key, coeff in self.num.items():
-            term = coeff
-            for powers, e in zip(table, unpack_monomial(key, self.nvars)):
-                if e:
-                    term = term * powers[e]
-            total = total + term
-        return total / self.den if self.den != 1 else total
-
     def __str__(self) -> str:
+        return self._format(self._symbol)
+
+    def _format(self, symbol: str) -> str:
+        """The terms in print order, with variables named symbol1, symbol2, ..."""
         if not self.num:
             return "0"
         pieces = []
         for exps, coeff in self.sorted_terms():
             factors = [
-                f"{self._symbol}{i + 1}" + (f"^{e}" if e > 1 else "")
+                f"{symbol}{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(exps)
                 if e
             ]

@@ -115,7 +115,8 @@ class FactorizationReport:
     difference: XPoly
 
     def __str__(self) -> str:
-        status = "ok" if self.ok else f"MISMATCH: {self.difference}"
+        # the difference lives in the u-ring, with rational coefficients
+        status = "ok" if self.ok else f"MISMATCH: {self.difference._format('u')}"
         return f"{self.context} {self.partition}: {status}"
 
 

@@ -30,6 +30,18 @@ def up(nvars, terms):
     return UPoly(nvars, out)
 
 
+def evaluate(poly, point):
+    """Exact value of a polynomial at a point (one coordinate per variable)."""
+    if len(point) != poly.nvars:
+        raise ValueError(f"expected {poly.nvars} coordinates, got {len(point)}")
+    total = 0
+    for exps, coeff in poly.terms.items():
+        for value, e in zip(point, exps):
+            coeff *= value**e
+        total += coeff
+    return total
+
+
 def product_one_point(n, rng):
     """Distinct random rationals whose product is one."""
     values = set()

@@ -29,7 +29,7 @@ from schurmult.solver import dimension, solve_multiplicities
 from schurmult.weyl import alternant_matrix, verify_factorization
 from schurmult.polyengine import UPoly
 
-from helpers import monomial_alternant, xp
+from helpers import evaluate, monomial_alternant, xp
 
 A5 = AlgebraContext(6)
 
@@ -173,8 +173,8 @@ def test_criterion_3_degenerated_schur_functions():
         # low-degree coefficients are forced by the all-ones evaluation:
         # the values must be the symmetric-power dimensions
         ones = [Fraction(6, k) for k in range(1, 6)]
-        assert s6.evaluate(ones) == 462
-        assert s7.evaluate(ones) == 792
+        assert evaluate(s6, ones) == 462
+        assert evaluate(s7, ones) == 792
 
 
 GOLDEN_S61 = xp(
@@ -198,7 +198,7 @@ def test_criterion_4_two_row_generalized_schur():
         # the degree-1 coefficient is forced: the all-ones evaluation is
         # the dimension of the corresponding irreducible representation
         ones = [Fraction(6, k) for k in range(1, 6)]
-        assert got.evaluate(ones) == 1980 == dimension(DominantWeight((5, 1, 0, 0, 0), A5))
+        assert evaluate(got, ones) == 1980 == dimension(DominantWeight((5, 1, 0, 0, 0), A5))
 
 
 def test_criterion_5_factorization_audit():

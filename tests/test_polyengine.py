@@ -19,7 +19,7 @@ from schurmult.polyengine import (
     rationalize,
 )
 
-from helpers import up, xp
+from helpers import evaluate, up, xp
 
 
 def u_var(i, n=3):
@@ -257,7 +257,7 @@ def test_substitute_rational_coefficients_into_integer_ring_refused():
 
 def test_evaluate_exact():
     p = xp(2, [(1, {1: 2}), (-1, {2: 1})], prefactor=2)
-    assert p.evaluate([Fraction(1, 3), Fraction(2)]) == Fraction(1, 18) - 1
+    assert evaluate(p, [Fraction(1, 3), Fraction(2)]) == Fraction(1, 18) - 1
 
 
 # -- determinants --------------------------------------------------------

@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, and every
-private module-level name is used somewhere in the package.
+private module-level name and private method is used somewhere in the
+package.
 
 No linter ships with the project, so this walks the syntax trees of the
 modules under ``src/schurmult`` instead.  ``__init__.py`` is checked
@@ -54,6 +55,10 @@ def test_package_exports_match_its_imports():
     assert sorted(set(_imports(tree)) - set(schurmult.__all__)) == []
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _private_names(statement: ast.stmt) -> list[str]:
     """Names with one leading underscore that a top-level statement defines."""
     if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
@@ -64,12 +69,32 @@ def _private_names(statement: ast.stmt) -> list[str]:
         names = [statement.target.id]
     else:
         names = []
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return [name for name in names if _is_private(name)]
 
 
-def _references(statement: ast.stmt) -> set[str]:
+def _private_methods(statement: ast.stmt) -> list[ast.FunctionDef]:
+    """Methods with one leading underscore in a top-level class body."""
+    if not isinstance(statement, ast.ClassDef):
+        return []
+    return [
+        member
+        for member in statement.body
+        if isinstance(member, ast.FunctionDef) and _is_private(member.name)
+    ]
+
+
+def _parts(statement: ast.stmt) -> list[ast.AST]:
+    """The parts of a top-level statement whose references are taken apart:
+    each member of a class body, and its decorators and bases; any other
+    statement whole."""
+    if isinstance(statement, ast.ClassDef):
+        return [*statement.body, *statement.decorator_list, *statement.bases, *statement.keywords]
+    return [statement]
+
+
+def _references(part: ast.AST) -> set[str]:
     names = set()
-    for node in ast.walk(statement):
+    for node in ast.walk(part):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -81,16 +106,31 @@ def _references(statement: ast.stmt) -> set[str]:
 
 def _dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
     """Private top-level names that no other top-level statement of any
-    module refers to, so a name used only in its own definition counts."""
-    statements = [
-        (label, statement) for label, tree in trees.items() for statement in tree.body
+    module refers to, and private methods that no other method or
+    statement refers to, so a name used only in its own definition counts."""
+    parts = [
+        (statement, part, _references(part))
+        for tree in trees.values()
+        for statement in tree.body
+        for part in _parts(statement)
     ]
-    references = [(statement, _references(statement)) for _, statement in statements]
+    definitions = [
+        (label, definition, name)
+        for label, tree in trees.items()
+        for statement in tree.body
+        for definition, name in [
+            *((statement, name) for name in _private_names(statement)),
+            *((method, method.name) for method in _private_methods(statement)),
+        ]
+    ]
     return [
-        f"{name} ({label}:{statement.lineno})"
-        for label, statement in statements
-        for name in _private_names(statement)
-        if not any(name in refs for other, refs in references if other is not statement)
+        f"{name} ({label}:{definition.lineno})"
+        for label, definition, name in definitions
+        if not any(
+            name in refs
+            for statement, part, refs in parts
+            if definition is not statement and definition is not part
+        )
     ]
 
 
@@ -102,9 +142,13 @@ def test_every_private_name_is_used_in_the_package():
 def test_dead_private_name_is_reported():
     helper = ast.parse(
         "_used = 1\n_dead: int = 2\n\ndef _recursive(n):\n    return _recursive(n - 1)\n"
+        "\nclass Shape:\n    def area(self):\n        return self._side()\n"
+        "    def _side(self):\n        return 1\n"
+        "    def _leftover(self):\n        return self._leftover()\n"
     )
     caller = ast.parse("from helper import _used\n\nprint(_used, _imported_elsewhere)\n")
     assert _dead_private_names({"helper.py": helper, "caller.py": caller}) == [
         "_dead (helper.py:2)",
         "_recursive (helper.py:4)",
+        "_leftover (helper.py:12)",
     ]
