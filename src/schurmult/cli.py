@@ -37,7 +37,7 @@ from .lattice import (
     sub_Q_lambda1,
 )
 from .oracle import freudenthal, inflated_exponents, kostka_multiplicity
-from .polyengine import DEGREE_LIMIT, InexactDivisionError
+from .polyengine import DEGREE_LIMIT, InexactDivisionError, XPoly
 from .schur import generalized_schur
 from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
 from .weyl import ALTERNANT_MAX_ROWS, weyl_character_u
@@ -149,7 +149,7 @@ def _height_partition(member: DominantWeight, total: int) -> list[int]:
 
 def _poly_terms_json(p) -> Iterator[dict]:
     for exps, coeff in p.sorted_terms():
-        c = coeff if isinstance(coeff, int) else str(coeff)
+        c = str(coeff) if isinstance(p, XPoly) else coeff
         yield {"monomial": list(exps), "coefficient": c}
 
 

@@ -2,8 +2,8 @@
 
 Nothing here touches the Schur or solver machinery: multiplicities come
 from the classical top-down recursion over positive roots, from counting
-semistandard tableau fillings, and orbit characters from direct orbit
-expansion.  These are desk-scale brute-force tools; performance is a
+semistandard tableau fillings strip by strip, and orbit characters from
+direct orbit expansion.  These are desk-scale tools; performance is a
 non-goal.
 """
 
@@ -121,51 +121,41 @@ def kostka(shape: Partition, content) -> int:
     """Number of semistandard fillings of ``shape`` with the given content.
 
     Rows weakly increase, columns strictly increase, and entry ``i+1``
-    appears exactly ``content[i]`` times.  Brute-force backtracking over
-    the cells in row order, with an explicit stack, so a long row costs no
-    recursion depth.
+    appears exactly ``content[i]`` times.  The cells holding the largest
+    entry form a horizontal strip, so the entries are peeled from the last
+    to the first: a map from shapes to their number of fillings replaces
+    each shape by the shapes left after removing such a strip (Macdonald,
+    *Symmetric Functions and Hall Polynomials*, ch. I section 5).
     """
     counts = list(content)
     if any(c < 0 for c in counts):
         raise ValueError(f"content must be nonnegative, got {content}")
     if sum(counts) != shape.weight:
         raise ValueError(f"content {content} does not fill shape {shape}")
-    rows = shape.parts
-    nvals = len(counts)
-    cells = [(r, c) for r in range(len(rows)) for c in range(rows[r])]
-    grid = [[0] * rows[r] for r in range(len(rows))]
 
-    if not cells:
-        return 1
-    total = 0
-    # the value in each filled cell, then the cell being filled (0 before
-    # its first value); popping a cell returns to the one before it
-    stack = [0]
-    while stack:
-        pos = len(stack) - 1
-        r, c = cells[pos]
-        val = stack[pos]
-        if val:
-            counts[val - 1] += 1
-        else:
-            val = grid[r][c - 1] - 1 if c else 0
-            if r and grid[r - 1][c] > val:
-                val = grid[r - 1][c]
-        # the next value above val still left in the content
-        val += 1
-        while val <= nvals and not counts[val - 1]:
-            val += 1
-        if val > nvals:
-            stack.pop()
-            continue
-        counts[val - 1] -= 1
-        grid[r][c] = val
-        stack[pos] = val
-        if pos + 1 < len(cells):
-            stack.append(0)
-        else:
-            total += 1
-    return total
+    def inners(rows: tuple[int, ...], i: int, left: int):
+        # rows[i:] less ``left`` cells, no two in a column: row i keeps
+        # rows[i + 1] to rows[i] cells, so rows[i:] spare at most rows[i]
+        if left > (rows[i] if i < len(rows) else 0):
+            return
+        if i == len(rows):
+            yield ()
+            return
+        below = rows[i + 1] if i + 1 < len(rows) else 0
+        for kept in range(max(below, rows[i] - left), rows[i] + 1):
+            for rest in inners(rows, i + 1, left - rows[i] + kept):
+                yield (kept,) + rest if kept else rest
+
+    ways = {tuple(shape.parts): 1}
+    for left in range(len(counts) - 1, -1, -1):
+        peeled: dict[tuple[int, ...], int] = {}
+        for rows, n in ways.items():
+            # entries 1..left fill at most ``left`` rows
+            for inner in inners(rows, 0, counts[left]):
+                if len(inner) <= left:
+                    peeled[inner] = peeled.get(inner, 0) + n
+        ways = peeled
+    return ways.get((), 0)
 
 
 def brute_orbit_char(w: DominantWeight) -> UPoly:

@@ -1,12 +1,12 @@
 """Exact sparse multivariate polynomial arithmetic and determinants.
 
-Two concrete rings are provided: :class:`XPoly` with arbitrary-precision
-rational coefficients and :class:`UPoly` with arbitrary-precision integer
-coefficients.  Both are one integer representation: a map ``num`` from
-packed monomials to nonzero integer numerators over one positive common
-denominator ``den``, in lowest terms (``gcd(den, *num.values()) == 1``;
-``den`` is always 1 for ``UPoly``).  Equality is therefore structural and
-all arithmetic is integer arithmetic on numerators.
+Two rings are named by their variables and never mix: :class:`XPoly` in
+x1..x(N-1) and :class:`UPoly` in u1..uN.  A coefficient of either is an
+``int`` or a ``Fraction``; a polynomial stores a map ``num`` from packed
+monomials to nonzero integer numerators over one positive common
+denominator ``den``, in lowest terms (``gcd(den, *num.values()) == 1``).
+Equality is therefore structural and all arithmetic is integer
+arithmetic on numerators.
 
 A packed monomial is one int (Monagan and Pearce, ISSAC 2009): each
 exponent takes a field of :data:`FIELD_BITS` bits, the first variable's
@@ -19,8 +19,8 @@ every exponent field stays clear, so total degrees stay below
 Everything outside this module sees exponent tuples: the constructor,
 :meth:`~_SparsePoly.monomial`, :meth:`~_SparsePoly.coefficient`,
 :meth:`~_SparsePoly.sorted_terms` and ``terms``, a read-only view that
-packs a key on lookup and unpacks on iteration (integers for ``UPoly``,
-fractions for ``XPoly``).
+packs a key on lookup and unpacks on iteration.  A coefficient read back
+is an ``int`` when ``den`` is 1 and a ``Fraction`` otherwise.
 
 :func:`poly_dot` is the one accumulate kernel: it sums ``c * a * b`` over
 many products in one numerator map over one lcm denominator.  The one
@@ -116,9 +116,9 @@ class _TermsView(Mapping):
 class _SparsePoly:
     """Shared machinery for exact sparse polynomials.
 
-    Subclasses fix the coefficient domain via :meth:`_coerce` and the
-    symbol used for printing.  ``num`` maps packed monomials to nonzero
-    integers and ``den`` is the positive common denominator.
+    Subclasses fix only the symbol of their variables.  ``num`` maps packed
+    monomials to nonzero integers and ``den`` is the positive common
+    denominator.
     """
 
     __slots__ = ("nvars", "num", "den")
@@ -163,16 +163,15 @@ class _SparsePoly:
         # The default slot-state restore would go through __setattr__.
         return type(self), (self.nvars, dict(self.terms))
 
-    @classmethod
-    def _coerce(cls, value):
-        raise NotImplementedError
-
-    @classmethod
-    def _zero_coeff(cls):
-        return cls._coerce(0)
+    @staticmethod
+    def _coerce(value):
+        """``value`` as an exact coefficient: an ``int`` or a ``Fraction``."""
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            return value
+        raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
 
     def _coefficient_value(self, numerator: int):
-        raise NotImplementedError
+        return numerator if self.den == 1 else Fraction(numerator, self.den)
 
     @property
     def terms(self) -> Mapping:
@@ -225,7 +224,7 @@ class _SparsePoly:
         return max(self.num) >> FIELD_BITS * self.nvars
 
     def coefficient(self, exponents: Sequence[int]):
-        return self.terms.get(tuple(exponents), self._zero_coeff())
+        return self.terms.get(tuple(exponents), 0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
         """Terms in ascending graded-lex order (the canonical print order)."""
@@ -279,20 +278,6 @@ class _SparsePoly:
         num = self.num if n == 1 else {e: k * n for e, k in self.num.items()}
         return self._make(self.nvars, num, self.den * d)
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = self.one(self.nvars)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def negate_variables(self):
         """Substitute -v for every variable (signs flip by monomial parity)."""
         shift = FIELD_BITS * self.nvars
@@ -345,22 +330,15 @@ class _SparsePoly:
                 head = head * factor
             products.append((coeff, head, factors[-1] if factors else None))
         out = poly_dot(ring, nvars, products)
-        result = ring._make(nvars, out.num, out.den * self.den)
-        if result.den != 1 and isinstance(result, UPoly):
-            raise TypeError(f"substitution into UPoly values left denominator {result.den}")
-        return result
+        return ring._make(nvars, out.num, out.den * self.den)
 
     def __str__(self) -> str:
-        return self._format(self._symbol)
-
-    def _format(self, symbol: str) -> str:
-        """The terms in print order, with variables named symbol1, symbol2, ..."""
         if not self.num:
             return "0"
         pieces = []
         for exps, coeff in self.sorted_terms():
             factors = [
-                f"{symbol}{i + 1}" + (f"^{e}" if e > 1 else "")
+                f"{self._symbol}{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(exps)
                 if e
             ]
@@ -384,42 +362,17 @@ class _SparsePoly:
 
 
 class XPoly(_SparsePoly):
-    """Sparse polynomial with exact rational coefficients."""
+    """Sparse polynomial in the independent indeterminates x1, x2, ..."""
 
     __slots__ = ()
     _symbol = "x"
 
-    @classmethod
-    def _coerce(cls, value) -> Fraction:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError(f"XPoly coefficients must be rational, got {type(value).__name__}")
-
-    def _coefficient_value(self, numerator: int) -> Fraction:
-        return Fraction(numerator, self.den)
-
 
 class UPoly(_SparsePoly):
-    """Sparse polynomial with exact integer coefficients."""
+    """Sparse polynomial in the u-indeterminates u1, u2, ... of the Weyl character formula."""
 
     __slots__ = ()
     _symbol = "u"
-
-    @classmethod
-    def _coerce(cls, value) -> int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise TypeError(f"UPoly coefficients must be integers, got {type(value).__name__}")
-
-    def _coefficient_value(self, numerator: int) -> int:
-        return numerator
-
-
-def rationalize(p: UPoly) -> XPoly:
-    """View an integer-coefficient polynomial in the rational ring."""
-    return XPoly._make(p.nvars, p.num)
 
 
 def _accumulate(out: dict, factor: int, a: dict, b: dict, nvars: int) -> None:

@@ -6,10 +6,11 @@ exponents, which are strictly decreasing, so every permutation gives its
 own monomial.  The Vandermonde is never expanded: characters are the
 alternant divided by the linear factors u_i - u_j one at a time, each in
 one pass over the binary forms in u_i and u_j, and the factorization
-audit multiplies by the same factors.  The product constraint on the
-u's is never imposed here: alternants and their quotients live in the
-free polynomial ring, where exact division is available, and the
-constraint only enters when translating to and from the x-indeterminates.
+audit multiplies by the same factors, all in :class:`UPoly`.  The
+product constraint on the u's is never imposed here: alternants and
+their quotients live in the free polynomial ring, where exact division
+is available, and the constraint only enters when translating to and
+from the x-indeterminates.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from math import factorial
 
 from .lattice import AlgebraContext, DominantWeight, Partition
 from .orbitchar import orbit_char_u
-from .polyengine import (
-    UPoly,
-    XPoly,
-    pack_monomial,
-    poly_divide_difference,
-    rationalize,
-    unpack_monomial,
-)
+from .polyengine import UPoly, pack_monomial, poly_divide_difference, unpack_monomial
 from .schur import generalized_schur
 
 # The alternant has N! terms; 8 rows is 40320 of them.
@@ -65,9 +59,9 @@ def alternant_matrix(p: Partition, ctx: AlgebraContext) -> UPoly:
     return UPoly._make(n, terms)
 
 
-def _linear_factors(n: int) -> list[XPoly]:
-    """The factors u_i - u_j (i < j) of the Vandermonde, with rational coefficients."""
-    u = [XPoly.variable(n, i) for i in range(n)]
+def _linear_factors(n: int) -> list[UPoly]:
+    """The factors u_i - u_j (i < j) of the Vandermonde."""
+    u = [UPoly.variable(n, i) for i in range(n)]
     return [u[i] - u[j] for i in range(n) for j in range(i + 1, n)]
 
 
@@ -112,11 +106,10 @@ class FactorizationReport:
     partition: Partition
     context: AlgebraContext
     ok: bool
-    difference: XPoly
+    difference: UPoly
 
     def __str__(self) -> str:
-        # the difference lives in the u-ring, with rational coefficients
-        status = "ok" if self.ok else f"MISMATCH: {self.difference._format('u')}"
+        status = "ok" if self.ok else f"MISMATCH: {self.difference}"
         return f"{self.context} {self.partition}: {status}"
 
 
@@ -132,14 +125,11 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
     Failure is reported as data, with the difference polynomial attached.
     """
     n = ctx.N
-    power_sums = [
-        rationalize(orbit_char_u(Partition((k,)), ctx)) * Fraction(1, k)
-        for k in range(1, n)
-    ]
+    power_sums = [orbit_char_u(Partition((k,)), ctx) * Fraction(1, k) for k in range(1, n)]
     product = generalized_schur(p, ctx).substitute(power_sums)
     for factor in _linear_factors(n):
         product = product * factor
-    lhs = product_one_normal_form(rationalize(alternant_matrix(p, ctx)))
+    lhs = product_one_normal_form(alternant_matrix(p, ctx))
     rhs = product_one_normal_form(product)
     difference = lhs - rhs
     return FactorizationReport(p, ctx, difference.is_zero, difference)

@@ -102,3 +102,48 @@ def monomial_alternant(parts, n):
         for i in range(n)
     ]
     return poly_det(matrix)
+
+
+def kostka_backtrack(shape, content):
+    """Semistandard fillings of ``shape`` with ``content``, one tableau at a time.
+
+    The reference for ``oracle.kostka``: backtracking over the cells in row
+    order with an explicit stack, trying each value still left in the
+    content.  Only for small shapes; it walks every dead end.
+    """
+    counts = list(content)
+    rows = shape.parts
+    nvals = len(counts)
+    cells = [(r, c) for r in range(len(rows)) for c in range(rows[r])]
+    grid = [[0] * rows[r] for r in range(len(rows))]
+    if not cells:
+        return 1
+    total = 0
+    # the value in each filled cell, then the cell being filled (0 before
+    # its first value); popping a cell returns to the one before it
+    stack = [0]
+    while stack:
+        pos = len(stack) - 1
+        r, c = cells[pos]
+        val = stack[pos]
+        if val:
+            counts[val - 1] += 1
+        else:
+            val = grid[r][c - 1] - 1 if c else 0
+            if r and grid[r - 1][c] > val:
+                val = grid[r - 1][c]
+        # the next value above val still left in the content
+        val += 1
+        while val <= nvals and not counts[val - 1]:
+            val += 1
+        if val > nvals:
+            stack.pop()
+            continue
+        counts[val - 1] -= 1
+        grid[r][c] = val
+        stack[pos] = val
+        if pos + 1 < len(cells):
+            stack.append(0)
+        else:
+            total += 1
+    return total

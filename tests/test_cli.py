@@ -1,5 +1,7 @@
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +90,9 @@ def test_schur_json_terms():
     assert payload["variables"] == 2
     assert {"monomial": [0, 1], "coefficient": "1"} in payload["terms"]
     assert {"monomial": [2, 0], "coefficient": "1/2"} in payload["terms"]
+    # an x-polynomial over denominator 1 still prints its coefficients as strings
+    status, out = run(Query("schur", rank=4, partition=(1,), fmt="json"))
+    assert json.loads(out)["terms"] == [{"monomial": [1, 0, 0], "coefficient": "1"}]
 
 
 def test_orbit_output():
@@ -269,6 +274,29 @@ def test_main_success(capsys):
     code = main(["schur", "--rank", "6", "--partition", "6,1"])
     assert code == EXIT_OK
     assert "1/15 x1^5 x2" in capsys.readouterr().out
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The first fenced ``language`` block under a README ``## heading``."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run(capsys):
+    commands = [
+        shlex.split(line)[1:]
+        for line in _readme_block("Command line", "sh").splitlines()
+        if line.startswith("schurmult ")
+    ]
+    assert len(commands) == 7
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+    capsys.readouterr()
+    exec(_readme_block("Library use", "python"), {})
+    assert capsys.readouterr().out.endswith("+ 1/15 x1^5 x2\n")
 
 
 def test_main_usage_error(capsys):

@@ -1,4 +1,5 @@
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ from schurmult.oracle import (
 )
 from schurmult.orbitchar import orbit_char_u
 from schurmult.solver import dimension
+
+from helpers import kostka_backtrack
 
 A2 = AlgebraContext(3)
 A5 = AlgebraContext(6)
@@ -72,6 +75,8 @@ def test_tableau_count_examples():
     assert kostka(Partition((6, 1)), (2, 1, 1, 1, 1, 1)) == 5
     assert kostka(Partition((3, 2)), (3, 2)) == 1
     assert kostka(Partition((2, 1)), (1, 1, 1)) == 2
+    # standard tableaux of shape (5,4,3,2), by the hook length formula
+    assert kostka(Partition((5, 4, 3, 2)), (1,) * 14) == 48048
 
 
 def test_tableau_weight_mismatch_rejected():
@@ -87,9 +92,31 @@ def test_tableau_columns_strict():
 
 
 def test_tableau_count_of_a_long_row_needs_no_recursion():
-    # one level of recursion per cell would pass the interpreter's limit
+    # one level of recursion per cell or per content entry would pass the
+    # interpreter's limit
     assert kostka(Partition((1200,)), (600, 600)) == 1
     assert kostka(Partition(()), ()) == 1
+    assert kostka(Partition((3006,)), (1,) * 3006) == 1
+    assert kostka(Partition((3004, 2)), (1,) * 3006) == 3006 * 3003 // 2
+
+
+def test_tableau_count_by_strips_matches_backtracking():
+    rng = random.Random(20261019)
+    pairs = 0
+    for size in range(9):
+        for parts in partitions_of(size, size):
+            shape = Partition(parts)
+            for _ in range(5):
+                length = rng.randint(1, size + 2)
+                content = [0] * length
+                for _ in range(size):
+                    content[rng.randrange(length)] += 1
+                assert kostka(shape, content) == kostka_backtrack(shape, content), (
+                    parts,
+                    content,
+                )
+                pairs += 1
+    assert pairs == 335
 
 
 def test_inflation_roundtrip():

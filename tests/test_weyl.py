@@ -10,7 +10,7 @@ from schurmult.lattice import (
     partitions_of,
 )
 from schurmult.orbitchar import orbit_char_u
-from schurmult.polyengine import UPoly, XPoly
+from schurmult.polyengine import UPoly
 from schurmult.solver import solve_multiplicities
 from schurmult.weyl import (
     FactorizationReport,
@@ -172,6 +172,6 @@ def test_factorization_report_rendering():
         Partition((1,)), A1, False, ok.difference + ok.difference.one(2)
     )
     assert "MISMATCH" in str(fake)
-    u1, u2 = (XPoly.variable(3, i) for i in range(2))
+    u1, u2 = (UPoly.variable(3, i) for i in range(2))
     mismatch = FactorizationReport(Partition((2, 1)), A2, False, u1 - u2)
     assert str(mismatch) == "A2 (2,1): MISMATCH: -u2 + u1"
