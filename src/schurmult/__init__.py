@@ -17,14 +17,14 @@ from .lattice import (
     partition_to_dominant,
     sub_Q_lambda1,
 )
-from .orbitchar import degenerate_x, orbit_char_u, orbit_char_x
+from .orbitchar import orbit_char_u, orbit_char_x
 from .polyengine import (
     InexactDivisionError,
     UPoly,
     XPoly,
     poly_det,
 )
-from .schur import elementary_schur, generalized_schur, star_schur
+from .schur import elementary_schur, generalized_schur
 from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
 from .weyl import (
     FactorizationReport,
@@ -45,7 +45,6 @@ __all__ = [
     "Weight",
     "XPoly",
     "alternant_matrix",
-    "degenerate_x",
     "dimension",
     "elementary_schur",
     "generalized_schur",
@@ -57,7 +56,6 @@ __all__ = [
     "partition_to_dominant",
     "poly_det",
     "solve_multiplicities",
-    "star_schur",
     "sub_Q_lambda1",
     "verify_factorization",
     "weyl_character_u",

@@ -25,10 +25,6 @@ class AlgebraContext:
         if self.N < 2:
             raise ValueError("rank context requires N >= 2")
 
-    @property
-    def rank(self) -> int:
-        return self.N - 1
-
     def __str__(self) -> str:
         return f"A{self.N - 1}"
 

@@ -92,13 +92,6 @@ def _power_sum_x(n: int, Q: int) -> XPoly:
     return _fill_upward(_psum_cache, n, Q, _first_power_sums)
 
 
-def degenerate_x(Q: int, ctx: AlgebraContext) -> XPoly:
-    """The dependent indeterminate x_Q (Q >= N) in terms of x1..x(N-1)."""
-    if Q < ctx.N:
-        raise ValueError(f"x_{Q} is an independent indeterminate for {ctx}")
-    return _power_sum_x(ctx.N, Q) * Fraction(1, Q)
-
-
 _orbit_x_cache: dict[tuple[int, tuple[int, ...]], XPoly] = {}
 
 

@@ -16,11 +16,12 @@ the product of two monomials is the sum of their keys.  The top bit of
 every exponent field stays clear, so total degrees stay below
 :data:`DEGREE_LIMIT`; packing or multiplying past it raises
 :class:`OverflowError` instead of wrapping into another monomial.
-Everything outside this module sees exponent tuples: the constructor,
-:meth:`~_SparsePoly.monomial`, :meth:`~_SparsePoly.coefficient`,
+Callers see exponent tuples: the constructor,
 :meth:`~_SparsePoly.sorted_terms` and ``terms``, a read-only view that
 packs a key on lookup and unpacks on iteration.  A coefficient read back
-is an ``int`` when ``den`` is 1 and a ``Fraction`` otherwise.
+is an ``int`` when ``den`` is 1 and a ``Fraction`` otherwise.  Only
+:mod:`solver` and :mod:`weyl` read packed keys, through ``num``,
+:func:`pack_monomial`, :func:`unpack_monomial` and ``_make``.
 
 :func:`poly_dot` is the one accumulate kernel: it sums ``c * a * b`` over
 many products in one numerator map over one lcm denominator.  The one
@@ -201,10 +202,6 @@ class _SparsePoly:
         exps[index] = 1
         return cls(nvars, {tuple(exps): 1})
 
-    @classmethod
-    def monomial(cls, nvars: int, exponents: Sequence[int], coeff=1):
-        return cls(nvars, {tuple(exponents): coeff})
-
     # -- queries -------------------------------------------------------
 
     @property
@@ -216,15 +213,6 @@ class _SparsePoly:
 
     def __len__(self) -> int:
         return len(self.num)
-
-    def degree(self) -> int:
-        """Total degree; undefined (raises) for the zero polynomial."""
-        if not self.num:
-            raise ValueError("degree of the zero polynomial is undefined")
-        return max(self.num) >> FIELD_BITS * self.nvars
-
-    def coefficient(self, exponents: Sequence[int]):
-        return self.terms.get(tuple(exponents), 0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
         """Terms in ascending graded-lex order (the canonical print order)."""
@@ -277,15 +265,6 @@ class _SparsePoly:
             return self
         num = self.num if n == 1 else {e: k * n for e, k in self.num.items()}
         return self._make(self.nvars, num, self.den * d)
-
-    def negate_variables(self):
-        """Substitute -v for every variable (signs flip by monomial parity)."""
-        shift = FIELD_BITS * self.nvars
-        return self._make(
-            self.nvars,
-            {e: (-c if e >> shift & 1 else c) for e, c in self.num.items()},
-            self.den,
-        )
 
     # -- substitution and printing --------------------------------------
 

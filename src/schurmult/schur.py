@@ -32,11 +32,6 @@ def elementary_schur(Q: int, ctx: AlgebraContext) -> XPoly:
     return _fill_upward(_elementary_cache, ctx.N, Q, lambda n: [XPoly.one(n - 1)])
 
 
-def star_schur(Q: int, ctx: AlgebraContext) -> XPoly:
-    """Elementary Schur function with every variable negated."""
-    return elementary_schur(Q, ctx).negate_variables()
-
-
 def generalized_schur(p: Partition, ctx: AlgebraContext) -> XPoly:
     """Generalized Schur function: determinant with entries S_(q_i - i + j)."""
     key = (ctx.N, p.parts)

@@ -1,8 +1,21 @@
 """Shared builders and brute-force numeric oracles for the test suite."""
 
 from fractions import Fraction
+from pathlib import Path
 
+from schurmult.lattice import Partition
+from schurmult.orbitchar import orbit_char_x
 from schurmult.polyengine import UPoly, XPoly, poly_det
+from schurmult.schur import elementary_schur
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(heading, language):
+    """The first fenced ``language`` block under a README ``## heading``."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
 def xp(nvars, terms, prefactor=1):
@@ -28,6 +41,20 @@ def up(nvars, terms):
             exps[var - 1] = e
         out[tuple(exps)] = coeff
     return UPoly(nvars, out)
+
+
+def degenerate_x(Q, ctx):
+    """The dependent indeterminate x_Q = p_Q / Q (Q >= N) in x1..x(N-1).
+
+    The orbit column of the one-part partition (Q) is the power sum p_Q.
+    """
+    return orbit_char_x(Partition((Q,)), ctx) * Fraction(1, Q)
+
+
+def star_schur(Q, ctx):
+    """The elementary Schur function S_Q with every variable negated."""
+    n = ctx.N - 1
+    return elementary_schur(Q, ctx).substitute([-XPoly.variable(n, i) for i in range(n)])
 
 
 def evaluate(poly, point):
@@ -98,7 +125,7 @@ def monomial_alternant(parts, n):
     q = list(parts) + [0] * (n - len(parts))
     exps = [q[j] + n - 1 - j for j in range(n)]
     matrix = [
-        [UPoly.monomial(n, [e if k == i else 0 for k in range(n)]) for e in exps]
+        [UPoly(n, {tuple(e if k == i else 0 for k in range(n)): 1}) for e in exps]
         for i in range(n)
     ]
     return poly_det(matrix)

@@ -23,13 +23,13 @@ from schurmult.lattice import (
     sub_Q_lambda1,
 )
 from schurmult.oracle import freudenthal, inflated_exponents, kostka, kostka_multiplicity
-from schurmult.orbitchar import degenerate_x, orbit_char_x
+from schurmult.orbitchar import orbit_char_x
 from schurmult.schur import elementary_schur, generalized_schur
 from schurmult.solver import dimension, solve_multiplicities
 from schurmult.weyl import alternant_matrix, verify_factorization
 from schurmult.polyengine import UPoly
 
-from helpers import evaluate, monomial_alternant, xp
+from helpers import degenerate_x, evaluate, monomial_alternant, xp
 
 A5 = AlgebraContext(6)
 

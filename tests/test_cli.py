@@ -1,7 +1,6 @@
 import json
 import shlex
 import time
-from pathlib import Path
 
 import pytest
 
@@ -22,6 +21,8 @@ from schurmult import cli, polyengine, weyl
 from schurmult.lattice import AlgebraContext, DominantWeight
 from schurmult.polyengine import UPoly
 from schurmult.solver import MultiplicityTable, SolverError, solve_multiplicities
+
+from helpers import readme_block
 
 
 def test_mult_json_schema():
@@ -205,7 +206,8 @@ def test_audit_reads_characters_by_key_lookup(monkeypatch):
 
     monkeypatch.setattr(polyengine, "unpack_monomial", counting)
     target = DominantWeight((2, 1, 1), AlgebraContext(4))
-    assert _alternant_table(target) == [m for _, m in solve_multiplicities(target)]
+    table = solve_multiplicities(target)
+    assert _alternant_table(table) == [m for _, m in table]
     status, out = run(Query("audit", ranks=(3, 4), max_height=4))
     assert status == EXIT_OK, out
     assert calls == []
@@ -276,26 +278,17 @@ def test_main_success(capsys):
     assert "1/15 x1^5 x2" in capsys.readouterr().out
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-
-
-def _readme_block(heading: str, language: str) -> str:
-    """The first fenced ``language`` block under a README ``## heading``."""
-    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
-    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
-
-
 def test_readme_examples_run(capsys):
     commands = [
         shlex.split(line)[1:]
-        for line in _readme_block("Command line", "sh").splitlines()
+        for line in readme_block("Command line", "sh").splitlines()
         if line.startswith("schurmult ")
     ]
     assert len(commands) == 7
     for argv in commands:
         assert main(argv) == EXIT_OK, argv
     capsys.readouterr()
-    exec(_readme_block("Library use", "python"), {})
+    exec(readme_block("Library use", "python"), {})
     assert capsys.readouterr().out.endswith("+ 1/15 x1^5 x2\n")
 
 

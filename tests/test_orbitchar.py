@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from schurmult import orbitchar
 from schurmult.lattice import AlgebraContext, Partition, orbit_size, partition_to_dominant, partitions_of
-from schurmult.orbitchar import degenerate_x, elementary_symmetric_x, orbit_char_u, orbit_char_x
+from schurmult.orbitchar import elementary_symmetric_x, orbit_char_u, orbit_char_x
 from schurmult.polyengine import UPoly, XPoly
 from schurmult.weyl import product_one_normal_form
 
-from helpers import evaluate, up, xp
+from helpers import degenerate_x, evaluate, up, xp
 
 A5 = AlgebraContext(6)
 A2 = AlgebraContext(3)
@@ -220,11 +220,6 @@ def test_degenerate_x7_golden():
     poly = degenerate_x(7, A5)
     assert poly == DEGENERATE_X7
     assert len(poly.terms) == 11
-
-
-def test_degenerate_x_requires_dependent_degree():
-    with pytest.raises(ValueError):
-        degenerate_x(4, A5)
 
 
 def _random_point(n, rng):

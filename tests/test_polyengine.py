@@ -72,7 +72,7 @@ def test_coefficient_domains_enforced():
                 ring.one(1).scale(bad)
         p = ring(1, {(1,): 3, (0,): Fraction(4, 2)})
         assert [type(c) for c in p.terms.values()] == [int, int]
-        assert p.coefficient((1,)) == 3 and type(p.coefficient((2,))) is int
+        assert p.terms[(1,)] == 3 and (2,) not in p.terms
         half = ring(1, {(1,): Fraction(1, 2), (0,): 1})
         assert half.den == 2
         assert [type(c) for c in half.terms.values()] == [Fraction, Fraction]
@@ -104,11 +104,6 @@ def test_pickle_and_copy_roundtrip(p):
         assert type(clone) is type(p)
         with pytest.raises(AttributeError):
             clone.nvars = 3
-
-
-def test_degree_of_zero_undefined():
-    with pytest.raises(ValueError):
-        UPoly.zero(2).degree()
 
 
 # -- arithmetic ----------------------------------------------------------
@@ -224,10 +219,6 @@ def test_integer_core_matches_plain_coefficients(pair, factor):
         "-": (a - b, _plain_combine(pa, pb, -1)),
         "*": (a * b, _plain_mul(pa, pb)),
         "scale": (a.scale(factor), {e: c * factor for e, c in pa.items() if c * factor}),
-        "negate_variables": (
-            a.negate_variables(),
-            {e: -c if sum(e) % 2 else c for e, c in pa.items()},
-        ),
     }
     difference = type(a).variable(2, 0) - type(a).variable(2, 1)
     results["divide"] = (poly_divide_difference(a * difference, 0, 1), pa)
@@ -235,12 +226,6 @@ def test_integer_core_matches_plain_coefficients(pair, factor):
         assert type(got) is type(a), op
         _canonical(got)
         assert _plain(got) == expected, op
-
-
-def test_negate_variables_parity():
-    p = xp(2, [(1, {1: 2}), (1, {1: 1, 2: 1}), (3, {2: 1})])
-    flipped = p.negate_variables()
-    assert flipped == xp(2, [(1, {1: 2}), (1, {1: 1, 2: 1}), (-3, {2: 1})])
 
 
 def test_substitute_polynomials():
@@ -347,7 +332,7 @@ def test_det_of_larger_monomial_matrix():
         for j in range(n):
             e = [0] * n
             e[i] = exps[j]
-            row.append(UPoly.monomial(n, e, 1))
+            row.append(UPoly(n, {tuple(e): 1}))
         matrix.append(row)
     expected = _permanent_style_det(matrix)
     assert len(expected) == 720
@@ -433,7 +418,7 @@ def dot_products(draw):
         )
     )
     monomials = st.builds(
-        lambda e, c: ring.monomial(3, e, c), exponents3, scalars.filter(bool)
+        lambda e, c: ring(3, {e: c}), exponents3, scalars.filter(bool)
     )
     second = st.one_of(st.none(), polys, monomials)
     return ring, draw(st.lists(st.tuples(scalars, polys, second), max_size=5))
@@ -461,11 +446,10 @@ def test_sorted_terms_is_grlex_order(p):
 def test_degree_limit_raises_and_never_wraps():
     top = DEGREE_LIMIT - 1
     for ring in (UPoly, XPoly):
-        high = ring.monomial(2, (top, 0))
-        assert high.degree() == top
-        assert high.coefficient((top, 0)) == 1
+        high = ring(2, {(top, 0): 1})
+        assert high.terms == {(top, 0): 1}
         with pytest.raises(OverflowError, match=str(DEGREE_LIMIT)):
-            ring.monomial(2, (top, 1))
+            ring(2, {(top, 1): 1})
         with pytest.raises(OverflowError, match=str(DEGREE_LIMIT)):
             ring(2, {(DEGREE_LIMIT // 2, DEGREE_LIMIT // 2): 1})
         x2 = ring.variable(2, 1)
@@ -479,7 +463,7 @@ def test_degree_limit_raises_and_never_wraps():
             with pytest.raises(OverflowError, match=f"degree {DEGREE_LIMIT}"):
                 product()
         # one below the limit still multiplies, into the expected monomial
-        lower = ring.monomial(2, (top - 1, 0))
+        lower = ring(2, {(top - 1, 0): 1})
         assert (lower * x2).terms == {(top - 1, 1): 1}
 
 
@@ -494,6 +478,6 @@ def test_terms_lookup_of_invalid_keys_is_missing(ring):
         assert p.terms.get(key) is None
         with pytest.raises(KeyError):
             p.terms[key]
-    assert p.coefficient((2, -1)) == 0
-    assert p.coefficient((1, 0)) == 5
+    assert p.terms.get((2, -1), 0) == 0
+    assert p.terms.get((1, 0), 0) == 5
     assert dict(p.terms) == {(0, 0): 3, (1, 0): 5, (0, 1): 7}

@@ -8,11 +8,18 @@ import pytest
 
 from schurmult import orbitchar, schur
 from schurmult.lattice import AlgebraContext, Partition, partitions_of
-from schurmult.orbitchar import degenerate_x
-from schurmult.schur import elementary_schur, generalized_schur, star_schur
+from schurmult.schur import elementary_schur, generalized_schur
 from schurmult.polyengine import XPoly
 
-from helpers import character_value, evaluate, power_sum_values, product_one_point, xp
+from helpers import (
+    character_value,
+    degenerate_x,
+    evaluate,
+    power_sum_values,
+    product_one_point,
+    star_schur,
+    xp,
+)
 
 
 A5 = AlgebraContext(6)

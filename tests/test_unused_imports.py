@@ -1,6 +1,7 @@
-"""Every name a library module imports is used in that module, and every
+"""Every name a library module imports is used in that module, every
 private module-level name and private method is used somewhere in the
-package.
+package, and every public function, class and method has a caller
+outside the tests.
 
 No linter ships with the project, so this walks the syntax trees of the
 modules under ``src/schurmult`` instead.  ``__init__.py`` is checked
@@ -15,7 +16,10 @@ import pytest
 
 import schurmult
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "schurmult"
+from helpers import readme_block
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "schurmult"
 SOURCES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -104,24 +108,15 @@ def _references(part: ast.AST) -> set[str]:
     return names
 
 
-def _dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
-    """Private top-level names that no other top-level statement of any
-    module refers to, and private methods that no other method or
-    statement refers to, so a name used only in its own definition counts."""
+def _unreferenced(definitions: list, trees: dict[str, ast.Module]) -> list[str]:
+    """Each ``(label, definition, name)`` that no top-level statement or
+    class member of ``trees`` other than the definition itself refers to,
+    so a name used only in its own definition counts."""
     parts = [
         (statement, part, _references(part))
         for tree in trees.values()
         for statement in tree.body
         for part in _parts(statement)
-    ]
-    definitions = [
-        (label, definition, name)
-        for label, tree in trees.items()
-        for statement in tree.body
-        for definition, name in [
-            *((statement, name) for name in _private_names(statement)),
-            *((method, method.name) for method in _private_methods(statement)),
-        ]
     ]
     return [
         f"{name} ({label}:{definition.lineno})"
@@ -132,6 +127,50 @@ def _dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
             if definition is not statement and definition is not part
         )
     ]
+
+
+def _dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Private top-level names and private methods that nothing else in
+    ``trees`` refers to."""
+    definitions = [
+        (label, definition, name)
+        for label, tree in trees.items()
+        for statement in tree.body
+        for definition, name in [
+            *((statement, name) for name in _private_names(statement)),
+            *((method, method.name) for method in _private_methods(statement)),
+        ]
+    ]
+    return _unreferenced(definitions, trees)
+
+
+def _public_definitions(statement: ast.stmt) -> list[ast.AST]:
+    """A public top-level function or class, and the public methods and
+    properties of a top-level class."""
+    if not isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return []
+    found = [statement] if not statement.name.startswith("_") else []
+    if isinstance(statement, ast.ClassDef):
+        found += [
+            member
+            for member in statement.body
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+        ]
+    return found
+
+
+def _public_names_without_caller(
+    library: dict[str, ast.Module], callers: dict[str, ast.Module]
+) -> list[str]:
+    """Public names defined in ``library`` that nothing in ``callers``
+    refers to, apart from their own definitions."""
+    definitions = [
+        (label, definition, definition.name)
+        for label, tree in library.items()
+        for statement in tree.body
+        for definition in _public_definitions(statement)
+    ]
+    return _unreferenced(definitions, callers)
 
 
 def test_every_private_name_is_used_in_the_package():
@@ -152,3 +191,31 @@ def test_dead_private_name_is_reported():
         "_recursive (helper.py:4)",
         "_leftover (helper.py:12)",
     ]
+
+
+def test_every_public_name_has_a_caller():
+    callers = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    callers.update(
+        (f"perfbench/{path.name}", ast.parse(path.read_text()))
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+    )
+    callers["README.md"] = ast.parse(readme_block("Library use", "python"))
+    # oracle.py's names are the audit's references: the tests call every
+    # one of them, the library only some
+    library = {path.name: callers[path.name] for path in SOURCES if path.name != "oracle.py"}
+    assert _public_names_without_caller(library, callers) == []
+
+
+def test_public_name_without_caller_is_reported():
+    library = ast.parse(
+        "def used():\n    return 1\n\ndef unused(n):\n    return unused(n - 1)\n"
+        "\nclass Shape:\n    def area(self):\n        return self.side\n"
+        "    @property\n    def side(self):\n        return 1\n"
+        "    def scaled(self):\n        return 2\n"
+        "    def __len__(self):\n        return 0\n"
+        "\nclass _Hidden:\n    def shown(self):\n        return 3\n"
+    )
+    caller = ast.parse("from library import used\n\nprint(used(), Shape().area())\n")
+    assert _public_names_without_caller(
+        {"library.py": library}, {"library.py": library, "caller.py": caller}
+    ) == ["unused (library.py:4)", "scaled (library.py:13)", "shown (library.py:19)"]
