@@ -40,7 +40,7 @@ from .oracle import freudenthal, inflated_exponents, kostka_multiplicity
 from .polyengine import DEGREE_LIMIT, InexactDivisionError, XPoly
 from .schur import generalized_schur
 from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
-from .weyl import ALTERNANT_MAX_ROWS, weyl_character_u
+from .weyl import ALTERNANT_MAX_ROWS, alternant_multiplicities, weyl_character_u
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -330,15 +330,6 @@ def _run_sub(q: Query) -> str:
     return _render(q, payload, header, _csv_rows(entries, header), lines)
 
 
-def _alternant_table(table: MultiplicityTable) -> list[int]:
-    """The multiplicities of ``table``'s members, read directly off the
-    alternant-quotient character."""
-    target = table.highest_weight
-    total = height(target)
-    ch = weyl_character_u(target)
-    return [ch.terms.get(inflated_exponents(m, total), 0) for m, _ in table]
-
-
 def _run_audit(q: Query) -> str:
     ranks = q.ranks or (3, 4)
     for n in ranks:
@@ -369,7 +360,8 @@ def _run_audit(q: Query) -> str:
             table = solve_multiplicities(target)
             _check_against_oracles(table)
             if with_alternant:
-                direct = _alternant_table(table)
+                found = alternant_multiplicities(target)
+                direct = [found.get(m.mu_vector(), 0) for m, _ in table]
                 solved = [m for _, m in table]
                 if direct != solved:
                     raise AuditMismatch(f"alternant route {direct} != solver route {solved}")

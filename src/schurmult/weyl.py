@@ -1,16 +1,12 @@
 """Alternating sums over the Weyl group, specialized to the u-indeterminates.
 
-The alternant of a shifted dominant weight is built directly as its
-Leibniz expansion: the signed sum over all permutations of the shifted
-exponents, which are strictly decreasing, so every permutation gives its
-own monomial.  The Vandermonde is never expanded: characters are the
-alternant divided by the linear factors u_i - u_j one at a time, each in
-one pass over the binary forms in u_i and u_j, and the factorization
-audit multiplies by the same factors, all in :class:`UPoly`.  The
-product constraint on the u's is never imposed here: alternants and
-their quotients live in the free polynomial ring, where exact division
-is available, and the constraint only enters when translating to and
-from the x-indeterminates.
+The alternant a_γ of a strictly decreasing γ is built as its Leibniz
+expansion; the character of λ is a_(λ+δ), δ = (N-1, ..., 0), divided
+exactly by each factor u_i - u_j of the Vandermonde a_δ, in :class:`UPoly`.
+The audits of that formula build no N! terms but compare coefficients of
+alternants (Macdonald, *Symmetric Functions and Hall Polynomials*, I §3):
+for a symmetric S = sum(s_α u^α), S a_δ = sum(s_α a_(α+δ)), and a_(α+δ)
+straightens to 0 or ±a_(μ+δ) modulo the product constraint.
 """
 
 from __future__ import annotations
@@ -20,20 +16,37 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from .lattice import AlgebraContext, DominantWeight, Partition
+from .lattice import AlgebraContext, DominantWeight, Partition, distinct_permutations, partitions_of
 from .orbitchar import orbit_char_u
-from .polyengine import UPoly, pack_monomial, poly_divide_difference, unpack_monomial
+from .polyengine import UPoly, pack_monomial, poly_divide_difference, poly_dot, unpack_monomial
 from .schur import generalized_schur
 
 # The alternant has N! terms; 8 rows is 40320 of them.
 ALTERNANT_MAX_ROWS = 8
 
 
-def _shifted_exponents(p: Partition, ctx: AlgebraContext) -> tuple[int, ...]:
-    """Staircase-shifted part vector; strictly decreasing for a partition."""
-    q = p.padded(ctx.N)
-    n = ctx.N
-    return tuple(q[j] + n - 1 - j for j in range(n))
+def _sign(exps) -> int:
+    """(-1) ** (number of rises) of ``exps``; 0 when two entries coincide."""
+    if len(set(exps)) < len(exps):
+        return 0
+    rises = sum(x < y for i, x in enumerate(exps) for y in exps[i + 1 :])
+    return -1 if rises % 2 else 1
+
+
+def _straighten(terms, out: dict) -> dict:
+    """Add sum(c a_(α+δ)) over the pairs ``(α, c)`` of ``terms`` into ``out``
+    by a_(α+δ) ≡ sign · a_(μ+δ) modulo the product constraint: μ is
+    sort(α + δ) - δ less its full columns, a canonical exponent vector of
+    fewer than N parts, and the sign is 0 when two entries of α + δ meet."""
+    for alpha, c in terms:
+        n = len(alpha)
+        gamma = [a + n - 1 - j for j, a in enumerate(alpha)]
+        sign = _sign(gamma)
+        if sign:
+            gamma.sort(reverse=True)
+            mu = tuple(g - gamma[-1] - (n - 1 - j) for j, g in enumerate(gamma))
+            out[mu] = out.get(mu, 0) + sign * c
+    return out
 
 
 def alternant_matrix(p: Partition, ctx: AlgebraContext) -> UPoly:
@@ -50,19 +63,8 @@ def alternant_matrix(p: Partition, ctx: AlgebraContext) -> UPoly:
             f"alternant of {n} rows has {n}! = {factorial(n)} terms; "
             f"at most {ALTERNANT_MAX_ROWS} rows are supported"
         )
-    terms = {}
-    # Exponents decrease strictly, so a rise in the permuted tuple is an
-    # inversion of the permutation.
-    for key in permutations(_shifted_exponents(p, ctx)):
-        rises = sum(1 for a in range(n) for b in range(a + 1, n) if key[a] < key[b])
-        terms[pack_monomial(key, n)] = -1 if rises % 2 else 1
-    return UPoly._make(n, terms)
-
-
-def _linear_factors(n: int) -> list[UPoly]:
-    """The factors u_i - u_j (i < j) of the Vandermonde."""
-    u = [UPoly.variable(n, i) for i in range(n)]
-    return [u[i] - u[j] for i in range(n) for j in range(i + 1, n)]
+    shifted = [e + n - 1 - j for j, e in enumerate(p.padded(n))]
+    return UPoly._make(n, {pack_monomial(key, n): _sign(key) for key in permutations(shifted)})
 
 
 def weyl_character_u(w: DominantWeight) -> UPoly:
@@ -81,22 +83,27 @@ def weyl_character_u(w: DominantWeight) -> UPoly:
     return quotient
 
 
-def product_one_normal_form(p):
-    """Canonical representative modulo (product of all variables) = 1.
+def alternant_multiplicities(w: DominantWeight) -> dict[tuple[int, ...], int]:
+    """Nonzero multiplicities of ``w``'s representation by canonical exponent
+    vector, from the Weyl character formula alone, without division.
 
-    Each monomial is shifted down by its minimum exponent; the resulting
-    minimum-zero monomials are a basis of the quotient ring, so two
-    polynomials are congruent iff their normal forms are equal.
+    Solves a_(λ+δ) = sum(K_μ m_μ a_δ) top-down over the partitions μ of
+    λ's height with at most N rows in descending lexicographic order,
+    which refines dominance: m_μ a_δ sums a_(α+δ) over the orbit of μ, and
+    each term but a_(μ+δ) straightens to a lower μ.  So K_μ is the
+    coefficient of a_(μ+δ) in a_(λ+δ) less the K_ν m_ν a_δ solved so far.
     """
-    n = p.nvars
-    ones = pack_monomial((1,) * n, n)
-    out: dict[int, int] = {}
-    for key, c in p.num.items():
-        low = min(unpack_monomial(key, n))
-        if low:
-            key -= low * ones
-        out[key] = out.get(key, 0) + c
-    return type(p)._make(p.nvars, {e: c for e, c in out.items() if c}, p.den)
+    n = w.context.N
+    lam = w.mu_vector()
+    residual, found = {lam: 1}, {}
+    for parts in partitions_of(sum(lam), n, lam[0]):
+        q = parts + (0,) * (n - len(parts))
+        mu = tuple(e - q[-1] for e in q)
+        k = residual.get(mu, 0)
+        if k:
+            found[mu] = k
+            _straighten(((alpha, -k) for alpha in distinct_permutations(mu)), residual)
+    return found
 
 
 @dataclass(frozen=True)
@@ -117,19 +124,20 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
     """Check that the shifted alternant equals Vandermonde times the Schur function.
 
     The generalized Schur function is pushed into the u-ring by replacing
-    each x_i with the i-th power sum over i, then multiplied by each
-    linear factor u_i - u_j of the Vandermonde.  Degenerated Schur
-    functions mix graded degrees, so both sides are compared in the normal
-    form of the product-one quotient, where the factorization is an
-    identity.
-    Failure is reported as data, with the difference polynomial attached.
+    each x_i with the i-th power sum over i.  Degenerated Schur functions
+    mix graded degrees, so the sides are compared modulo the product
+    constraint, as coefficients of alternants.  A mismatch is reported as
+    data: the difference in the product-one normal form (each monomial
+    shifted down by its minimum exponent), expanded by
+    :func:`alternant_matrix`, which refuses more than ``ALTERNANT_MAX_ROWS``.
     """
     n = ctx.N
     power_sums = [orbit_char_u(Partition((k,)), ctx) * Fraction(1, k) for k in range(1, n)]
-    product = generalized_schur(p, ctx).substitute(power_sums)
-    for factor in _linear_factors(n):
-        product = product * factor
-    lhs = product_one_normal_form(alternant_matrix(p, ctx))
-    rhs = product_one_normal_form(product)
-    difference = lhs - rhs
+    schur = generalized_schur(p, ctx).substitute(power_sums)
+    # S_λ(u) is a polynomial in power sums, so it is symmetric, and that
+    # makes the sum of s_α a_(α+δ) over its terms s_α u^α equal to S_λ(u) a_δ.
+    terms = [(unpack_monomial(key, n), -c) for key, c in schur.num.items()]
+    diff = _straighten([(p.padded(n), schur.den)] + terms, {})
+    wrong = [(Fraction(c, schur.den), Partition(mu[: mu.index(0)])) for mu, c in diff.items() if c]
+    difference = poly_dot(UPoly, n, [(c, alternant_matrix(q, ctx), None) for c, q in wrong])
     return FactorizationReport(p, ctx, difference.is_zero, difference)

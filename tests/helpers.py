@@ -4,9 +4,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from schurmult.lattice import Partition
-from schurmult.orbitchar import orbit_char_x
+from schurmult.orbitchar import orbit_char_u, orbit_char_x
 from schurmult.polyengine import UPoly, XPoly, poly_det
-from schurmult.schur import elementary_schur
+from schurmult.schur import elementary_schur, generalized_schur
+from schurmult.weyl import FactorizationReport, alternant_matrix
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -55,6 +56,39 @@ def star_schur(Q, ctx):
     """The elementary Schur function S_Q with every variable negated."""
     n = ctx.N - 1
     return elementary_schur(Q, ctx).substitute([-XPoly.variable(n, i) for i in range(n)])
+
+
+def product_one_normal_form(p):
+    """Canonical representative modulo (product of all variables) = 1.
+
+    Each monomial is shifted down by its minimum exponent; the resulting
+    minimum-zero monomials are a basis of the quotient ring, so two
+    polynomials are congruent iff their normal forms are equal.
+    """
+    out = {}
+    for exps, c in p.terms.items():
+        low = min(exps)
+        key = tuple(e - low for e in exps)
+        out[key] = out.get(key, 0) + c
+    return type(p)(p.nvars, out)
+
+
+def multiplied_out_factorization(p, ctx):
+    """The factorization audit done in full: the reference for ``verify_factorization``.
+
+    The Schur function in u (x_k replaced by p_k / k) is multiplied by
+    every factor u_i - u_j of the Vandermonde, and the alternant minus
+    that product is taken in the product-one normal form.
+    """
+    n = ctx.N
+    power_sums = [orbit_char_u(Partition((k,)), ctx) * Fraction(1, k) for k in range(1, n)]
+    product = generalized_schur(p, ctx).substitute(power_sums)
+    u = [UPoly.variable(n, i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            product = product * (u[i] - u[j])
+    difference = product_one_normal_form(alternant_matrix(p, ctx)) - product_one_normal_form(product)
+    return FactorizationReport(p, ctx, difference.is_zero, difference)
 
 
 def evaluate(poly, point):

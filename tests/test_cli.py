@@ -11,13 +11,12 @@ from schurmult.cli import (
     EXIT_USAGE,
     AuditMismatch,
     Query,
-    _alternant_table,
     _check_against_oracles,
     main,
     parse_query,
     run,
 )
-from schurmult import cli, polyengine, weyl
+from schurmult import cli, weyl
 from schurmult.lattice import AlgebraContext, DominantWeight
 from schurmult.polyengine import UPoly
 from schurmult.solver import MultiplicityTable, SolverError, solve_multiplicities
@@ -194,23 +193,28 @@ def test_alternant_commands_refuse_rank_9_up_front(argv, capsys):
     assert REFUSED_UP_FRONT[tuple(argv)] in captured.err
 
 
-def test_audit_reads_characters_by_key_lookup(monkeypatch):
-    # the alternant route looks each class member up in the character;
-    # unpacking the whole term map per member would be O(terms) each
-    calls = []
-    original = polyengine.unpack_monomial
+def test_audit_builds_no_factorial_polynomial(monkeypatch):
+    # the alternant route solves in the basis of alternants; neither the
+    # N!-term alternant nor the character it divides down to is built
+    query = Query("audit", ranks=(3, 4), max_height=4)
+    status, out = run(query)
+    assert status == EXIT_OK
+    assert out.endswith("audit: 18 passed, 0 failed\n")
 
-    def counting(key, nvars):
-        calls.append(key)
-        return original(key, nvars)
+    def refuse(*args):
+        raise AssertionError("an N!-term polynomial was built")
 
-    monkeypatch.setattr(polyengine, "unpack_monomial", counting)
-    target = DominantWeight((2, 1, 1), AlgebraContext(4))
-    table = solve_multiplicities(target)
-    assert _alternant_table(table) == [m for _, m in table]
-    status, out = run(Query("audit", ranks=(3, 4), max_height=4))
+    monkeypatch.setattr(cli, "weyl_character_u", refuse)
+    monkeypatch.setattr(weyl, "alternant_matrix", refuse)
+    assert run(query) == (status, out)
+
+
+def test_audit_of_rank_8_within_time_gate():
+    # on a 2-core machine the factorial route took 17.3 s, the alternant basis 0.03 s
+    start = time.perf_counter()
+    status, out = run(Query("audit", ranks=(8,), max_height=4))
     assert status == EXIT_OK, out
-    assert calls == []
+    assert time.perf_counter() - start < 5.0
 
 
 def test_internal_error_maps_to_exit_code(monkeypatch):

@@ -9,9 +9,8 @@ from schurmult import orbitchar
 from schurmult.lattice import AlgebraContext, Partition, orbit_size, partition_to_dominant, partitions_of
 from schurmult.orbitchar import elementary_symmetric_x, orbit_char_u, orbit_char_x
 from schurmult.polyengine import UPoly, XPoly
-from schurmult.weyl import product_one_normal_form
 
-from helpers import degenerate_x, evaluate, up, xp
+from helpers import degenerate_x, evaluate, product_one_normal_form, up, xp
 
 A5 = AlgebraContext(6)
 A2 = AlgebraContext(3)

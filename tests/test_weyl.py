@@ -1,7 +1,10 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
+from schurmult import weyl
 from schurmult.lattice import (
     AlgebraContext,
     DominantWeight,
@@ -10,17 +13,18 @@ from schurmult.lattice import (
     partitions_of,
 )
 from schurmult.orbitchar import orbit_char_u
-from schurmult.polyengine import UPoly
+from schurmult.polyengine import UPoly, XPoly
 from schurmult.solver import solve_multiplicities
 from schurmult.weyl import (
     FactorizationReport,
     alternant_matrix,
-    product_one_normal_form,
+    alternant_multiplicities,
     verify_factorization,
     weyl_character_u,
 )
 
-from helpers import monomial_alternant, up
+import helpers
+from helpers import monomial_alternant, multiplied_out_factorization, product_one_normal_form, up
 
 A1 = AlgebraContext(2)
 A2 = AlgebraContext(3)
@@ -120,6 +124,17 @@ def test_character_equals_orbit_decomposition():
         assert weyl_character_u(target) == acc, (n, parts)
 
 
+@pytest.mark.parametrize(
+    "n, parts",
+    [(3, (2, 1)), (4, (2, 1, 1)), (5, (3, 1)), (10, (2, 1)), (10, (3, 1)), (12, (3, 2, 1))],
+)
+def test_alternant_multiplicities_match_the_solver(n, parts):
+    # top-down in the basis of alternants, with no row bound
+    target = partition_to_dominant(Partition(parts), AlgebraContext(n))
+    solved = {member.mu_vector(): mult for member, mult in solve_multiplicities(target) if mult}
+    assert alternant_multiplicities(target) == solved
+
+
 def _inflate(member, total):
     vec = member.mu_vector()
     add = (total - sum(vec)) // member.context.N
@@ -163,6 +178,55 @@ def test_factorization_small_sweep():
         for total in range(1, 5):
             for parts in partitions_of(total, n):
                 assert verify_factorization(Partition(parts), ctx).ok, (n, parts)
+
+
+# the cases of acceptance criterion 5
+CRITERION_5_CASES = [
+    (n, parts) for n in (3, 4, 5) for total in range(1, 7) for parts in partitions_of(total, n)
+] + [(6, parts) for parts in [(6, 1), (5, 2), (4, 3)]]
+
+
+def test_factorization_report_equals_the_multiplied_out_reference():
+    for n, parts in CRITERION_5_CASES:
+        ctx, p = AlgebraContext(n), Partition(parts)
+        assert verify_factorization(p, ctx) == multiplied_out_factorization(p, ctx), (n, parts)
+
+
+def _doctor_schur(monkeypatch):
+    """Add x_1/3 to the generalized Schur function, for the audit and its reference."""
+    original = weyl.generalized_schur
+
+    def doctored(p, ctx):
+        return original(p, ctx) + XPoly.variable(ctx.N - 1, 0) * Fraction(1, 3)
+
+    monkeypatch.setattr(weyl, "generalized_schur", doctored)
+    monkeypatch.setattr(helpers, "generalized_schur", doctored)
+
+
+def test_factorization_mismatch_report_equals_the_reference(monkeypatch):
+    _doctor_schur(monkeypatch)
+    for n in (3, 4, 6):
+        ctx = AlgebraContext(n)
+        for parts in [(1,), (2, 1), (3, 1)]:
+            report = verify_factorization(Partition(parts), ctx)
+            assert not report.ok
+            assert report == multiplied_out_factorization(Partition(parts), ctx), (n, parts)
+            assert str(report).startswith(f"{ctx} {Partition(parts)}: MISMATCH: ")
+
+
+def test_factorization_above_the_alternant_row_bound():
+    for n, parts in [(10, (2, 1)), (12, (3, 2, 1))]:
+        report = verify_factorization(Partition(parts), AlgebraContext(n))
+        assert report.ok and report.difference.is_zero, (n, parts)
+
+
+def test_factorization_mismatch_above_the_row_bound_is_refused(monkeypatch):
+    # expanding the difference would take the 9! terms of alternant_matrix
+    _doctor_schur(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="9! = 362880 terms"):
+        verify_factorization(Partition((2, 1)), AlgebraContext(9))
+    assert time.perf_counter() - start < 5.0
 
 
 def test_factorization_report_rendering():
