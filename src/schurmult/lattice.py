@@ -160,7 +160,14 @@ def partitions_of(total: int, max_parts: int, max_part: int | None = None) -> It
     if max_parts <= 0:
         return
     top = total if max_part is None else min(max_part, total)
+    if max_parts == 1:
+        if 0 < total == top:
+            yield (total,)
+        return
     for first in range(top, 0, -1):
+        # max_parts parts no larger than first cannot reach the total
+        if first * max_parts < total:
+            return
         for rest in partitions_of(total - first, max_parts - 1, first):
             yield (first,) + rest
 

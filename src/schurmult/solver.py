@@ -14,6 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .lattice import (
     AlgebraContext,
@@ -42,12 +43,6 @@ class MultiplicityTable:
     highest_weight: DominantWeight
     entries: tuple[tuple[DominantWeight, int], ...]
     dimension: int
-
-    def multiplicity(self, w: DominantWeight) -> int:
-        for weight, mult in self.entries:
-            if weight == w:
-                return mult
-        raise KeyError(f"{w} is not in the height class of {self.highest_weight}")
 
     def __iter__(self):
         return iter(self.entries)
@@ -84,13 +79,25 @@ class HeightClassSystem:
     vector that satisfies every equation is that solution.
 
     A solve that the first prime cannot certify factors the rows again
-    modulo each later prime in turn, within the call.  The object is never
-    mutated after construction, so one instance is shared by every solve
-    of the class, across threads too.
+    modulo each later prime in turn, within the call.
+
+    The class also keeps what a table needs from its members: ``position``
+    maps each member to its unknown, and ``orbit_sizes`` holds their orbit
+    sizes (given by :func:`height_class_system`, which has the members as
+    weights), so a warm solve only replays, certifies and sums.  The
+    object is never mutated after construction, so one instance is shared
+    by every solve of the class, across threads too.
     """
 
-    def __init__(self, members: Sequence[DominantWeight], columns: Sequence[XPoly]):
+    def __init__(
+        self,
+        members: Sequence[DominantWeight],
+        columns: Sequence[XPoly],
+        orbit_sizes: Sequence[int] = (),
+    ):
         self.members = tuple(members)
+        self.position = {member: i for i, member in enumerate(self.members)}
+        self.orbit_sizes = tuple(orbit_sizes)
         self.columns = tuple(columns)
         support: set[int] = set()
         for col in columns:
@@ -194,7 +201,8 @@ class HeightClassSystem:
         x = [0] * len(self.order)
         for step in reversed(range(len(self.order))):
             tail, tail_values = upper[step]
-            x[self.order[step]] = (b[step] - sum(v * x[j] for j, v in zip(tail, tail_values))) % p
+            dot = sum(map(mul, tail_values, map(x.__getitem__, tail)))
+            x[self.order[step]] = (b[step] - dot) % p
         half = p // 2
         return [v - p if v > half else v for v in x]
 
@@ -219,16 +227,22 @@ def height_class_system(N: int, Q: int) -> HeightClassSystem:
     """The factored system of the height-``Q`` class of the rank-``N`` algebra."""
     ctx = AlgebraContext(N)
     members = sub_Q_lambda1(Q, ctx)
-    return HeightClassSystem(members, [orbit_char_x(m.to_partition(), ctx) for m in members])
+    return HeightClassSystem(
+        members,
+        [orbit_char_x(m.to_partition(), ctx) for m in members],
+        [orbit_size(m) for m in members],
+    )
 
 
 def solve_multiplicities(w: DominantWeight) -> MultiplicityTable:
     """Solve the x-monomial linear system for all orbit multiplicities.
 
     The system of the height class is built and factored once per (N, Q)
-    and shared by every highest weight of the class.  Asserts that the
-    solution is unique, integral, and nonnegative, and that the highest
-    weight itself carries multiplicity one.
+    and shared by every highest weight of the class, with its members'
+    positions and orbit sizes.  Asserts that the solution is unique,
+    integral, and nonnegative, that the highest weight itself carries
+    multiplicity one, and that the orbit sizes weighted by the
+    multiplicities sum to the dimension of :func:`dimension`.
     """
     ctx = w.context
     q = height(w)
@@ -239,19 +253,23 @@ def solve_multiplicities(w: DominantWeight) -> MultiplicityTable:
     rhs = generalized_schur(w.to_partition(), ctx)
     solution = system.solve(rhs)
 
-    entries = []
-    dim = 0
-    for member, mult in zip(system.members, solution):
-        if mult < 0:
-            raise SolverError(
-                f"multiplicity of {member} solved to {mult}; expected a nonnegative integer"
-            )
-        entries.append((member, mult))
-        dim += mult * orbit_size(member)
-    table = MultiplicityTable(w, tuple(entries), dim)
-    if table.multiplicity(w) != 1:
-        raise SolverError(f"highest weight {w} solved to multiplicity {table.multiplicity(w)}")
-    return table
+    if min(solution) < 0:
+        i = next(i for i, mult in enumerate(solution) if mult < 0)
+        raise SolverError(
+            f"multiplicity of {system.members[i]} solved to {solution[i]}; "
+            "expected a nonnegative integer"
+        )
+    top = solution[system.position[w]]
+    if top != 1:
+        raise SolverError(f"highest weight {w} solved to multiplicity {top}")
+    dim = sum(map(mul, solution, system.orbit_sizes))
+    expected = dimension(w)
+    if dim != expected:
+        raise SolverError(
+            f"orbit sizes of {w} weighted by multiplicity sum to {dim}; "
+            f"the product formula gives dimension {expected}"
+        )
+    return MultiplicityTable(w, tuple(zip(system.members, solution)), dim)
 
 
 def dimension(w: DominantWeight) -> int:

@@ -1,4 +1,4 @@
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +68,31 @@ def test_partitions_of_enumeration_order():
     assert list(partitions_of(4, 4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert list(partitions_of(4, 2)) == [(4,), (3, 1), (2, 2)]
     assert list(partitions_of(0, 3)) == [()]
+
+
+def _brute_force_partitions(total, max_parts, max_part):
+    largest = total if max_part is None else min(total, max_part)
+    found = [
+        tuple(sorted(parts, reverse=True))
+        for k in range(max_parts + 1)
+        for parts in combinations_with_replacement(range(1, largest + 1), k)
+        if sum(parts) == total
+    ]
+    return sorted(found, reverse=True)
+
+
+@pytest.mark.parametrize("max_part", [None, 1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("max_parts", range(6))
+def test_partitions_of_matches_brute_force(max_parts, max_part):
+    for total in range(21):
+        got = list(partitions_of(total, max_parts, max_part))
+        assert got == _brute_force_partitions(total, max_parts, max_part), total
+
+
+def test_partitions_of_two_parts_at_a1_height():
+    got = list(partitions_of(300, 2))
+    assert len(got) == 151
+    assert got == _brute_force_partitions(300, 2, None)
 
 
 # -- conversions ---------------------------------------------------------

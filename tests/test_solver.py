@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -88,7 +89,7 @@ def test_highest_weight_multiplicity_is_one_across_sweep():
             for parts in partitions_of(total, n - 1):
                 target = partition_to_dominant(Partition(parts), ctx)
                 table = solve_multiplicities(target)
-                assert table.multiplicity(target) == 1
+                assert dict(table)[target] == 1
                 assert table.dimension == dimension(target)
 
 
@@ -114,12 +115,6 @@ def test_height7_system_is_square():
     assert len(support) == len(members) == 14
     degrees = sorted(sum((i + 1) * e for i, e in enumerate(exps)) for exps in support)
     assert degrees == [1] + [7] * 13
-
-
-def test_multiplicity_lookup_rejects_foreign_weight():
-    table = solve_multiplicities(DominantWeight((1, 0), AlgebraContext(3)))
-    with pytest.raises(KeyError):
-        table.multiplicity(DominantWeight((0, 2), AlgebraContext(3)))
 
 
 # -- dimension formula -------------------------------------------------------
@@ -348,6 +343,76 @@ def test_full_modulus_certifies_without_fallback(monkeypatch, fresh_systems):
     for n, q in [(6, 7), (5, 6), (3, 20)]:
         for w in _highest_weights(n, q):
             _assert_matches_oracles(solve_multiplicities(w), q)
+
+
+def _doctor_solutions(monkeypatch, change):
+    """Make every class solve return its solution edited by ``change``."""
+    solve = HeightClassSystem.solve
+
+    def doctored(system, rhs):
+        x = solve(system, rhs)
+        change(system, x)
+        return x
+
+    monkeypatch.setattr(HeightClassSystem, "solve", doctored)
+
+
+def test_negative_multiplicity_is_refused(monkeypatch):
+    # the first flagship member, 7 w1, has multiplicity 0
+    _doctor_solutions(monkeypatch, lambda system, x: x.__setitem__(0, -1))
+    message = "multiplicity of 7 w1 solved to -1; expected a nonnegative integer"
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        solve_multiplicities(FLAGSHIP)
+
+
+def test_highest_weight_multiplicity_other_than_one_is_refused(monkeypatch):
+    _doctor_solutions(monkeypatch, lambda system, x: x.__setitem__(system.position[FLAGSHIP], 2))
+    message = "highest weight 5 w1 + w2 solved to multiplicity 2"
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        solve_multiplicities(FLAGSHIP)
+
+
+def test_dimension_other_than_the_product_formula_is_refused(monkeypatch):
+    # one more copy of the 6-weight orbit of 7 w1 makes 1986 weights
+    _doctor_solutions(monkeypatch, lambda system, x: x.__setitem__(0, 1))
+    message = (
+        "orbit sizes of 5 w1 + w2 weighted by multiplicity sum to 1986; "
+        "the product formula gives dimension 1980"
+    )
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        solve_multiplicities(FLAGSHIP)
+
+
+def test_warm_solves_compute_no_orbit_size(monkeypatch, fresh_systems):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return orbit_size(w)
+
+    monkeypatch.setattr(solver, "orbit_size", counted)
+    first, *rest = _highest_weights(8, 10)
+    solve_multiplicities(first)
+    members = sub_Q_lambda1(10, AlgebraContext(8))
+    assert calls == members
+    assert height_class_system(8, 10).orbit_sizes == tuple(map(orbit_size, members))
+    for w in rest:
+        solve_multiplicities(w)
+    assert len(calls) == len(members)
+
+
+@pytest.mark.parametrize("n, q", [(6, 7), (8, 10), (3, 20)])
+def test_warm_tables_equal_cold_tables(fresh_systems, n, q):
+    targets = _highest_weights(n, q)
+    cold = {}
+    for w in targets:
+        height_class_system.cache_clear()
+        cold[w] = solve_multiplicities(w)
+    for w in reversed(targets):
+        assert solve_multiplicities(w) == cold[w]
+    # the statistics restart at the last cold build; every warm solve hits
+    info = height_class_system.cache_info()
+    assert (info.misses, info.hits) == (1, len(targets))
 
 
 def test_a1_large_height_tables_are_all_ones():
