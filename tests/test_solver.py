@@ -345,36 +345,39 @@ def test_full_modulus_certifies_without_fallback(monkeypatch, fresh_systems):
             _assert_matches_oracles(solve_multiplicities(w), q)
 
 
-def _doctor_solutions(monkeypatch, change):
-    """Make every class solve return its solution edited by ``change``."""
+def _doctor_solutions(monkeypatch, member, mult):
+    """Make every class solve return ``mult`` as the multiplicity of ``member``."""
     solve = HeightClassSystem.solve
 
     def doctored(system, rhs):
         x = solve(system, rhs)
-        change(system, x)
+        x[system.position[member]] = mult
         return x
 
     monkeypatch.setattr(HeightClassSystem, "solve", doctored)
 
 
+# the first flagship class member, with multiplicity 0 and 6 orbit weights
+SEVEN_W1 = DominantWeight((7, 0, 0, 0, 0), A5)
+
+
 def test_negative_multiplicity_is_refused(monkeypatch):
-    # the first flagship member, 7 w1, has multiplicity 0
-    _doctor_solutions(monkeypatch, lambda system, x: x.__setitem__(0, -1))
+    _doctor_solutions(monkeypatch, SEVEN_W1, -1)
     message = "multiplicity of 7 w1 solved to -1; expected a nonnegative integer"
     with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
         solve_multiplicities(FLAGSHIP)
 
 
 def test_highest_weight_multiplicity_other_than_one_is_refused(monkeypatch):
-    _doctor_solutions(monkeypatch, lambda system, x: x.__setitem__(system.position[FLAGSHIP], 2))
+    _doctor_solutions(monkeypatch, FLAGSHIP, 2)
     message = "highest weight 5 w1 + w2 solved to multiplicity 2"
     with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
         solve_multiplicities(FLAGSHIP)
 
 
 def test_dimension_other_than_the_product_formula_is_refused(monkeypatch):
-    # one more copy of the 6-weight orbit of 7 w1 makes 1986 weights
-    _doctor_solutions(monkeypatch, lambda system, x: x.__setitem__(0, 1))
+    # one copy of the orbit of 7 w1 too many makes 1986 weights
+    _doctor_solutions(monkeypatch, SEVEN_W1, 1)
     message = (
         "orbit sizes of 5 w1 + w2 weighted by multiplicity sum to 1986; "
         "the product formula gives dimension 1980"
