@@ -9,6 +9,7 @@ combinatorial oracles audit every result.
 from .lattice import (
     AlgebraContext,
     DominantWeight,
+    LimitError,
     Partition,
     Weight,
     height,
@@ -18,12 +19,7 @@ from .lattice import (
     sub_Q_lambda1,
 )
 from .orbitchar import orbit_char_u, orbit_char_x
-from .polyengine import (
-    InexactDivisionError,
-    UPoly,
-    XPoly,
-    poly_det,
-)
+from .polyengine import InexactDivisionError, UPoly, XPoly, poly_det
 from .schur import elementary_schur, generalized_schur
 from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
 from .weyl import (
@@ -38,6 +34,7 @@ __all__ = [
     "DominantWeight",
     "FactorizationReport",
     "InexactDivisionError",
+    "LimitError",
     "MultiplicityTable",
     "Partition",
     "SolverError",

@@ -6,9 +6,11 @@ character), ``sub`` (height class of dominant weights), ``audit``
 (oracle-equivalence sweep).  Output is JSON, CSV, or text, and is
 byte-identical across runs.
 
-Exit codes: 0 success, 1 usage error, 2 audit mismatch, 3 internal
-inconsistency (inexact division, or a linear system that is singular,
-inconsistent or not integral).
+The CLI parses a query, calls the library and renders its result; the
+size bounds live in the library, which raises ``LimitError`` before any
+work.  Exit codes: 0 success, 1 usage error or ``LimitError``, 2 audit
+mismatch, 3 internal inconsistency (inexact division, or a linear system
+that is singular, inconsistent or not integral).
 """
 
 from __future__ import annotations
@@ -21,45 +23,21 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
-from math import factorial
 
 from .lattice import (
-    AlgebraContext,
-    DominantWeight,
-    Partition,
-    Weight,
-    class_size,
-    height,
-    orbit_size,
-    orbit_weights,
-    partition_to_dominant,
-    partitions_of,
-    sub_Q_lambda1,
+    AlgebraContext, DominantWeight, LimitError, Partition, Weight, check_class_size, height,
+    orbit_size, orbit_weights, partition_to_dominant, partitions_of, sub_Q_lambda1,
 )
 from .oracle import freudenthal, inflated_exponents, kostka_multiplicity
-from .polyengine import DEGREE_LIMIT, InexactDivisionError, XPoly
+from .polyengine import InexactDivisionError, XPoly
 from .schur import generalized_schur
-from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
-from .weyl import ALTERNANT_MAX_ROWS, alternant_multiplicities, weyl_character_u
+from .solver import MultiplicityTable, SolverError, solve_multiplicities
+from .weyl import alternant_multiplicities, check_alternant_rows, weyl_character_u
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_AUDIT = 2
 EXIT_INTERNAL = 3
-
-# Largest height class that ``mult``, ``schur``, ``sub`` and ``audit`` take
-# on.  On a 2-core machine A11 at height 20 (582 members) takes about 4 s
-# and 80 MB, while A11 at height 25 (1,686 members) has run for minutes
-# past 700 MB.
-MAX_CLASS_MEMBERS = 1000
-
-# Most terms that ``character`` and ``orbit`` print: the dimension of a
-# character (a bound on its term count) and the size of an orbit.  On a
-# 2-core machine, text output of the A2 character 800,0 (dimension
-# 321,201) takes about 2.3 s and 121 MB, and of 1000,0 (501,501) 3.1 s
-# and 189 MB; the A8 orbit of 1,...,1 (362,880 weights) takes 2.1 s and
-# 130 MB as text, 5.4 s and 400 MB as JSON.
-MAX_OUTPUT_TERMS = 500_000
 
 
 class UsageError(Exception):
@@ -117,32 +95,6 @@ def _partition_arg(q: Query, ctx: AlgebraContext) -> Partition:
     return p
 
 
-def _check_alternant_rank(n: int) -> None:
-    if n > ALTERNANT_MAX_ROWS:
-        raise UsageError(
-            f"rank {n} needs an alternant of {n}! = {factorial(n)} terms; "
-            f"at most {ALTERNANT_MAX_ROWS} rows are supported"
-        )
-
-
-def _check_class_size(Q: int, ctx: AlgebraContext) -> None:
-    """Refuse a height class above :data:`MAX_CLASS_MEMBERS` before building it."""
-    # The Q // 2 + 1 members with at most two rows alone exceed the bound
-    # at a large height, where even counting would cost O(N * Q).
-    at_least = Q // 2 + 1
-    if at_least > MAX_CLASS_MEMBERS:
-        count = f"at least {at_least}"
-    else:
-        size = class_size(Q, ctx)
-        if size <= MAX_CLASS_MEMBERS:
-            return
-        count = str(size)
-    raise UsageError(
-        f"height class {Q} of {ctx} has {count} members; "
-        f"at most {MAX_CLASS_MEMBERS} are supported"
-    )
-
-
 def _height_partition(member: DominantWeight, total: int) -> list[int]:
     return [v for v in inflated_exponents(member, total) if v > 0]
 
@@ -183,7 +135,6 @@ def _run_mult(q: Query) -> str:
     ctx = _context(q)
     target = _target_weight(q, ctx)
     total = height(target)
-    _check_class_size(total, ctx)
     table = solve_multiplicities(target)
     if q.oracle:
         _check_against_oracles(table)
@@ -229,7 +180,7 @@ def _check_against_oracles(table: MultiplicityTable) -> None:
                 f"multiplicity of {member} in {target}: solver={mult}, "
                 f"recursion={freud}, tableaux={tableau}"
             )
-    if table.dimension != dimension(target) or table.dimension != sum(fm.values()):
+    if table.dimension != sum(fm.values()):
         raise AuditMismatch(f"dimension mismatch for {target}")
 
 
@@ -238,7 +189,6 @@ def _run_schur(q: Query) -> str:
     if q.partition is None:
         raise UsageError("schur requires --partition")
     p = _partition_arg(q, ctx)
-    _check_class_size(p.weight, ctx)
     poly = generalized_schur(p, ctx)
     payload = {
         "algebra": str(ctx),
@@ -253,17 +203,12 @@ def _run_schur(q: Query) -> str:
 def _run_orbit(q: Query) -> str:
     ctx = _context(q)
     target = _target_weight(q, ctx)
-    size = orbit_size(target)
-    if size > MAX_OUTPUT_TERMS:
-        raise UsageError(
-            f"the orbit of {target} has {size} weights; at most {MAX_OUTPUT_TERMS} are supported"
-        )
     weights = orbit_weights(target)
     payload = {
         "algebra": str(ctx),
         "weight": list(target.coords),
         "partition": list(target.to_partition().parts),
-        "orbit_size": size,
+        "orbit_size": len(weights),
         "weights": (list(w.mu_exponents) for w in weights),
     }
     rows = ([" ".join(map(str, w.mu_exponents))] for w in weights)
@@ -276,20 +221,9 @@ def _run_orbit(q: Query) -> str:
 
 def _run_character(q: Query) -> str:
     ctx = _context(q)
-    _check_alternant_rank(ctx.N)
+    # the row bound depends on the rank alone, so it is refused before the weight is read
+    check_alternant_rows(ctx.N)
     target = _target_weight(q, ctx)
-    degree = height(target) + ctx.N * (ctx.N - 1) // 2
-    if degree >= DEGREE_LIMIT:
-        raise UsageError(
-            f"the alternant of {target} has total degree {degree}, "
-            f"at or above the packed-monomial limit {DEGREE_LIMIT}"
-        )
-    size = dimension(target)
-    if size > MAX_OUTPUT_TERMS:
-        raise UsageError(
-            f"the character of {target} has dimension {size}; "
-            f"at most {MAX_OUTPUT_TERMS} is supported"
-        )
     ch = weyl_character_u(target)
     dim = sum(ch.terms.values())
     payload = {
@@ -307,7 +241,6 @@ def _run_sub(q: Query) -> str:
     ctx = _context(q)
     if q.height is None or q.height < 1:
         raise UsageError("sub requires --height >= 1")
-    _check_class_size(q.height, ctx)
     members = sub_Q_lambda1(q.height, ctx)
     entries = [
         {
@@ -335,36 +268,34 @@ def _run_audit(q: Query) -> str:
     for n in ranks:
         if n < 2:
             raise UsageError("audit ranks must be at least 2")
-        _check_alternant_rank(n)
+        check_alternant_rows(n)
     if q.max_height < 1:
         raise UsageError("audit max height must be at least 1")
     contexts = [AlgebraContext(n) for n in ranks]
     # a box added to the first row embeds each class in the next, so the
     # top height's class is the largest of the sweep
     for ctx in contexts:
-        _check_class_size(q.max_height, ctx)
-    # (target, whether to compare with the alternant route)
+        check_class_size(q.max_height, ctx)
     cases = [
-        (partition_to_dominant(Partition(parts), ctx), True)
+        partition_to_dominant(Partition(parts), ctx)
         for ctx in contexts
         for h in range(1, q.max_height + 1)
         for parts in partitions_of(h, ctx.N - 1)
     ]
     if q.flagship:
-        cases.append((DominantWeight((5, 1, 0, 0, 0), AlgebraContext(6)), False))
+        cases.append(DominantWeight((5, 1, 0, 0, 0), AlgebraContext(6)))
     lines = []
     failures = []
-    for target, with_alternant in cases:
+    for target in cases:
         label = f"{target.context} h={height(target)} {target.to_partition()}"
         try:
             table = solve_multiplicities(target)
             _check_against_oracles(table)
-            if with_alternant:
-                found = alternant_multiplicities(target)
-                direct = [found.get(m.mu_vector(), 0) for m, _ in table]
-                solved = [m for _, m in table]
-                if direct != solved:
-                    raise AuditMismatch(f"alternant route {direct} != solver route {solved}")
+            found = alternant_multiplicities(target)
+            direct = [found.get(m.mu_vector(), 0) for m, _ in table]
+            solved = [m for _, m in table]
+            if direct != solved:
+                raise AuditMismatch(f"alternant route {direct} != solver route {solved}")
         except AuditMismatch as exc:
             failures.append(f"{label}: {exc}")
             lines.append(f"FAIL {label}: {exc}")
@@ -394,7 +325,7 @@ def run(q: Query) -> tuple[int, str]:
         return EXIT_USAGE, f"error: unknown command {q.command!r}\n"
     try:
         return EXIT_OK, runner(q)
-    except UsageError as exc:
+    except (UsageError, LimitError) as exc:
         return EXIT_USAGE, f"error: {exc}\n"
     except AuditMismatch as exc:
         return EXIT_AUDIT, str(exc)

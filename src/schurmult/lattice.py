@@ -14,6 +14,22 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
+# Largest height class that the multiplicity pipeline takes on.  On a
+# 2-core machine A11 at height 20 (582 members) takes about 4 s and 80 MB,
+# while A11 at height 25 (1,686 members) has run for minutes past 700 MB.
+MAX_CLASS_MEMBERS = 1000
+
+# Most terms that a character (its dimension bounds its term count) or an
+# orbit may have.  On a 2-core machine, text output of the A2 character
+# 800,0 (dimension 321,201) takes about 2.3 s and 121 MB, and of 1000,0
+# (501,501) 3.1 s and 189 MB; the A8 orbit of 1,...,1 (362,880 weights)
+# takes 2.1 s and 130 MB as text, 5.4 s and 400 MB as JSON.
+MAX_OUTPUT_TERMS = 500_000
+
+
+class LimitError(ValueError):
+    """A valid input refused before any work because it exceeds a size bound."""
+
 
 @dataclass(frozen=True)
 class AlgebraContext:
@@ -186,16 +202,36 @@ def class_size(Q: int, ctx: AlgebraContext) -> int:
     return ways[Q]
 
 
+def check_class_size(Q: int, ctx: AlgebraContext) -> None:
+    """Refuse a height class above :data:`MAX_CLASS_MEMBERS` before building it."""
+    # The Q // 2 + 1 members with at most two rows alone exceed the bound
+    # at a large height, where even counting would cost O(N * Q).
+    at_least = Q // 2 + 1
+    if at_least > MAX_CLASS_MEMBERS:
+        count = f"at least {at_least}"
+    else:
+        size = class_size(Q, ctx)
+        if size <= MAX_CLASS_MEMBERS:
+            return
+        count = str(size)
+    raise LimitError(
+        f"height class {Q} of {ctx} has {count} members; "
+        f"at most {MAX_CLASS_MEMBERS} are supported"
+    )
+
+
 def sub_Q_lambda1(Q: int, ctx: AlgebraContext) -> list[DominantWeight]:
     """Dominant weights of all partitions of Q with at most N rows.
 
     Ordered by partition length, then reverse-lexicographically on parts,
     which keeps downstream linear systems and golden files reproducible.
     Full-column reduction lowers heights by multiples of N, so members
-    share the height of Q only modulo N.
+    share the height of Q only modulo N.  A class above
+    :data:`MAX_CLASS_MEMBERS` raises :class:`LimitError`.
     """
     if Q < 1:
         raise ValueError("weight must be positive")
+    check_class_size(Q, ctx)
     shapes = sorted(
         partitions_of(Q, ctx.N),
         key=lambda parts: (len(parts), tuple(-q for q in parts)),
@@ -225,7 +261,13 @@ def distinct_permutations(items) -> Iterator[tuple[int, ...]]:
 
 
 def orbit_weights(w: DominantWeight) -> list[Weight]:
-    """Every weight of the Weyl orbit, each exactly once."""
+    """Every weight of the Weyl orbit, each exactly once; an orbit above
+    :data:`MAX_OUTPUT_TERMS` raises :class:`LimitError`."""
+    size = orbit_size(w)
+    if size > MAX_OUTPUT_TERMS:
+        raise LimitError(
+            f"the orbit of {w} has {size} weights; at most {MAX_OUTPUT_TERMS} are supported"
+        )
     return [Weight(vec, w.context) for vec in distinct_permutations(w.mu_vector())]
 
 

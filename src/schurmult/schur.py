@@ -12,7 +12,7 @@ entries S_(q_i - i + j).
 
 from __future__ import annotations
 
-from .lattice import AlgebraContext, Partition
+from .lattice import AlgebraContext, Partition, check_class_size
 from .orbitchar import _fill_upward
 from .polyengine import XPoly, poly_det
 
@@ -33,11 +33,13 @@ def elementary_schur(Q: int, ctx: AlgebraContext) -> XPoly:
 
 
 def generalized_schur(p: Partition, ctx: AlgebraContext) -> XPoly:
-    """Generalized Schur function: determinant with entries S_(q_i - i + j)."""
+    """Generalized Schur function: determinant with entries S_(q_i - i + j);
+    ``LimitError`` when the height class of ``p``'s size is too large."""
     key = (ctx.N, p.parts)
     cached = _generalized_cache.get(key)
     if cached is not None:
         return cached
+    check_class_size(p.weight, ctx)
     k = p.length
     if k == 0:
         result = XPoly.one(ctx.N - 1)

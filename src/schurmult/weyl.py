@@ -16,13 +16,28 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from .lattice import AlgebraContext, DominantWeight, Partition, distinct_permutations, partitions_of
+from .lattice import (
+    MAX_OUTPUT_TERMS, AlgebraContext, DominantWeight, LimitError, Partition,
+    distinct_permutations, height, partitions_of,
+)
 from .orbitchar import orbit_char_u
-from .polyengine import UPoly, pack_monomial, poly_divide_difference, poly_dot, unpack_monomial
+from .polyengine import (
+    DEGREE_LIMIT, UPoly, pack_monomial, poly_divide_difference, poly_dot, unpack_monomial,
+)
 from .schur import generalized_schur
+from .solver import dimension
 
 # The alternant has N! terms; 8 rows is 40320 of them.
 ALTERNANT_MAX_ROWS = 8
+
+
+def check_alternant_rows(n: int) -> None:
+    """Refuse an alternant of more than :data:`ALTERNANT_MAX_ROWS` rows."""
+    if n > ALTERNANT_MAX_ROWS:
+        raise LimitError(
+            f"rank {n} needs an alternant of {n}! = {factorial(n)} terms; "
+            f"at most {ALTERNANT_MAX_ROWS} rows are supported"
+        )
 
 
 def _sign(exps) -> int:
@@ -58,11 +73,7 @@ def alternant_matrix(p: Partition, ctx: AlgebraContext) -> UPoly:
     ``ALTERNANT_MAX_ROWS`` rows.
     """
     n = ctx.N
-    if n > ALTERNANT_MAX_ROWS:
-        raise ValueError(
-            f"alternant of {n} rows has {n}! = {factorial(n)} terms; "
-            f"at most {ALTERNANT_MAX_ROWS} rows are supported"
-        )
+    check_alternant_rows(n)
     shifted = [e + n - 1 - j for j, e in enumerate(p.padded(n))]
     return UPoly._make(n, {pack_monomial(key, n): _sign(key) for key in permutations(shifted)})
 
@@ -70,12 +81,26 @@ def alternant_matrix(p: Partition, ctx: AlgebraContext) -> UPoly:
 def weyl_character_u(w: DominantWeight) -> UPoly:
     """Irreducible character: the alternant divided by each u_i - u_j.
 
-    Inexact division cannot happen for a valid dominant weight; if it
-    does, the alternant machinery is inconsistent and the error from the
-    polynomial engine propagates.
+    Raises :class:`LimitError` before any work above ``ALTERNANT_MAX_ROWS``
+    rows, at an alternant degree of ``DEGREE_LIMIT`` or above a dimension
+    (a bound on the term count) of ``MAX_OUTPUT_TERMS``.  An inexact
+    division means the alternant machinery is inconsistent; the error
+    from the polynomial engine propagates.
     """
     ctx = w.context
     n = ctx.N
+    check_alternant_rows(n)
+    degree = height(w) + n * (n - 1) // 2
+    if degree >= DEGREE_LIMIT:
+        raise LimitError(
+            f"the alternant of {w} has total degree {degree}, "
+            f"at or above the packed-monomial limit {DEGREE_LIMIT}"
+        )
+    size = dimension(w)
+    if size > MAX_OUTPUT_TERMS:
+        raise LimitError(
+            f"the character of {w} has dimension {size}; at most {MAX_OUTPUT_TERMS} is supported"
+        )
     quotient = alternant_matrix(w.to_partition(), ctx)
     for i in range(n):
         for j in range(i + 1, n):

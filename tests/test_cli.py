@@ -1,6 +1,8 @@
+import ast
 import json
 import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,7 @@ from schurmult.cli import (
     parse_query,
     run,
 )
-from schurmult import cli, weyl
+from schurmult import cli, lattice, weyl
 from schurmult.lattice import AlgebraContext, DominantWeight
 from schurmult.polyengine import UPoly
 from schurmult.solver import MultiplicityTable, SolverError, solve_multiplicities
@@ -244,14 +246,47 @@ def test_inexact_alternant_quotient_maps_to_exit_code(monkeypatch, capsys):
 def test_orbit_at_the_term_bound_is_not_refused(monkeypatch):
     # the orbit of w1 + w2 in A2 has 6 weights
     query = Query("orbit", rank=3, weight=(1, 1), fmt="json")
-    monkeypatch.setattr(cli, "MAX_OUTPUT_TERMS", 6)
+    monkeypatch.setattr(lattice, "MAX_OUTPUT_TERMS", 6)
     status, out = run(query)
     assert status == EXIT_OK
     assert json.loads(out)["orbit_size"] == 6
-    monkeypatch.setattr(cli, "MAX_OUTPUT_TERMS", 5)
+    monkeypatch.setattr(lattice, "MAX_OUTPUT_TERMS", 5)
     status, out = run(query)
     assert status == EXIT_USAGE
     assert out == "error: the orbit of w1 + w2 has 6 weights; at most 5 are supported\n"
+
+
+# the bounds the library checks; the CLI only maps their LimitError to exit 1
+LIBRARY_BOUNDS = {
+    "MAX_CLASS_MEMBERS", "MAX_OUTPUT_TERMS", "ALTERNANT_MAX_ROWS", "DEGREE_LIMIT", "class_size"
+}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name, node.asname)))
+    return names
+
+
+def test_cli_names_no_library_bound():
+    tree = ast.parse(Path(cli.__file__).read_text(), filename=cli.__file__)
+    assert _names(tree) & LIBRARY_BOUNDS == set()
+
+
+def test_bound_named_in_cli_is_reported():
+    tree = ast.parse(
+        "from .lattice import class_size as count\n"
+        "from . import weyl\n"
+        "print(weyl.ALTERNANT_MAX_ROWS, MAX_OUTPUT_TERMS, check_class_size)\n"
+    )
+    assert _names(tree) & LIBRARY_BOUNDS == {"class_size", "ALTERNANT_MAX_ROWS", "MAX_OUTPUT_TERMS"}
 
 
 def test_oracle_mismatch_detected_on_doctored_table():

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from schurmult.lattice import (
     AlgebraContext,
     DominantWeight,
+    LimitError,
     Partition,
     Weight,
     class_size,
@@ -21,6 +23,7 @@ from schurmult.lattice import (
 
 A5 = AlgebraContext(6)
 A2 = AlgebraContext(3)
+A1 = AlgebraContext(2)
 
 
 # The full height-7 class for six rows: 14 partitions with their
@@ -175,6 +178,16 @@ def test_height_class_no_duplicates_and_height_mod():
                 assert all(height(m) == q for m in members)
 
 
+def test_height_class_at_the_member_bound():
+    # partitions of Q into at most two parts number Q // 2 + 1
+    assert len(sub_Q_lambda1(1998, A1)) == 1000
+    with pytest.raises(LimitError) as refused:
+        sub_Q_lambda1(2000, A1)
+    assert str(refused.value) == (
+        "height class 2000 of A1 has at least 1001 members; at most 1000 are supported"
+    )
+
+
 # -- orbits --------------------------------------------------------------
 
 
@@ -205,6 +218,13 @@ def test_orbit_weights_are_distinct_and_canonical():
     assert len(set(weights)) == len(weights)
     for wt in weights:
         assert min(wt.mu_exponents) == 0
+
+
+def test_orbit_above_the_term_bound_is_refused():
+    start = time.perf_counter()
+    with pytest.raises(LimitError, match="has 3628800 weights; at most 500000 are supported"):
+        orbit_weights(DominantWeight((1,) * 9, AlgebraContext(10)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_orbit_size_examples():

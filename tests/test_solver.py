@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from schurmult import orbitchar, solver
 from schurmult.lattice import (
     AlgebraContext,
     DominantWeight,
+    LimitError,
     Partition,
     Weight,
     orbit_size,
@@ -384,6 +386,18 @@ def test_dimension_other_than_the_product_formula_is_refused(monkeypatch):
     )
     with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
         solve_multiplicities(FLAGSHIP)
+
+
+def test_class_above_the_member_bound_is_refused_up_front():
+    # building the A11 height-25 class system alone would run for minutes
+    w = DominantWeight((1, 1) + (0,) * 8 + (2,), AlgebraContext(12))
+    message = "height class 25 of A11 has 1686 members; at most 1000 are supported"
+    start = time.perf_counter()
+    with pytest.raises(LimitError, match=f"^{re.escape(message)}$"):
+        solve_multiplicities(w)
+    with pytest.raises(LimitError, match=f"^{re.escape(message)}$"):
+        generalized_schur(w.to_partition(), w.context)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_warm_solves_compute_no_orbit_size(monkeypatch, fresh_systems):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from schurmult import weyl
 from schurmult.lattice import (
     AlgebraContext,
     DominantWeight,
+    LimitError,
     Partition,
     partition_to_dominant,
     partitions_of,
@@ -76,11 +78,27 @@ def test_alternant_antisymmetry_under_swaps():
 
 
 def test_alternant_sum_rank_bound():
-    with pytest.raises(ValueError, match="9! = 362880 terms"):
+    with pytest.raises(LimitError, match="9! = 362880 terms") as refused:
         alternant_matrix(Partition(()), AlgebraContext(9))
+    assert isinstance(refused.value, ValueError)
 
 
 # -- characters ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, coords, reason",
+    [
+        (9, (1,) + (0,) * 7, "rank 9 needs an alternant of 9! = 362880 terms"),
+        (3, (40000, 0), "total degree 40003, at or above the packed-monomial limit 32768"),
+        (3, (1000, 0), "has dimension 501501; at most 500000 is supported"),
+    ],
+)
+def test_character_above_a_bound_is_refused_up_front(n, coords, reason):
+    start = time.perf_counter()
+    with pytest.raises(LimitError, match=re.escape(reason)):
+        weyl_character_u(DominantWeight(coords, AlgebraContext(n)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_character_defining_representation():
