@@ -19,7 +19,7 @@ from .lattice import (
     sub_Q_lambda1,
 )
 from .orbitchar import orbit_char_u, orbit_char_x
-from .polyengine import InexactDivisionError, UPoly, XPoly, poly_det
+from .polyengine import UPoly, XPoly, poly_det
 from .schur import elementary_schur, generalized_schur
 from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
 from .weyl import (
@@ -33,7 +33,6 @@ __all__ = [
     "AlgebraContext",
     "DominantWeight",
     "FactorizationReport",
-    "InexactDivisionError",
     "LimitError",
     "MultiplicityTable",
     "Partition",

@@ -1,16 +1,16 @@
 """Command-line front door.
 
 Commands: ``mult`` (multiplicity table), ``schur`` (generalized Schur
-polynomial), ``orbit`` (orbit weights), ``character`` (alternant-quotient
-character), ``sub`` (height class of dominant weights), ``audit``
+polynomial), ``orbit`` (orbit weights), ``character`` (character from the
+straightened alternants), ``sub`` (height class of dominant weights), ``audit``
 (oracle-equivalence sweep).  Output is JSON, CSV, or text, and is
 byte-identical across runs.
 
 The CLI parses a query, calls the library and renders its result; the
 size bounds live in the library, which raises ``LimitError`` before any
 work.  Exit codes: 0 success, 1 usage error or ``LimitError``, 2 audit
-mismatch, 3 internal inconsistency (inexact division, or a linear system
-that is singular, inconsistent or not integral).
+mismatch, 3 internal inconsistency (a singular, inconsistent or non-integral
+linear system, or a character whose coefficients do not sum to its dimension).
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .lattice import (
     orbit_size, orbit_weights, partition_to_dominant, partitions_of, sub_Q_lambda1,
 )
 from .oracle import freudenthal, inflated_exponents, kostka_multiplicity
-from .polyengine import InexactDivisionError, XPoly
+from .polyengine import XPoly
 from .schur import generalized_schur
-from .solver import MultiplicityTable, SolverError, solve_multiplicities
+from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
 from .weyl import alternant_multiplicities, check_alternant_rows, weyl_character_u
 
 EXIT_OK = 0
@@ -147,9 +147,9 @@ def _run_mult(q: Query) -> str:
                 "weight": list(member.coords),
                 "partition": _height_partition(member, total),
                 "multiplicity": mult,
-                "orbit_size": orbit_size(member),
+                "orbit_size": size,
             }
-            for member, mult in table
+            for (member, mult), size in zip(table, table.orbit_sizes)
         ],
     }
     header = ["weight", "partition", "multiplicity", "orbit_size"]
@@ -225,7 +225,8 @@ def _run_character(q: Query) -> str:
     check_alternant_rows(ctx.N)
     target = _target_weight(q, ctx)
     ch = weyl_character_u(target)
-    dim = sum(ch.terms.values())
+    # the character's coefficients sum to the dimension; weyl_character_u checks it
+    dim = dimension(target)
     payload = {
         "algebra": str(ctx),
         "weight": list(target.coords),
@@ -329,7 +330,7 @@ def run(q: Query) -> tuple[int, str]:
         return EXIT_USAGE, f"error: {exc}\n"
     except AuditMismatch as exc:
         return EXIT_AUDIT, str(exc)
-    except (InexactDivisionError, SolverError) as exc:
+    except SolverError as exc:
         return EXIT_INTERNAL, f"internal inconsistency: {exc}\n"
 
 
@@ -357,7 +358,7 @@ def _build_parser() -> _Parser:
     mult = add("mult", "multiplicity table of an irreducible representation", "json")
     schur = add("schur", "generalized Schur polynomial of a partition")
     orbit = add("orbit", "weights of one Weyl orbit")
-    character = add("character", "irreducible character from the alternant quotient")
+    character = add("character", "irreducible character from the straightened alternants")
     sub_cmd = add("sub", "dominant weights of one height class")
     audit = add(
         "audit", "cross-check solver against the independent oracles", formats=("text",)

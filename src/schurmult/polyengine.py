@@ -24,10 +24,8 @@ is an ``int`` when ``den`` is 1 and a ``Fraction`` otherwise.  Only
 :func:`pack_monomial`, :func:`unpack_monomial` and ``_make``.
 
 :func:`poly_dot` is the one accumulate kernel: it sums ``c * a * b`` over
-many products in one numerator map over one lcm denominator.  The one
-division, :func:`poly_divide_difference`, divides by a difference of two
-variables: one pass of prefix sums over the numerators, each binary form
-in those two variables on its own, over the same denominator.
+many products in one numerator map over one lcm denominator.  Nothing
+here divides one polynomial by another.
 
 Values are immutable after construction; every operation returns a new
 polynomial.
@@ -46,10 +44,6 @@ from typing import Sequence
 FIELD_BITS = 16
 DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
 _FIELD_MASK = (1 << FIELD_BITS) - 1
-
-
-class InexactDivisionError(ArithmeticError):
-    """Raised when an exact polynomial division leaves a remainder."""
 
 
 def pack_monomial(exponents: Sequence[int], nvars: int) -> int:
@@ -468,54 +462,3 @@ def poly_det(matrix: Sequence[Sequence[_SparsePoly]]) -> _SparsePoly:
                 minors[cols] = minor
     return minors.get((1 << n) - 1, ring.zero(nvars))
 
-
-def poly_divide_difference(p: _SparsePoly, i: int, j: int) -> _SparsePoly:
-    """Exact quotient of ``p`` by ``v_i - v_j``, the difference of two variables.
-
-    The terms that agree in every other exponent and in total degree form
-    a binary form ``sum(c_k * v_i**k * v_j**(D - k))``.  It is divisible
-    by ``v_i - v_j`` exactly when its coefficients sum to zero, and then
-    its quotient's coefficient of ``v_i**m * v_j**(D - 1 - m)`` is
-    ``-(c_0 + ... + c_m)``.  So the quotient is one pass of prefix sums
-    over the numerators, kept over ``p.den``.  A form whose coefficients
-    do not sum to zero raises :class:`InexactDivisionError`, and ``i == j``
-    raises :class:`ZeroDivisionError`.  Indices are 0-based.
-    """
-    n = p.nvars
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"variable index {i} or {j} out of range for {n} variables")
-    if i == j:
-        raise ZeroDivisionError("polynomial division by zero")
-    si, sj = FIELD_BITS * (n - 1 - i), FIELD_BITS * (n - 1 - j)
-    # A form is keyed by its terms' key with v_i's exponent moved to v_j,
-    # and spans the powers lo[base] to hi[base] of v_i.
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    for key in p.num:
-        k = key >> si & _FIELD_MASK
-        base = key - (k << si) + (k << sj)
-        if k < lo.get(base, DEGREE_LIMIT):
-            lo[base] = k
-        if k > hi.get(base, -1):
-            hi[base] = k
-    # A quotient key has one degree less, taken from v_j.
-    step = (1 << si) - (1 << sj)
-    drop = (1 << FIELD_BITS * n) + (1 << sj)
-    get = p.num.get
-    quot: dict[int, int] = {}
-    for base, k in lo.items():
-        key = base + k * step
-        acc = 0
-        for _ in range(k, hi[base]):
-            acc -= get(key, 0)
-            if acc:
-                quot[key - drop] = acc
-            key += step
-        if acc != get(key, 0):
-            vi, vj = f"{p._symbol}{i + 1}", f"{p._symbol}{j + 1}"
-            raise InexactDivisionError(
-                f"not divisible by {vi} - {vj}: the terms that differ from "
-                f"{unpack_monomial(key, n)} only in the powers of {vi} "
-                f"and {vj} have a nonzero coefficient sum"
-            )
-    return type(p)._make(n, quot, p.den)

@@ -37,12 +37,14 @@ class MultiplicityTable:
     """Orbit multiplicities of one irreducible representation.
 
     ``entries`` pairs each dominant weight of the height class with its
-    multiplicity, in the deterministic enumeration order.
+    multiplicity, in the deterministic enumeration order, and
+    ``orbit_sizes`` holds those weights' orbit sizes in the same order.
     """
 
     highest_weight: DominantWeight
     entries: tuple[tuple[DominantWeight, int], ...]
     dimension: int
+    orbit_sizes: tuple[int, ...]
 
     def __iter__(self):
         return iter(self.entries)
@@ -247,7 +249,7 @@ def solve_multiplicities(w: DominantWeight) -> MultiplicityTable:
     ctx = w.context
     q = height(w)
     if q == 0:
-        return MultiplicityTable(w, ((w, 1),), 1)
+        return MultiplicityTable(w, ((w, 1),), 1, (1,))
 
     system = height_class_system(ctx.N, q)
     rhs = generalized_schur(w.to_partition(), ctx)
@@ -269,7 +271,7 @@ def solve_multiplicities(w: DominantWeight) -> MultiplicityTable:
             f"orbit sizes of {w} weighted by multiplicity sum to {dim}; "
             f"the product formula gives dimension {expected}"
         )
-    return MultiplicityTable(w, tuple(zip(system.members, solution)), dim)
+    return MultiplicityTable(w, tuple(zip(system.members, solution)), dim, system.orbit_sizes)
 
 
 def dimension(w: DominantWeight) -> int:

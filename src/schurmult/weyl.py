@@ -1,12 +1,11 @@
 """Alternating sums over the Weyl group, specialized to the u-indeterminates.
 
-The alternant a_γ of a strictly decreasing γ is built as its Leibniz
-expansion; the character of λ is a_(λ+δ), δ = (N-1, ..., 0), divided
-exactly by each factor u_i - u_j of the Vandermonde a_δ, in :class:`UPoly`.
-The audits of that formula build no N! terms but compare coefficients of
-alternants (Macdonald, *Symmetric Functions and Hall Polynomials*, I §3):
-for a symmetric S = sum(s_α u^α), S a_δ = sum(s_α a_(α+δ)), and a_(α+δ)
-straightens to 0 or ±a_(μ+δ) modulo the product constraint.
+The Weyl character formula a_(λ+δ) = s_λ a_δ, δ = (N-1, ..., 0), is read
+without division, as coefficients of alternants (Macdonald, *Symmetric
+Functions and Hall Polynomials*, I §3): for a symmetric S = sum(s_α u^α),
+S a_δ = sum(s_α a_(α+δ)), and a_(α+δ) straightens to 0 or ±a_(μ+δ) modulo
+the product constraint.  The character and both audits build no N! terms;
+:func:`alternant_matrix` expands an alternant only to show a mismatch.
 """
 
 from __future__ import annotations
@@ -21,11 +20,9 @@ from .lattice import (
     distinct_permutations, height, partitions_of,
 )
 from .orbitchar import orbit_char_u
-from .polyengine import (
-    DEGREE_LIMIT, UPoly, pack_monomial, poly_divide_difference, poly_dot, unpack_monomial,
-)
+from .polyengine import DEGREE_LIMIT, UPoly, pack_monomial, poly_dot, unpack_monomial
 from .schur import generalized_schur
-from .solver import dimension
+from .solver import SolverError, dimension
 
 # The alternant has N! terms; 8 rows is 40320 of them.
 ALTERNANT_MAX_ROWS = 8
@@ -79,18 +76,19 @@ def alternant_matrix(p: Partition, ctx: AlgebraContext) -> UPoly:
 
 
 def weyl_character_u(w: DominantWeight) -> UPoly:
-    """Irreducible character: the alternant divided by each u_i - u_j.
+    """Irreducible character: each μ of :func:`alternant_multiplicities`, its
+    full columns restored ((height(w) - |μ|) / N in every entry), with its
+    multiplicity at every distinct permutation.
 
     Raises :class:`LimitError` before any work above ``ALTERNANT_MAX_ROWS``
     rows, at an alternant degree of ``DEGREE_LIMIT`` or above a dimension
-    (a bound on the term count) of ``MAX_OUTPUT_TERMS``.  An inexact
-    division means the alternant machinery is inconsistent; the error
-    from the polynomial engine propagates.
+    (a bound on the term count) of ``MAX_OUTPUT_TERMS``, and
+    :class:`SolverError` when the coefficients do not sum to the dimension.
     """
-    ctx = w.context
-    n = ctx.N
+    n = w.context.N
     check_alternant_rows(n)
-    degree = height(w) + n * (n - 1) // 2
+    total = height(w)
+    degree = total + n * (n - 1) // 2
     if degree >= DEGREE_LIMIT:
         raise LimitError(
             f"the alternant of {w} has total degree {degree}, "
@@ -101,11 +99,17 @@ def weyl_character_u(w: DominantWeight) -> UPoly:
         raise LimitError(
             f"the character of {w} has dimension {size}; at most {MAX_OUTPUT_TERMS} is supported"
         )
-    quotient = alternant_matrix(w.to_partition(), ctx)
-    for i in range(n):
-        for j in range(i + 1, n):
-            quotient = poly_divide_difference(quotient, i, j)
-    return quotient
+    terms = {}
+    for mu, k in alternant_multiplicities(w).items():
+        columns = (total - sum(mu)) // n
+        for alpha in distinct_permutations(e + columns for e in mu):
+            terms[pack_monomial(alpha, n)] = k
+    if sum(terms.values()) != size:
+        raise SolverError(
+            f"the coefficients of the character of {w} sum to {sum(terms.values())}; "
+            f"the product formula gives dimension {size}"
+        )
+    return UPoly._make(n, terms)
 
 
 def alternant_multiplicities(w: DominantWeight) -> dict[tuple[int, ...], int]:

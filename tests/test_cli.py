@@ -229,18 +229,54 @@ def test_internal_error_maps_to_exit_code(monkeypatch):
     assert "internal inconsistency" in out
 
 
-def test_inexact_alternant_quotient_maps_to_exit_code(monkeypatch, capsys):
-    # one stray term leaves the alternant no longer divisible by u1 - u2
-    original = weyl.alternant_matrix
+def test_character_coefficient_sum_off_the_dimension_maps_to_exit_code(monkeypatch, capsys):
+    # a multiplicity lost from the alternant route leaves the character short
+    # of the dimension that the product formula gives
+    original = weyl.alternant_multiplicities
 
-    def doctored(p, ctx):
-        return original(p, ctx) + UPoly.variable(ctx.N, 0)
+    def doctored(w):
+        found = original(w)
+        found.pop(next(iter(found)))
+        return found
 
-    monkeypatch.setattr(weyl, "alternant_matrix", doctored)
+    monkeypatch.setattr(weyl, "alternant_multiplicities", doctored)
     assert main(["character", "--rank", "3", "--weight", "1,1"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("internal inconsistency: not divisible by u1 - u2")
+    assert captured.err.startswith("internal inconsistency: ")
+
+
+def test_character_builds_no_factorial_polynomial(monkeypatch):
+    # the character is read off the straightened alternants; at the
+    # division route this case took 8 s on a 2-core machine
+    query = Query("character", rank=8, partition=(5, 4, 2))
+    expected = run(query)
+    assert expected[0] == EXIT_OK
+
+    def refuse(*args):
+        raise AssertionError("an N!-term polynomial was built")
+
+    monkeypatch.setattr(weyl, "alternant_matrix", refuse)
+    start = time.perf_counter()
+    assert run(query) == expected
+    assert time.perf_counter() - start < 2.0
+
+
+def test_repeated_mult_reads_orbit_sizes_off_the_table(monkeypatch, capsys):
+    argv = ["mult", "--rank", "8", "--partition", "4,3,2,1"]
+    assert main(argv) == EXIT_OK
+    first = capsys.readouterr().out
+    calls = []
+    original = cli.orbit_size
+
+    def counted(w):
+        calls.append(w)
+        return original(w)
+
+    monkeypatch.setattr(cli, "orbit_size", counted)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == first
+    assert calls == []
 
 
 def test_orbit_at_the_term_bound_is_not_refused(monkeypatch):
@@ -296,6 +332,7 @@ def test_oracle_mismatch_detected_on_doctored_table():
         target,
         tuple((w, m + (1 if w != target else 0)) for w, m in table.entries),
         table.dimension,
+        table.orbit_sizes,
     )
     with pytest.raises(AuditMismatch):
         _check_against_oracles(doctored)

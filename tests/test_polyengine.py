@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from schurmult.polyengine import (
     DEGREE_LIMIT,
-    InexactDivisionError,
     UPoly,
     XPoly,
     poly_det,
-    poly_divide_difference,
     poly_dot,
 )
 
@@ -220,8 +218,6 @@ def test_integer_core_matches_plain_coefficients(pair, factor):
         "*": (a * b, _plain_mul(pa, pb)),
         "scale": (a.scale(factor), {e: c * factor for e, c in pa.items() if c * factor}),
     }
-    difference = type(a).variable(2, 0) - type(a).variable(2, 1)
-    results["divide"] = (poly_divide_difference(a * difference, 0, 1), pa)
     for op, (got, expected) in results.items():
         assert type(got) is type(a), op
         _canonical(got)
@@ -337,57 +333,6 @@ def test_det_of_larger_monomial_matrix():
     expected = _permanent_style_det(matrix)
     assert len(expected) == 720
     assert poly_det(matrix) == expected
-
-
-# -- exact division by u_i - u_j -----------------------------------------
-
-
-def test_divide_difference_of_squares():
-    u1, u2 = u_var(0, 2), u_var(1, 2)
-    assert poly_divide_difference(u1 * u1 - u2 * u2, 0, 1) == u1 + u2
-    assert poly_divide_difference(u1 * u1 - u2 * u2, 1, 0) == -(u1 + u2)
-
-
-def test_divide_vandermonde_ratio():
-    # ratio of staircase alternants in two variables
-    num = up(2, [(1, {1: 2}), (-1, {2: 2})])
-    assert poly_divide_difference(num, 0, 1) == up(2, [(1, {1: 1}), (1, {2: 1})])
-
-
-def test_divide_inexact_raises():
-    u1, u2 = u_var(0, 2), u_var(1, 2)
-    with pytest.raises(InexactDivisionError, match="not divisible by u1 - u2"):
-        poly_divide_difference(u1 * u2, 0, 1)
-
-
-def test_divide_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        poly_divide_difference(UPoly.one(2), 1, 1)
-    with pytest.raises(ValueError):
-        poly_divide_difference(UPoly.one(2), 0, 2)
-
-
-index_pairs = st.lists(st.integers(0, 2), min_size=2, max_size=2, unique=True)
-
-
-@given(upolys3, index_pairs)
-@settings(max_examples=60, deadline=None)
-def test_divide_roundtrip(a, pair):
-    i, j = pair
-    difference = UPoly.variable(3, i) - UPoly.variable(3, j)
-    assert poly_divide_difference(difference * a, i, j) == a
-    assert poly_divide_difference(UPoly.zero(3), i, j) == UPoly.zero(3)
-
-
-@given(xpolys3, index_pairs)
-@settings(max_examples=60, deadline=None)
-def test_divide_roundtrip_rational(a, pair):
-    i, j = pair
-    difference = XPoly.variable(3, i) - XPoly.variable(3, j)
-    quotient = poly_divide_difference(difference * a, i, j)
-    _canonical(quotient)
-    assert quotient == a
-    assert poly_divide_difference(XPoly.zero(3), i, j) == XPoly.zero(3)
 
 
 def test_sorted_terms_graded_lex():

@@ -127,9 +127,18 @@ def test_character_is_symmetric():
         assert _swap_variables(ch, i, j) == ch
 
 
+def test_character_times_vandermonde_is_the_alternant():
+    # the Weyl character formula multiplied out: s_λ a_δ = a_(λ+δ)
+    for n, parts in [(2, (3,)), (3, (2, 1)), (3, (4, 2)), (4, (2, 1, 1)), (5, (3, 1))]:
+        ctx = AlgebraContext(n)
+        target = partition_to_dominant(Partition(parts), ctx)
+        vandermonde = alternant_matrix(Partition(()), ctx)
+        assert weyl_character_u(target) * vandermonde == alternant_matrix(Partition(parts), ctx)
+
+
 def test_character_equals_orbit_decomposition():
-    # the alternant quotient must decompose against orbit characters with
-    # the solved multiplicities
+    # the character must decompose against orbit characters with the
+    # solved multiplicities
     for n, parts in [(3, (2, 1)), (4, (2, 1, 1)), (3, (3, 1)), (5, (2, 2)), (7, (2, 1))]:
         ctx = AlgebraContext(n)
         target = partition_to_dominant(Partition(parts), ctx)
