@@ -33,7 +33,7 @@ polynomial.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -79,6 +79,21 @@ def unpack_monomial(key: int, nvars: int) -> tuple[int, ...]:
     )
 
 
+class _TermsValues(ValuesView):
+    """Coefficients of a terms view, read off the numerators with no key packed."""
+
+    def __iter__(self):
+        p = self._mapping._poly
+        return map(p._coefficient_value, p.num.values())
+
+
+class _TermsItems(ItemsView):
+    """``(exponents, coefficient)`` pairs of a terms view, each key unpacked once."""
+
+    def __iter__(self):
+        return zip(self._mapping, _TermsValues(self._mapping))
+
+
 class _TermsView(Mapping):
     """Read-only ``{exponents: coefficient}`` view of a polynomial's packed terms."""
 
@@ -103,6 +118,12 @@ class _TermsView(Mapping):
 
     def __len__(self) -> int:
         return len(self._poly.num)
+
+    def values(self) -> ValuesView:
+        return _TermsValues(self)
+
+    def items(self) -> ItemsView:
+        return _TermsItems(self)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -156,7 +177,7 @@ class _SparsePoly:
 
     def __reduce__(self):
         # The default slot-state restore would go through __setattr__.
-        return type(self), (self.nvars, dict(self.terms))
+        return type(self), (self.nvars, dict(self.terms.items()))
 
     @staticmethod
     def _coerce(value):

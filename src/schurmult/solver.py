@@ -3,16 +3,22 @@ orbital decomposition and solve the exact linear system.
 
 The unknowns are the orbit multiplicities of the dominant weights obtained
 from all partitions of the height; the equations come from matching
-coefficients of x-monomials.  The system must be exactly consistent with a
-unique, integral, nonnegative solution; anything else signals a bug in the
-degeneration machinery and fails loudly.
+coefficients of x-monomials.  Pinning e_N = 1 lowers the x-weight (x_i has
+weight i) by N, so the column of a member mu has terms only at weights |mu|,
+|mu| - N, ...: sorted by weight, the system is block lower triangular, and
+it is solved one diagonal block at a time, from the top weight down.  The
+system must be exactly consistent with a unique, integral, nonnegative
+solution; anything else signals a bug in the degeneration machinery and
+fails loudly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, groupby
 from math import lcm
 from operator import mul
 
@@ -53,8 +59,9 @@ class MultiplicityTable:
         return len(self.entries)
 
 
-# Height-class systems kept at once; each holds O(class size ** 2) integers,
-# so the bound caps the memory a long-lived process spends on them.
+# Height-class systems kept at once; each holds the steps of its diagonal
+# weight blocks, O(block size ** 2) integers, and one entry per column term
+# below its block, so the bound caps the memory a long-lived process spends.
 SYSTEM_CACHE_SIZE = 16
 
 
@@ -68,20 +75,26 @@ class HeightClassSystem:
     """Orbit-character system of one height class, factored once.
 
     The unknowns are the orbit multiplicities of ``members``; there is one
-    row per monomial of the column support, in descending graded-lex
-    order.  The rows are scaled to integers by the lcm L of the column
-    denominators.  Construction factors them modulo the first of
-    :data:`PRIMES`, with pivot columns visited largest-support first, and
-    keeps in ``factored`` every step's ``(pivot row, pivot inverse, target
-    rows, factors)`` plus the nonzero tail of each normalized pivot row, or
-    ``None`` if a pivot vanishes.  :meth:`solve` replays those steps on a
-    right-hand side, lifts the solution to the symmetric range and
-    certifies it exactly in integers against the columns: the nonzero
-    pivots mean the rational system has a unique solution, so an integer
-    vector that satisfies every equation is that solution.
+    row per monomial of the column support, sorted by x-weight, then
+    packed monomial, both descending, and the rows are scaled to integers
+    by the lcm L of the column denominators.  A column's top weight is the
+    largest weight among its terms; the diagonal block at weight d, the
+    rows of weight d against the columns of top weight d, is square in a
+    class system (the m -> p transition in degree d).
 
-    A solve that the first prime cannot certify factors the rows again
-    modulo each later prime in turn, within the call.
+    Construction factors only the diagonal blocks, modulo the first of
+    :data:`PRIMES`, and keeps in ``factored`` one ``(forward, backward)``
+    pair per block, top weight first, or ``None`` if a pivot vanishes:
+    the block's steps ``(pivot row, pivot inverse, target rows, factors)``,
+    then, in reverse, each pivot column with its pivot row, its pivot-row
+    tail inside the block and its entries below the block.  :meth:`solve`
+    replays each block's steps on a right-hand side, back-substitutes its
+    unknowns and subtracts their entries below the block, then lifts the
+    solution to the symmetric range and certifies it exactly in integers
+    against the columns: nonzero pivots in every diagonal block make the
+    rational system nonsingular, so an integer vector that satisfies
+    every equation is its unique solution.  A solve that the first prime
+    cannot certify factors the blocks again modulo each later prime.
 
     The class also keeps what a table needs from its members: ``position``
     maps each member to its unknown, and ``orbit_sizes`` holds their orbit
@@ -101,58 +114,73 @@ class HeightClassSystem:
         self.position = {member: i for i, member in enumerate(self.members)}
         self.orbit_sizes = tuple(orbit_sizes)
         self.columns = tuple(columns)
-        support: set[int] = set()
-        for col in columns:
-            support.update(col.num)
-        # packed monomials sort in graded-lex order as ints
-        monomials = sorted(support, reverse=True)
+        nvars = max((col.nvars for col in columns), default=0)
+        support = set().union(*(col.num for col in columns))
+        weight = {mono: sum(map(mul, unpack_monomial(mono, nvars), count(1))) for mono in support}
+        monomials = sorted(weight, key=lambda mono: (weight[mono], mono), reverse=True)
         self.row_of = {mono: i for i, mono in enumerate(monomials)}
-        self.order = tuple(sorted(range(len(columns)), key=lambda c: (-len(columns[c].num), c)))
+        # each column's rows, in the order of its numerators
+        self.column_rows = tuple(tuple(map(self.row_of.__getitem__, col.num)) for col in columns)
+        # each diagonal block: its run of rows and its columns in pivot order
+        keys = [-weight[mono] for mono in monomials]
+        top = [-keys[min(rows)] if rows else 0 for rows in self.column_rows]
+        order = sorted(range(len(columns)), key=lambda c: (-top[c], c))
+        self.blocks = tuple(
+            (range(bisect_left(keys, -d), bisect_right(keys, -d)), tuple(cols))
+            for d, cols in groupby(order, top.__getitem__)
+        )
         # the system is compared over L, the lcm of the column denominators,
-        # so column j is scaled by L / den_j; its numerators are read in the
-        # order of its rows here
+        # so column j is scaled by L / den_j
         self.den_lcm = lcm(*(col.den for col in columns))
         self.multipliers = tuple(self.den_lcm // col.den for col in columns)
-        self.column_rows = tuple(tuple(self.row_of[mono] for mono in col.num) for col in columns)
         self.prime = PRIMES[0]
         self.factored = self._factor(self.prime)
 
-    def _factor(self, p: int) -> tuple[tuple, tuple] | None:
-        """Steps and pivot-row tails of the scaled rows modulo ``p``;
-        ``None`` when a pivot vanishes modulo it."""
-        rows = [[0] * len(self.columns) for _ in self.row_of]
-        for j, (mult, col) in enumerate(zip(self.multipliers, self.columns)):
-            for mono, c in col.num.items():
-                rows[self.row_of[mono]][j] = c * mult % p
-        steps = []
-        upper = []
-        # entries below the pivot rows are reduced only when read: each
-        # update adds less than p**2, so they stay a few words long
-        for step, col in enumerate(self.order):
-            pivot_row = next((i for i in range(step, len(rows)) if rows[i][col] % p), None)
-            if pivot_row is None:
-                return None
-            rows[step], rows[pivot_row] = rows[pivot_row], rows[step]
-            inv = pow(rows[step][col], -1, p)
-            # the nonzero tail of the normalized pivot row; earlier pivot
-            # columns are already zero in it, so a sparse row costs little
-            tail = [j for j, v in enumerate(rows[step]) if j != col and v % p]
-            tail_values = [rows[step][j] * inv % p for j in tail]
-            targets = []
-            factors = []
-            for i in range(step + 1, len(rows)):
-                row = rows[i]
-                factor = row[col] % p
-                if not factor:
-                    continue
-                targets.append(i)
-                factors.append(factor)
-                row[col] = 0
-                for j, v in zip(tail, tail_values):
-                    row[j] -= factor * v
-            steps.append((pivot_row, inv, tuple(targets), tuple(factors)))
-            upper.append((tuple(tail), tuple(tail_values)))
-        return tuple(steps), tuple(upper)
+    def _factor(self, p: int) -> tuple | None:
+        """Steps of each diagonal block modulo ``p``; ``None`` if a pivot vanishes."""
+        factored = []
+        for rows, cols in self.blocks:
+            block = [[0] * len(cols) for _ in rows]
+            below = []
+            for k, j in enumerate(cols):
+                mult = self.multipliers[j]
+                lower, lower_values = [], []
+                for i, c in zip(self.column_rows[j], self.columns[j].num.values()):
+                    c = c * mult % p
+                    if i < rows.stop:
+                        block[i - rows.start][k] = c
+                    else:
+                        lower.append(i)
+                        lower_values.append(c)
+                below.append((tuple(lower), tuple(lower_values)))
+            free = list(range(len(rows)))
+            forward, backward = [], []
+            # entries of the rows not yet pivots are reduced only when read:
+            # each update adds less than p**2, so they stay a few words long
+            for k, j in enumerate(cols):
+                pivot = next((i for i in free if block[i][k] % p), None)
+                if pivot is None:
+                    return None
+                free.remove(pivot)
+                row = block[pivot]
+                inv = pow(row[k], -1, p)
+                # earlier pivot columns are already zero in the pivot row
+                tail = [c for c in range(k + 1, len(cols)) if row[c] % p]
+                tail_values = [row[c] * inv % p for c in tail]
+                targets, factors = [], []
+                for i in free:
+                    target = block[i]
+                    factor = target[k] % p
+                    if factor:
+                        targets.append(rows.start + i)
+                        factors.append(factor)
+                        for c, v in zip(tail, tail_values):
+                            target[c] -= factor * v
+                forward.append((rows.start + pivot, inv, tuple(targets), tuple(factors)))
+                tail_cols = tuple(cols[c] for c in tail)
+                backward.append((j, rows.start + pivot, tail_cols, tuple(tail_values), *below[k]))
+            factored.append((tuple(forward), tuple(reversed(backward))))
+        return tuple(factored)
 
     def solve(self, rhs: XPoly) -> list[int]:
         """Unique solution for the right-hand side ``rhs``, certified in integers.
@@ -189,22 +217,24 @@ class HeightClassSystem:
 
     def _solve_modular(self, p: int, factored, entries, denom: int) -> list[int]:
         """Solution modulo ``p``, lifted to the symmetric range."""
-        steps, upper = factored
         scale = self.den_lcm * pow(denom, -1, p)
         b = [0] * len(self.row_of)
         for i, coeff in entries:
             b[i] = coeff * scale % p
-        for step, (pivot_row, pivot_inv, targets, factors) in enumerate(steps):
-            b[step], b[pivot_row] = b[pivot_row], b[step]
-            top = b[step] = b[step] * pivot_inv % p
-            if top:
-                for i, factor in zip(targets, factors):
-                    b[i] -= factor * top
-        x = [0] * len(self.order)
-        for step in reversed(range(len(self.order))):
-            tail, tail_values = upper[step]
-            dot = sum(map(mul, tail_values, map(x.__getitem__, tail)))
-            x[self.order[step]] = (b[step] - dot) % p
+        x = [0] * len(self.columns)
+        # block forward substitution, top weight down, in place on b
+        for forward, backward in factored:
+            for row, pivot_inv, targets, factors in forward:
+                top = b[row] = b[row] * pivot_inv % p
+                if top:
+                    for i, factor in zip(targets, factors):
+                        b[i] -= factor * top
+            for col, row, tail, tail_values, lower, lower_values in backward:
+                dot = sum(map(mul, tail_values, map(x.__getitem__, tail)))
+                value = x[col] = (b[row] - dot) % p
+                if value:
+                    for i, c in zip(lower, lower_values):
+                        b[i] -= c * value
         half = p // 2
         return [v - p if v > half else v for v in x]
 

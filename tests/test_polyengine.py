@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurmult import polyengine
 from schurmult.polyengine import (
     DEGREE_LIMIT,
     UPoly,
     XPoly,
+    pack_monomial,
     poly_det,
     poly_dot,
 )
@@ -426,3 +428,29 @@ def test_terms_lookup_of_invalid_keys_is_missing(ring):
     assert p.terms.get((2, -1), 0) == 0
     assert p.terms.get((1, 0), 0) == 5
     assert dict(p.terms) == {(0, 0): 3, (1, 0): 5, (0, 1): 7}
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        up(3, [(2, {1: 1, 2: 1}), (-1, {3: 2})]),
+        XPoly(2, {(1, 0): Fraction(1, 2), (0, 3): Fraction(-4, 3), (0, 0): 5}),
+        XPoly.zero(2),
+    ],
+)
+def test_terms_values_and_items_pack_no_key(monkeypatch, p):
+    # what Mapping's own views give: one lookup, so one packed key, per term
+    expected = [(exps, p.terms[exps]) for exps in p.terms]
+    calls = []
+
+    def counted(exps, nvars):
+        calls.append(exps)
+        return pack_monomial(exps, nvars)
+
+    monkeypatch.setattr(polyengine, "pack_monomial", counted)
+    assert list(p.terms.items()) == expected
+    assert list(p.terms.values()) == [c for _, c in expected]
+    assert [type(c) for c in p.terms.values()] == [type(c) for _, c in expected]
+    assert len(p.terms.items()) == len(p.terms.values()) == len(expected)
+    assert p.__reduce__() == (type(p), (p.nvars, dict(expected)))
+    assert calls == []

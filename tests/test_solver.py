@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from schurmult.lattice import (
 )
 from schurmult.oracle import freudenthal, inflated_exponents, kostka_multiplicity
 from schurmult.orbitchar import orbit_char_x
-from schurmult.polyengine import XPoly
+from schurmult.polyengine import XPoly, unpack_monomial
 from schurmult.schur import generalized_schur
 from schurmult.solver import (
     SYSTEM_CACHE_SIZE,
@@ -195,6 +196,16 @@ def test_solve_fractional_rhs_takes_common_denominator():
         system.solve(rhs)
 
 
+def test_weight_block_with_more_columns_than_rows_is_singular():
+    # the whole system [[1, 2], [1, 0]] is invertible, but both columns
+    # have top weight 1 and the rows of weight 1 are one: the block solve
+    # needs every diagonal block to have full column rank
+    system = _system(_cols({1: 1, 0: 1}, {1: 2}))
+    assert system.factored is None
+    with pytest.raises(SolverError, match="singular"):
+        system.solve(XPoly(1, {(1,): Fraction(3), (0,): Fraction(1)}))
+
+
 def test_wrapped_lift_is_answered_by_next_prime(monkeypatch):
     # modulo 5 the lone unknown is 6 = 1, which the exact certificate
     # refuses; modulo 13 it lifts to 6
@@ -209,6 +220,86 @@ def test_solve_fails_when_every_prime_fails(monkeypatch):
     system = _system(_cols({0: 1}))
     with pytest.raises(SolverError, match="inconsistent or not integral"):
         system.solve(XPoly(1, {(0,): Fraction(6)}))
+
+
+# -- weight blocks of the class systems ------------------------------------------
+
+# the (N, lowest height, highest height) strata of the mult-cold benchmark
+# workload (perfbench/workloads.py), and A7 at height 16
+COLD_STRATA = (
+    (5, 9, 12),
+    (6, 8, 11),
+    (7, 8, 10),
+    (8, 8, 11),
+    (9, 7, 10),
+    (10, 6, 10),
+    (11, 6, 9),
+    (12, 6, 10),
+    (2, 100, 300),
+    (3, 20, 30),
+    (8, 16, 16),
+)
+
+
+def _x_weight(exps):
+    return sum(i * e for i, e in enumerate(exps, 1))
+
+
+def test_class_columns_form_square_weight_blocks():
+    for n, low, high in COLD_STRATA:
+        ctx = AlgebraContext(n)
+        weight = {}  # packed monomial -> x-weight
+        checked = set()  # member partitions whose column is checked
+        for q in range(low, high + 1):
+            partitions = [member.to_partition() for member in sub_Q_lambda1(q, ctx)]
+            columns = [orbit_char_x(partition, ctx).num for partition in partitions]
+            support = set().union(*columns)
+            for mono in support - weight.keys():
+                weight[mono] = _x_weight(unpack_monomial(mono, n - 1))
+            for partition, column in zip(partitions, columns):
+                if partition not in checked:
+                    checked.add(partition)
+                    size = partition.weight
+                    weights = set(map(weight.__getitem__, column))
+                    assert max(weights) == size, (n, partition)
+                    assert all((size - w) % n == 0 for w in weights), (n, partition)
+            rows_at = Counter(map(weight.__getitem__, support))
+            assert rows_at == Counter(partition.weight for partition in partitions), (n, q)
+
+
+def _row_weights(system, nvars):
+    weights = [0] * len(system.row_of)
+    for mono, i in system.row_of.items():
+        weights[i] = _x_weight(unpack_monomial(mono, nvars))
+    return weights
+
+
+def _blocks_keep_to_themselves(system, nvars):
+    """Assert that every step stays in its block and every column entry
+    left out of the block lies at a lower weight; return the target count."""
+    weight = _row_weights(system, nvars)
+    targets_seen = 0
+    for (forward, backward), (rows, cols) in zip(system.factored, system.blocks):
+        assert len(rows) == len(cols)
+        d = weight[rows.start]
+        for pivot_row, _, targets, _ in forward:
+            assert {weight[i] for i in (pivot_row, *targets)} == {d}
+            targets_seen += len(targets)
+        for col, pivot_row, tail, _, lower, _ in backward:
+            assert weight[pivot_row] == d and set(tail) <= set(cols)
+            assert all(weight[i] < d for i in lower)
+            assert len(lower) + sum(weight[i] == d for i in system.column_rows[col]) == len(
+                system.column_rows[col]
+            )
+    return targets_seen
+
+
+def test_a1_class_records_no_elimination_target(fresh_systems):
+    assert _blocks_keep_to_themselves(height_class_system(2, 300), 1) == 0
+
+
+def test_a2_class_records_no_target_outside_its_block(fresh_systems):
+    assert _blocks_keep_to_themselves(height_class_system(3, 30), 2) > 0
 
 
 # -- shared height-class systems -------------------------------------------------
