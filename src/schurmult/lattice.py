@@ -15,8 +15,9 @@ from math import factorial
 from typing import Iterator
 
 # Largest height class that the multiplicity pipeline takes on.  On a
-# 2-core machine A11 at height 20 (582 members) takes about 4 s and 80 MB,
-# while A11 at height 25 (1,686 members) has run for minutes past 700 MB.
+# 2-core machine `mult` of A11 at height 20 (582 members) takes about 4 s
+# and 77 MB, while A11 at height 25 (1,686 members) has run for minutes
+# past 700 MB.
 MAX_CLASS_MEMBERS = 1000
 
 # Most terms that a character (its dimension bounds its term count) or an

@@ -18,7 +18,8 @@ every exponent field stays clear, so total degrees stay below
 :class:`OverflowError` instead of wrapping into another monomial.
 Callers see exponent tuples: the constructor,
 :meth:`~_SparsePoly.sorted_terms` and ``terms``, a read-only view that
-packs a key on lookup and unpacks on iteration.  A coefficient read back
+packs a key on lookup and unpacks on iteration; its ``values()`` and
+``items()`` read the numerators without packing.  A coefficient read back
 is an ``int`` when ``den`` is 1 and a ``Fraction`` otherwise.  Only
 :mod:`solver` and :mod:`weyl` read packed keys, through ``num``,
 :func:`pack_monomial`, :func:`unpack_monomial` and ``_make``.

@@ -164,7 +164,7 @@ class HeightClassSystem:
                 free.remove(pivot)
                 row = block[pivot]
                 inv = pow(row[k], -1, p)
-                # earlier pivot columns are already zero in the pivot row
+                # earlier pivot columns are eliminated from the pivot row
                 tail = [c for c in range(k + 1, len(cols)) if row[c] % p]
                 tail_values = [row[c] * inv % p for c in tail]
                 targets, factors = [], []

@@ -288,9 +288,7 @@ def _blocks_keep_to_themselves(system, nvars):
         for col, pivot_row, tail, _, lower, _ in backward:
             assert weight[pivot_row] == d and set(tail) <= set(cols)
             assert all(weight[i] < d for i in lower)
-            assert len(lower) + sum(weight[i] == d for i in system.column_rows[col]) == len(
-                system.column_rows[col]
-            )
+            assert len(lower) == sum(weight[i] < d for i in system.column_rows[col])
     return targets_seen
 
 
