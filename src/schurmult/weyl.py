@@ -31,8 +31,12 @@ ALTERNANT_MAX_ROWS = 8
 def check_alternant_rows(n: int) -> None:
     """Refuse an alternant of more than :data:`ALTERNANT_MAX_ROWS` rows."""
     if n > ALTERNANT_MAX_ROWS:
+        try:
+            terms = f"{n}! = {factorial(n)}"
+        except ValueError:  # N! has more digits than int -> str converts (from N = 1559)
+            terms = f"{n}!"
         raise LimitError(
-            f"rank {n} needs an alternant of {n}! = {factorial(n)} terms; "
+            f"rank {n} needs an alternant of {terms} terms; "
             f"at most {ALTERNANT_MAX_ROWS} rows are supported"
         )
 

@@ -1,11 +1,12 @@
 """Shared builders and brute-force numeric oracles for the test suite."""
 
+import ast
 from fractions import Fraction
 from pathlib import Path
 
 from schurmult.lattice import Partition
 from schurmult.orbitchar import orbit_char_u, orbit_char_x
-from schurmult.polyengine import UPoly, XPoly, poly_det
+from schurmult.polyengine import UPoly, XPoly, poly_det, poly_dot
 from schurmult.schur import elementary_schur, generalized_schur
 from schurmult.weyl import FactorizationReport, alternant_matrix
 
@@ -17,6 +18,25 @@ def readme_block(heading, language):
     """The first fenced ``language`` block under a README ``## heading``."""
     section = README.read_text().split(f"\n## {heading}\n", 1)[1]
     return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def package_modules(tree: ast.Module) -> set[str]:
+    """The ``schurmult`` modules a syntax tree imports, by short name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = "schurmult" + (f".{node.module}" if node.module else "")
+            names = [base]
+            if base == "schurmult":
+                names = [f"schurmult.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("schurmult."))
+    return found
 
 
 def xp(nvars, terms, prefactor=1):
@@ -89,6 +109,31 @@ def multiplied_out_factorization(p, ctx):
             product = product * (u[i] - u[j])
     difference = product_one_normal_form(alternant_matrix(p, ctx)) - product_one_normal_form(product)
     return FactorizationReport(p, ctx, difference.is_zero, difference)
+
+
+def orbit_equation(table):
+    """The paper's equation for a multiplicity table, as its difference
+    sum(K_ν orbit_char_x(ν)) - S_λ; zero when the table is right."""
+    target = table.highest_weight
+    ctx = target.context
+    products = [(-1, generalized_schur(target.to_partition(), ctx), None)]
+    products += [(mult, orbit_char_x(member.to_partition(), ctx), None) for member, mult in table]
+    return poly_dot(XPoly, ctx.N - 1, products)
+
+
+def product_formula_dimension(w):
+    """Weyl's product formula over every positive root pair, equal entries included."""
+    n = w.context.N
+    vec = w.mu_vector()
+    shifted = [vec[i] + n - 1 - i for i in range(n)]
+    num = den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= shifted[i] - shifted[j]
+            den *= j - i
+    value, rem = divmod(num, den)
+    assert not rem, (num, den)
+    return value
 
 
 def evaluate(poly, point):

@@ -2,6 +2,7 @@ import ast
 import json
 import shlex
 import time
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,28 @@ def test_alternant_commands_refuse_rank_9_up_front(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert REFUSED_UP_FRONT[tuple(argv)] in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["character", "--rank", "1558", "--partition", "1"],
+        ["character", "--rank", "1559", "--partition", "1"],
+        ["character", "--rank", "3000", "--partition", "1"],
+        ["audit", "--ranks", "1559"],
+        ["audit", "--ranks", "3,3000"],
+    ],
+)
+def test_rank_past_the_int_string_limit_is_refused_without_traceback(argv, capsys):
+    # from N = 1559 on, N! has more digits than Python converts to a string
+    rank = int(argv[2].split(",")[-1])
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    terms = f"{rank}! = {factorial(rank)}" if rank < 1559 else f"{rank}!"
+    assert captured.err == (
+        f"error: rank {rank} needs an alternant of {terms} terms; at most 8 rows are supported\n"
+    )
 
 
 def test_audit_builds_no_factorial_polynomial(monkeypatch):

@@ -23,7 +23,7 @@ from schurmult.oracle import (
 from schurmult.orbitchar import orbit_char_u
 from schurmult.solver import dimension
 
-from helpers import kostka_backtrack
+from helpers import kostka_backtrack, package_modules
 
 A2 = AlgebraContext(3)
 A5 = AlgebraContext(6)
@@ -179,27 +179,8 @@ def test_oracles_agree_with_each_other():
 ORACLE = Path(__file__).resolve().parent.parent / "src" / "schurmult" / "oracle.py"
 
 
-def _package_modules(tree: ast.Module) -> set[str]:
-    """The ``schurmult`` modules a syntax tree imports, by short name."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module
-            if node.level:
-                base = "schurmult" + (f".{node.module}" if node.module else "")
-            names = [base]
-            if base == "schurmult":
-                names = [f"schurmult.{alias.name}" for alias in node.names]
-        else:
-            continue
-        found.update(name.split(".")[1] for name in names if name.startswith("schurmult."))
-    return found
-
-
 def test_oracle_imports_nothing_from_the_schur_pipeline():
-    modules = _package_modules(ast.parse(ORACLE.read_text(), filename=str(ORACLE)))
+    modules = package_modules(ast.parse(ORACLE.read_text(), filename=str(ORACLE)))
     assert modules <= {"lattice", "polyengine"}
     assert not modules & {"orbitchar", "schur", "solver", "weyl"}
 
@@ -212,4 +193,4 @@ def test_pipeline_import_is_reported():
         "from schurmult.orbitchar import orbit_char_x\n"
         "from __future__ import annotations\n"
     )
-    assert _package_modules(tree) == {"solver", "weyl", "schur", "orbitchar"}
+    assert package_modules(tree) == {"solver", "weyl", "schur", "orbitchar"}

@@ -1,3 +1,4 @@
+import ast
 import copy
 import random
 import re
@@ -6,12 +7,13 @@ import threading
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurmult import orbitchar, solver
+from schurmult import schur, solver
 from schurmult.lattice import (
     AlgebraContext,
     DominantWeight,
@@ -24,8 +26,8 @@ from schurmult.lattice import (
     sub_Q_lambda1,
 )
 from schurmult.oracle import freudenthal, inflated_exponents, kostka_multiplicity
-from schurmult.orbitchar import orbit_char_x
-from schurmult.polyengine import XPoly, unpack_monomial
+from schurmult.orbitchar import orbit_char_u, orbit_char_x
+from schurmult.polyengine import UPoly, XPoly, unpack_monomial
 from schurmult.schur import generalized_schur
 from schurmult.solver import (
     SYSTEM_CACHE_SIZE,
@@ -35,6 +37,13 @@ from schurmult.solver import (
     dimension,
     height_class_system,
     solve_multiplicities,
+)
+
+from helpers import (
+    orbit_equation,
+    package_modules,
+    product_formula_dimension,
+    product_one_normal_form,
 )
 
 A5 = AlgebraContext(6)
@@ -132,100 +141,119 @@ def test_dimension_examples():
     assert dimension(DominantWeight((0,) * 5, A5)) == 1
 
 
-# -- exact linear solving ------------------------------------------------------
+def test_dimension_agrees_with_the_full_product_formula():
+    for n in range(2, 9):
+        ctx = AlgebraContext(n)
+        for q in range(10):
+            for parts in partitions_of(q, n - 1):
+                w = partition_to_dominant(Partition(parts), ctx)
+                assert dimension(w) == product_formula_dimension(w), w
 
 
-def _cols(*column_dicts):
-    return [XPoly(1, {(k,): Fraction(v) for k, v in d.items()}) for d in column_dicts]
+def test_dimension_at_high_rank_takes_only_the_unequal_pairs():
+    # the hook-content formula: (1) has dimension N, and (3,2,1) has
+    # contents 0, 1, 2, -1, 0, -2 and hook lengths 5, 3, 1, 3, 1, 1
+    start = time.perf_counter()
+    for n in (400, 800):
+        ctx = AlgebraContext(n)
+        assert dimension(partition_to_dominant(Partition((1,)), ctx)) == n
+        w = partition_to_dominant(Partition((3, 2, 1)), ctx)
+        assert dimension(w) == n * (n + 1) * (n + 2) * (n - 1) * n * (n - 2) // 45
+    assert time.perf_counter() - start < 1.0
 
 
-def _system(columns):
-    return HeightClassSystem(range(len(columns)), columns)
+# -- the monomial -> orbit matrix ------------------------------------------------
 
 
-def _solve(columns, rhs):
-    return _system(columns).solve(rhs)
+def test_power_sum_times_orbit_sum_is_counted():
+    # p_r m_mu, multiplied out in u and reduced by e_N = 1, against the pairs
+    for n in range(2, 6):
+        ctx = AlgebraContext(n)
+        for r in range(1, 5):
+            power_sum = orbit_char_u(Partition((r,)), ctx)
+            for size in range(7):
+                for mu in partitions_of(size, n - 1):
+                    product = power_sum * orbit_char_u(Partition(mu), ctx)
+                    pairs = solver._times_power_sum(r, mu, n)
+                    assert len({nu for nu, _ in pairs}) == len(pairs)
+                    counted = sum(
+                        (c * orbit_char_u(Partition(nu), ctx) for nu, c in pairs),
+                        UPoly.zero(n),
+                    )
+                    assert product_one_normal_form(product) == counted, (n, r, mu)
+
+
+@pytest.mark.parametrize("n, q", [(6, 7), (8, 10), (8, 16), (12, 9), (3, 20), (2, 301)])
+def test_class_matrix_inverts_the_orbit_columns(n, q):
+    # the rows are the monomials of the orbit columns, and each column
+    # solves to its own unit vector
+    ctx = AlgebraContext(n)
+    system = height_class_system(n, q)
+    columns = [orbit_char_x(member.to_partition(), ctx) for member in system.members]
+    assert set(system.rows) == set().union(*(column.num for column in columns))
+    assert len(system.rows) == len(system.members)
+    for j, column in enumerate(columns):
+        unit = [0] * len(columns)
+        unit[j] = 1
+        assert system.solve(column) == unit, system.members[j]
+
+
+def _flagship_rhs():
+    return generalized_schur(FLAGSHIP.to_partition(), A5)
 
 
 def test_solve_exact_unique_system():
-    # rows are coefficients of 1 and x: x + 2 = col0 * (x + 1) + col1 * 1
-    columns = _cols({0: 1, 1: 1}, {0: 1})
-    rhs = XPoly(1, {(0,): Fraction(2), (1,): Fraction(1)})
-    assert _solve(columns, rhs) == [Fraction(1), Fraction(1)]
+    assert height_class_system(6, 7).solve(_flagship_rhs()) == FLAGSHIP_MULTIPLICITIES
 
 
 def test_solve_exact_detects_inconsistency():
-    columns = _cols({0: 1, 1: 1})
-    rhs = XPoly(1, {(0,): Fraction(1), (1,): Fraction(2)})
-    with pytest.raises(SolverError, match="inconsistent"):
-        _solve(columns, rhs)
-
-
-def test_solve_exact_detects_singularity():
-    columns = _cols({0: 1}, {0: 2})
-    rhs = XPoly(1, {(0,): Fraction(3)})
-    with pytest.raises(SolverError, match="singular"):
-        _solve(columns, rhs)
+    # x2 has x-weight 2, and the rows of height 7 in A5 have weights 7 and 1
+    rhs = _flagship_rhs() + XPoly.variable(5, 1)
+    message = "system is inconsistent: rhs monomial (0, 1, 0, 0, 0) lies outside the class rows"
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        height_class_system(6, 7).solve(rhs)
 
 
 def test_solve_exact_fractional_solution_rejected_downstream():
-    # the solution 1/2 lifts to no integer that passes the certificate
-    columns = _cols({0: 2})
-    rhs = XPoly(1, {(0,): Fraction(1)})
-    with pytest.raises(SolverError, match="not integral"):
-        _solve(columns, rhs)
+    # the second member, the highest weight itself, solves to 1/2
+    rhs = _flagship_rhs() * Fraction(1, 2)
+    message = "system is not integral: the multiplicity of 5 w1 + w2 solves to 1/2"
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        height_class_system(6, 7).solve(rhs)
 
 
 def test_solve_rejects_rhs_monomial_outside_column_support():
-    columns = _cols({0: 1})
-    rhs = XPoly(1, {(1,): Fraction(1)})
-    with pytest.raises(SolverError, match="inconsistent"):
-        _solve(columns, rhs)
+    # x1^13 has the x-weight of the class modulo 6 but lies above its height
+    rhs = _flagship_rhs() + XPoly(5, {(13, 0, 0, 0, 0): 1})
+    message = "system is inconsistent: rhs monomial (13, 0, 0, 0, 0) lies outside the class rows"
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        height_class_system(6, 7).solve(rhs)
 
 
 def test_solve_fractional_rhs_takes_common_denominator():
-    # 9/2 x + 5 = col0 * (x/2 + 1/3) + col1 * 1 gives col0 = 9, col1 = 2
-    columns = _cols({0: Fraction(1, 3), 1: Fraction(1, 2)}, {0: 1})
-    rhs = XPoly(1, {(0,): Fraction(5, 6), (1,): Fraction(3, 4)})
-    system = _system(columns)
-    assert system.solve(rhs * 6) == [9, 2]
-    # the shared system serves the next right-hand side unchanged
-    assert system.solve(rhs * 12) == [18, 4]
-    # the solution (3/2, 1/3) of rhs itself is not integral
+    # the flagship Schur function has denominator 15; the shared system
+    # serves every scaled copy of it unchanged
+    rhs = _flagship_rhs()
+    assert rhs.den == 15
+    system = height_class_system(6, 7)
+    assert system.solve(rhs * 6) == [6 * m for m in FLAGSHIP_MULTIPLICITIES]
+    assert system.solve(rhs * 5) == [0, 5, 5, 5, 10, 10, 10, 10, 15, 15, 15, 20, 20, 25]
     with pytest.raises(SolverError, match="not integral"):
-        system.solve(rhs)
+        system.solve(rhs * Fraction(1, 3))
+    assert system.solve(rhs) == FLAGSHIP_MULTIPLICITIES
 
 
-def test_weight_block_with_more_columns_than_rows_is_singular():
-    # the whole system [[1, 2], [1, 0]] is invertible, but both columns
-    # have top weight 1 and the rows of weight 1 are one: the block solve
-    # needs every diagonal block to have full column rank
-    system = _system(_cols({1: 1, 0: 1}, {1: 2}))
-    assert system.factored is None
-    with pytest.raises(SolverError, match="singular"):
-        system.solve(XPoly(1, {(1,): Fraction(3), (0,): Fraction(1)}))
+def test_solver_imports_nothing_from_orbitchar():
+    path = Path(solver.__file__)
+    modules = package_modules(ast.parse(path.read_text(), filename=str(path)))
+    assert "orbitchar" not in modules
+    assert modules <= {"lattice", "polyengine", "schur"}
 
 
-def test_wrapped_lift_is_answered_by_next_prime(monkeypatch):
-    # modulo 5 the lone unknown is 6 = 1, which the exact certificate
-    # refuses; modulo 13 it lifts to 6
-    monkeypatch.setattr(solver, "PRIMES", (5, 13))
-    system = _system(_cols({0: 1}))
-    assert system.factored is not None
-    assert system.solve(XPoly(1, {(0,): Fraction(6)})) == [6]
-
-
-def test_solve_fails_when_every_prime_fails(monkeypatch):
-    monkeypatch.setattr(solver, "PRIMES", (5,))
-    system = _system(_cols({0: 1}))
-    with pytest.raises(SolverError, match="inconsistent or not integral"):
-        system.solve(XPoly(1, {(0,): Fraction(6)}))
-
-
-# -- weight blocks of the class systems ------------------------------------------
+# -- the orbit columns and the paper's equation ----------------------------------
 
 # the (N, lowest height, highest height) strata of the mult-cold benchmark
-# workload (perfbench/workloads.py), and A7 at height 16
+# workload (perfbench/workloads.py)
 COLD_STRATA = (
     (5, 9, 12),
     (6, 8, 11),
@@ -237,7 +265,6 @@ COLD_STRATA = (
     (12, 6, 10),
     (2, 100, 300),
     (3, 20, 30),
-    (8, 16, 16),
 )
 
 
@@ -246,7 +273,7 @@ def _x_weight(exps):
 
 
 def test_class_columns_form_square_weight_blocks():
-    for n, low, high in COLD_STRATA:
+    for n, low, high in COLD_STRATA + ((8, 16, 16),):
         ctx = AlgebraContext(n)
         weight = {}  # packed monomial -> x-weight
         checked = set()  # member partitions whose column is checked
@@ -267,37 +294,14 @@ def test_class_columns_form_square_weight_blocks():
             assert rows_at == Counter(partition.weight for partition in partitions), (n, q)
 
 
-def _row_weights(system, nvars):
-    weights = [0] * len(system.row_of)
-    for mono, i in system.row_of.items():
-        weights[i] = _x_weight(unpack_monomial(mono, nvars))
-    return weights
-
-
-def _blocks_keep_to_themselves(system, nvars):
-    """Assert that every step stays in its block and every column entry
-    left out of the block lies at a lower weight; return the target count."""
-    weight = _row_weights(system, nvars)
-    targets_seen = 0
-    for (forward, backward), (rows, cols) in zip(system.factored, system.blocks):
-        assert len(rows) == len(cols)
-        d = weight[rows.start]
-        for pivot_row, _, targets, _ in forward:
-            assert {weight[i] for i in (pivot_row, *targets)} == {d}
-            targets_seen += len(targets)
-        for col, pivot_row, tail, _, lower, _ in backward:
-            assert weight[pivot_row] == d and set(tail) <= set(cols)
-            assert all(weight[i] < d for i in lower)
-            assert len(lower) == sum(weight[i] < d for i in system.column_rows[col])
-    return targets_seen
-
-
-def test_a1_class_records_no_elimination_target(fresh_systems):
-    assert _blocks_keep_to_themselves(height_class_system(2, 300), 1) == 0
-
-
-def test_a2_class_records_no_target_outside_its_block(fresh_systems):
-    assert _blocks_keep_to_themselves(height_class_system(3, 30), 2) > 0
+def test_tables_satisfy_the_orbit_equation():
+    # every highest weight of the A7 h10 class and of the classes at both
+    # ends of each stratum; the larger A7 h16 class is left to the inverse
+    # test, whose unit vectors give the equation for every right-hand side
+    classes = {(8, 10)} | {(n, q) for n, low, high in COLD_STRATA for q in (low, high)}
+    for n, q in sorted(classes):
+        for w in _highest_weights(n, q):
+            assert orbit_equation(solve_multiplicities(w)).is_zero, w
 
 
 # -- shared height-class systems -------------------------------------------------
@@ -358,8 +362,8 @@ def test_concurrent_solves_share_one_system(monkeypatch):
     serial = {w: solve_multiplicities(w) for w in targets}
     built = copy.deepcopy(vars(height_class_system(6, 7)))
     height_class_system.cache_clear()
-    # the threads also race on first misses of the orbit-column recursion
-    monkeypatch.setattr(orbitchar, "_orbit_x_cache", {})
+    # the threads also race on first misses of the generalized Schur functions
+    monkeypatch.setattr(schur, "_generalized_cache", {})
 
     results = [{} for _ in range(4)]
     errors = []
@@ -415,27 +419,6 @@ def fresh_systems():
     height_class_system.cache_clear()
 
 
-@pytest.mark.parametrize("prime", [5, 7])
-def test_tiny_modulus_takes_fallbacks_and_keeps_tables(monkeypatch, fresh_systems, prime):
-    # pivots vanish and lifts wrap modulo a tiny first prime, so solves of
-    # a system without a factorization modulo it and uncertified lifts
-    # both fall back to the next prime
-    monkeypatch.setattr(solver, "PRIMES", (prime,) + solver.PRIMES)
-    for n, q in [(6, 7), (5, 6)]:
-        for w in _highest_weights(n, q):
-            _assert_matches_oracles(solve_multiplicities(w), q)
-    assert (height_class_system(6, 7).factored is None) == (prime == 5)
-    assert height_class_system(5, 6).factored is not None
-
-
-def test_full_modulus_certifies_without_fallback(monkeypatch, fresh_systems):
-    # with the first prime alone, any solve it cannot certify would raise
-    monkeypatch.setattr(solver, "PRIMES", solver.PRIMES[:1])
-    for n, q in [(6, 7), (5, 6), (3, 20)]:
-        for w in _highest_weights(n, q):
-            _assert_matches_oracles(solve_multiplicities(w), q)
-
-
 def _doctor_solutions(monkeypatch, member, mult):
     """Make every class solve return ``mult`` as the multiplicity of ``member``."""
     solve = HeightClassSystem.solve
@@ -478,7 +461,7 @@ def test_dimension_other_than_the_product_formula_is_refused(monkeypatch):
 
 
 def test_class_above_the_member_bound_is_refused_up_front():
-    # building the A11 height-25 class system alone would run for minutes
+    # the A11 height-25 class lies above the bound of 1,000 members
     w = DominantWeight((1, 1) + (0,) * 8 + (2,), AlgebraContext(12))
     message = "height class 25 of A11 has 1686 members; at most 1000 are supported"
     start = time.perf_counter()
