@@ -16,8 +16,8 @@ from typing import Iterator
 
 # Largest height class that the multiplicity pipeline takes on.  On a
 # 2-core machine `mult` of A11 at height 20 (582 members) takes about 0.4 s
-# and 36 MB, and of A1 at height 1998 (1,000 members, at the bound) about
-# 2.5 s and 330 MB, most of it the chain of p_1 powers; solving A11 at
+# and 36 MB, and of A1 at height 1998 (1,000 members, at the bound)
+# 2.4-3.3 s and 330 MB, most of it the chain of p_1 powers; solving A11 at
 # height 25 (1,686 members) in-process took 1.1 s and 180 MB.
 MAX_CLASS_MEMBERS = 1000
 
