@@ -22,12 +22,7 @@ from .orbitchar import orbit_char_u, orbit_char_x
 from .polyengine import UPoly, XPoly, poly_det
 from .schur import elementary_schur, generalized_schur
 from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
-from .weyl import (
-    FactorizationReport,
-    alternant_matrix,
-    verify_factorization,
-    weyl_character_u,
-)
+from .weyl import FactorizationReport, verify_factorization, weyl_character_u
 
 __all__ = [
     "AlgebraContext",
@@ -40,7 +35,6 @@ __all__ = [
     "UPoly",
     "Weight",
     "XPoly",
-    "alternant_matrix",
     "dimension",
     "elementary_schur",
     "generalized_schur",

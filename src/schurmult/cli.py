@@ -9,8 +9,9 @@ byte-identical across runs.
 The CLI parses a query, calls the library and renders its result; the
 size bounds live in the library, which raises ``LimitError`` before any
 work.  Exit codes: 0 success, 1 usage error or ``LimitError``, 2 audit
-mismatch, 3 internal inconsistency (a singular, inconsistent or non-integral
-linear system, or a character whose coefficients do not sum to its dimension).
+mismatch, 3 internal inconsistency (a generalized Schur function with a
+monomial outside its class matrix's rows or with a multiplicity that is not
+an integer, or a character whose coefficients do not sum to its dimension).
 """
 
 from __future__ import annotations
@@ -23,16 +24,18 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
+from math import comb
 
 from .lattice import (
-    AlgebraContext, DominantWeight, LimitError, Partition, Weight, check_class_size, height,
-    orbit_size, orbit_weights, partition_to_dominant, partitions_of, sub_Q_lambda1,
+    AlgebraContext, DominantWeight, LimitError, Partition, Weight, check_class_size,
+    check_listed_exponents, height, orbit_size, orbit_weights, partition_to_dominant,
+    partitions_of, sub_Q_lambda1,
 )
 from .oracle import freudenthal, inflated_exponents, kostka_multiplicity
 from .polyengine import XPoly
 from .schur import generalized_schur
 from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
-from .weyl import alternant_multiplicities, check_alternant_rows, weyl_character_u
+from .weyl import alternant_multiplicities, weyl_character_u
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -221,8 +224,6 @@ def _run_orbit(q: Query) -> str:
 
 def _run_character(q: Query) -> str:
     ctx = _context(q)
-    # the row bound depends on the rank alone, so it is refused before the weight is read
-    check_alternant_rows(ctx.N)
     target = _target_weight(q, ctx)
     ch = weyl_character_u(target)
     # the character's coefficients sum to the dimension; weyl_character_u checks it
@@ -269,14 +270,17 @@ def _run_audit(q: Query) -> str:
     for n in ranks:
         if n < 2:
             raise UsageError("audit ranks must be at least 2")
-        check_alternant_rows(n)
     if q.max_height < 1:
         raise UsageError("audit max height must be at least 1")
     contexts = [AlgebraContext(n) for n in ranks]
-    # a box added to the first row embeds each class in the next, so the
-    # top height's class is the largest of the sweep
+    # a box added to the first row embeds each class in the next and keeps
+    # every orbit as large, so the top height's class is the largest of the
+    # sweep and lists the most weights: its orbits are the exponent vectors
+    # of sum max_height, C(max_height + N - 1, N - 1) of them
     for ctx in contexts:
         check_class_size(q.max_height, ctx)
+        weights = comb(q.max_height + ctx.N - 1, ctx.N - 1)
+        check_listed_exponents(f"height class {q.max_height} of {ctx}", weights, ctx.N)
     cases = [
         partition_to_dominant(Partition(parts), ctx)
         for ctx in contexts

@@ -28,6 +28,17 @@ MAX_CLASS_MEMBERS = 1000
 # takes 2.1 s and 130 MB as text, 5.4 s and 400 MB as JSON.
 MAX_OUTPUT_TERMS = 500_000
 
+# Most exponents, weights times N, that a listing of weights may write:
+# at high rank each listed weight costs O(N) to pack, permute and
+# straighten.  On a 2-core machine (Python 3.11.7) `character` of (2,1) at
+# rank 100 (333,300 weights, 171,600 terms) took 9.1 s and 224 MB, `audit`
+# of rank 100 at height 3 13.6 s and at height 4 more than 45 s, and the
+# orbit of 1,1 at rank 1000 (499,500 weights) more than 45 s; `audit` of
+# rank 100 at height 2 takes 0.49 s and of rank 9 at height 4 0.19 s.  At
+# 8 * MAX_OUTPUT_TERMS the term bound implies this one up to N = 8, and
+# the A8 orbit of 1,...,1 (3,265,920 exponents) still runs.
+MAX_OUTPUT_EXPONENTS = 4_000_000
+
 
 class LimitError(ValueError):
     """A valid input refused before any work because it exceeds a size bound."""
@@ -262,14 +273,26 @@ def distinct_permutations(items) -> Iterator[tuple[int, ...]]:
         seq[i + 1 :] = reversed(seq[i + 1 :])
 
 
+def check_listed_exponents(subject: str, count: int, n: int) -> None:
+    """Refuse a listing of ``count`` weights of ``n`` exponents each above
+    :data:`MAX_OUTPUT_EXPONENTS` exponents in all."""
+    if count * n > MAX_OUTPUT_EXPONENTS:
+        raise LimitError(
+            f"{subject} lists {count} weights of {n} exponents, {count * n} in all; "
+            f"at most {MAX_OUTPUT_EXPONENTS} are supported"
+        )
+
+
 def orbit_weights(w: DominantWeight) -> list[Weight]:
     """Every weight of the Weyl orbit, each exactly once; an orbit above
-    :data:`MAX_OUTPUT_TERMS` raises :class:`LimitError`."""
+    :data:`MAX_OUTPUT_TERMS` weights or :data:`MAX_OUTPUT_EXPONENTS`
+    exponents raises :class:`LimitError`."""
     size = orbit_size(w)
     if size > MAX_OUTPUT_TERMS:
         raise LimitError(
             f"the orbit of {w} has {size} weights; at most {MAX_OUTPUT_TERMS} are supported"
         )
+    check_listed_exponents(f"the orbit of {w}", size, w.context.N)
     return [Weight(vec, w.context) for vec in distinct_permutations(w.mu_vector())]
 
 

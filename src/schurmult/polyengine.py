@@ -214,15 +214,11 @@ class _SparsePoly:
         """The polynomial consisting of the single variable at ``index`` (0-based)."""
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
+        # total degree 1 on top, and a 1 in the variable's field
+        key = 1 << FIELD_BITS * nvars | 1 << FIELD_BITS * (nvars - 1 - index)
+        return cls._make(nvars, {key: 1})
 
     # -- queries -------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __bool__(self) -> bool:
         return bool(self.num)

@@ -4,41 +4,24 @@ The Weyl character formula a_(λ+δ) = s_λ a_δ, δ = (N-1, ..., 0), is read
 without division, as coefficients of alternants (Macdonald, *Symmetric
 Functions and Hall Polynomials*, I §3): for a symmetric S = sum(s_α u^α),
 S a_δ = sum(s_α a_(α+δ)), and a_(α+δ) straightens to 0 or ±a_(μ+δ) modulo
-the product constraint.  The character and both audits build no N! terms;
-:func:`alternant_matrix` expands an alternant only to show a mismatch.
+the product constraint.  Nothing here builds an alternant of N! terms:
+the character, both audits and a factorization mismatch all stay in the
+basis of alternants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
 
 from .lattice import (
     MAX_OUTPUT_TERMS, AlgebraContext, DominantWeight, LimitError, Partition,
-    distinct_permutations, height, partitions_of,
+    check_listed_exponents, distinct_permutations, height, partitions_of,
 )
 from .orbitchar import orbit_char_u
-from .polyengine import DEGREE_LIMIT, UPoly, pack_monomial, poly_dot, unpack_monomial
+from .polyengine import DEGREE_LIMIT, UPoly, pack_monomial, unpack_monomial
 from .schur import generalized_schur
 from .solver import SolverError, dimension
-
-# The alternant has N! terms; 8 rows is 40320 of them.
-ALTERNANT_MAX_ROWS = 8
-
-
-def check_alternant_rows(n: int) -> None:
-    """Refuse an alternant of more than :data:`ALTERNANT_MAX_ROWS` rows."""
-    if n > ALTERNANT_MAX_ROWS:
-        try:
-            terms = f"{n}! = {factorial(n)}"
-        except ValueError:  # N! has more digits than int -> str converts (from N = 1559)
-            terms = f"{n}!"
-        raise LimitError(
-            f"rank {n} needs an alternant of {terms} terms; "
-            f"at most {ALTERNANT_MAX_ROWS} rows are supported"
-        )
 
 
 def _sign(exps) -> int:
@@ -65,32 +48,18 @@ def _straighten(terms, out: dict) -> dict:
     return out
 
 
-def alternant_matrix(p: Partition, ctx: AlgebraContext) -> UPoly:
-    """Alternant of the shifted weight as the signed sum over permutations.
-
-    The term for a permutation of the shifted exponents is that exponent
-    tuple with the permutation's sign.  The empty partition gives the
-    Vandermonde determinant.  Factorial cost, so refused above
-    ``ALTERNANT_MAX_ROWS`` rows.
-    """
-    n = ctx.N
-    check_alternant_rows(n)
-    shifted = [e + n - 1 - j for j, e in enumerate(p.padded(n))]
-    return UPoly._make(n, {pack_monomial(key, n): _sign(key) for key in permutations(shifted)})
-
-
 def weyl_character_u(w: DominantWeight) -> UPoly:
     """Irreducible character: each μ of :func:`alternant_multiplicities`, its
     full columns restored ((height(w) - |μ|) / N in every entry), with its
     multiplicity at every distinct permutation.
 
-    Raises :class:`LimitError` before any work above ``ALTERNANT_MAX_ROWS``
-    rows, at an alternant degree of ``DEGREE_LIMIT`` or above a dimension
-    (a bound on the term count) of ``MAX_OUTPUT_TERMS``, and
-    :class:`SolverError` when the coefficients do not sum to the dimension.
+    Raises :class:`LimitError` before any work at an alternant degree of
+    ``DEGREE_LIMIT``, above a dimension (a bound on the term count) of
+    ``MAX_OUTPUT_TERMS``, or when that many weights of N exponents exceed
+    ``MAX_OUTPUT_EXPONENTS``; raises :class:`SolverError` when the
+    coefficients do not sum to the dimension.
     """
     n = w.context.N
-    check_alternant_rows(n)
     total = height(w)
     degree = total + n * (n - 1) // 2
     if degree >= DEGREE_LIMIT:
@@ -103,6 +72,7 @@ def weyl_character_u(w: DominantWeight) -> UPoly:
         raise LimitError(
             f"the character of {w} has dimension {size}; at most {MAX_OUTPUT_TERMS} is supported"
         )
+    check_listed_exponents(f"the character of {w}", size, n)
     terms = {}
     for mu, k in alternant_multiplicities(w).items():
         columns = (total - sum(mu)) // n
@@ -141,15 +111,24 @@ def alternant_multiplicities(w: DominantWeight) -> dict[tuple[int, ...], int]:
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Outcome of one alternant-factorization audit."""
+    """Outcome of one alternant-factorization audit.
+
+    ``difference`` maps each partition μ to its nonzero coefficient of
+    a_(μ+δ) in a_(λ+δ) - S_λ a_δ, modulo the product constraint, in
+    descending lexicographic order of μ; it is empty when the audit passes.
+    """
 
     partition: Partition
     context: AlgebraContext
-    ok: bool
-    difference: UPoly
+    difference: dict[Partition, Fraction]
+
+    @property
+    def ok(self) -> bool:
+        return not self.difference
 
     def __str__(self) -> str:
-        status = "ok" if self.ok else f"MISMATCH: {self.difference}"
+        terms = " + ".join(f"{c} a[{mu}]" for mu, c in self.difference.items())
+        status = "ok" if self.ok else f"MISMATCH: {terms.replace('+ -', '- ')}"
         return f"{self.context} {self.partition}: {status}"
 
 
@@ -160,9 +139,8 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
     each x_i with the i-th power sum over i.  Degenerated Schur functions
     mix graded degrees, so the sides are compared modulo the product
     constraint, as coefficients of alternants.  A mismatch is reported as
-    data: the difference in the product-one normal form (each monomial
-    shifted down by its minimum exponent), expanded by
-    :func:`alternant_matrix`, which refuses more than ``ALTERNANT_MAX_ROWS``.
+    those coefficients, one per partition μ of a_(μ+δ) (rendered a[μ]), so
+    no alternant is expanded at any rank.
     """
     n = ctx.N
     power_sums = [orbit_char_u(Partition((k,)), ctx) * Fraction(1, k) for k in range(1, n)]
@@ -171,6 +149,6 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
     # makes the sum of s_α a_(α+δ) over its terms s_α u^α equal to S_λ(u) a_δ.
     terms = [(unpack_monomial(key, n), -c) for key, c in schur.num.items()]
     diff = _straighten([(p.padded(n), schur.den)] + terms, {})
-    wrong = [(Fraction(c, schur.den), Partition(mu[: mu.index(0)])) for mu, c in diff.items() if c]
-    difference = poly_dot(UPoly, n, [(c, alternant_matrix(q, ctx), None) for c, q in wrong])
-    return FactorizationReport(p, ctx, difference.is_zero, difference)
+    wrong = sorted(((mu, c) for mu, c in diff.items() if c), reverse=True)
+    difference = {Partition(mu[: mu.index(0)]): Fraction(c, schur.den) for mu, c in wrong}
+    return FactorizationReport(p, ctx, difference)

@@ -8,7 +8,6 @@ from schurmult.lattice import Partition
 from schurmult.orbitchar import orbit_char_u, orbit_char_x
 from schurmult.polyengine import UPoly, XPoly, poly_det, poly_dot
 from schurmult.schur import elementary_schur, generalized_schur
-from schurmult.weyl import FactorizationReport, alternant_matrix
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -98,7 +97,8 @@ def multiplied_out_factorization(p, ctx):
 
     The Schur function in u (x_k replaced by p_k / k) is multiplied by
     every factor u_i - u_j of the Vandermonde, and the alternant minus
-    that product is taken in the product-one normal form.
+    that product is returned in the product-one normal form; it is zero
+    exactly when the audit passes.
     """
     n = ctx.N
     power_sums = [orbit_char_u(Partition((k,)), ctx) * Fraction(1, k) for k in range(1, n)]
@@ -107,8 +107,16 @@ def multiplied_out_factorization(p, ctx):
     for i in range(n):
         for j in range(i + 1, n):
             product = product * (u[i] - u[j])
-    difference = product_one_normal_form(alternant_matrix(p, ctx)) - product_one_normal_form(product)
-    return FactorizationReport(p, ctx, difference.is_zero, difference)
+    alternant = monomial_alternant(p.parts, n)
+    return product_one_normal_form(alternant) - product_one_normal_form(product)
+
+
+def expanded_difference(report):
+    """A factorization report's coefficients of alternants expanded into u,
+    sum(c a_(μ+δ)), in the product-one normal form."""
+    n = report.context.N
+    products = [(c, monomial_alternant(mu.parts, n), None) for mu, c in report.difference.items()]
+    return product_one_normal_form(poly_dot(UPoly, n, products))
 
 
 def orbit_equation(table):

@@ -26,10 +26,10 @@ from schurmult.oracle import freudenthal, inflated_exponents, kostka, kostka_mul
 from schurmult.orbitchar import orbit_char_x
 from schurmult.schur import elementary_schur, generalized_schur
 from schurmult.solver import dimension, solve_multiplicities
-from schurmult.weyl import alternant_matrix, verify_factorization
+from schurmult.weyl import verify_factorization, weyl_character_u
 from schurmult.polyengine import UPoly
 
-from helpers import degenerate_x, evaluate, monomial_alternant, xp
+from helpers import degenerate_x, evaluate, monomial_alternant, product_one_normal_form, xp
 
 A5 = AlgebraContext(6)
 
@@ -339,18 +339,22 @@ def test_criterion_9_reduction_rules_and_determinant_identities():
 
 
 def test_criterion_10_alternant_cross_check():
-    with criterion(10, "signed permutation sum vs monomial determinant", 120.0):
+    with criterion(10, "character times Vandermonde vs monomial determinant", 120.0):
+        # the Weyl formula multiplied out, s_λ a_δ = a_(λ+δ), modulo the
+        # product constraint: full columns leave the character
         for n in (2, 3, 4, 5):
             ctx = AlgebraContext(n)
+            vandermonde = monomial_alternant((), n)
             for total in range(0, 6):
                 for parts in partitions_of(total, n):
-                    p = Partition(parts)
-                    assert alternant_matrix(p, ctx) == monomial_alternant(parts, n), (n, parts)
+                    character = weyl_character_u(partition_to_dominant(Partition(parts), ctx))
+                    assert product_one_normal_form(character * vandermonde) == (
+                        product_one_normal_form(monomial_alternant(parts, n))
+                    ), (n, parts)
         for n in range(2, 7):
-            ctx = AlgebraContext(n)
             u = [UPoly.variable(n, i) for i in range(n)]
             vandermonde = UPoly.one(n)
             for i in range(n):
                 for j in range(i + 1, n):
                     vandermonde = vandermonde * (u[i] - u[j])
-            assert alternant_matrix(Partition(()), ctx) == vandermonde
+            assert monomial_alternant((), n) == vandermonde

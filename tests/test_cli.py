@@ -2,7 +2,7 @@ import ast
 import json
 import shlex
 import time
-from math import factorial
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -163,8 +163,14 @@ def test_weight_must_be_nonnegative():
 
 # command lines refused before any work, with the reason each one names
 REFUSED_UP_FRONT = {
-    ("character", "--rank", "9", "--partition", "1"): "9! = 362880 terms",
-    ("audit", "--ranks", "3,9"): "9! = 362880 terms",
+    ("orbit", "--rank", "1000", "--partition", "1,1"): (
+        "the orbit of w2 lists 499500 weights of 1000 exponents, 499500000 in all; "
+        "at most 4000000 are supported"
+    ),
+    ("audit", "--ranks", "3,100", "--max-height", "3"): (
+        "height class 3 of A99 lists 171700 weights of 100 exponents, 17170000 in all; "
+        "at most 4000000 are supported"
+    ),
     ("audit", "--ranks", "3", "--max-height", "0"): "error: audit max height must be at least 1",
     ("audit", "--ranks", "3", "--max-height", "-2"): "error: audit max height must be at least 1",
     ("audit", "--format", "json"): "invalid choice",
@@ -181,6 +187,17 @@ REFUSED_UP_FRONT = {
     ("character", "--rank", "3", "--weight", "1000,0"): "has dimension 501501",
     ("audit", "--ranks", "3,8", "--max-height", "40"): "height class 40 of A7 has 9749 members",
     ("orbit", "--rank", "10", "--weight", "1,1,1,1,1,1,1,1,1"): "has 3628800 weights",
+    ("orbit", "--rank", "10", "--weight", "0,1,0,1,0,1,1,1,1"): "453600 weights of 10 exponents",
+    ("audit", "--ranks", "7", "--max-height", "24"): "593775 weights of 7 exponents, 4156425 in all",
+    ("audit", "--ranks", "8", "--max-height", "19"): "657800 weights of 8 exponents, 5262400 in all",
+    ("audit", "--ranks", "9", "--max-height", "15"): "490314 weights of 9 exponents, 4412826 in all",
+    ("audit", "--ranks", "50"): "height class 4 of A49 lists 292825 weights of 50 exponents",
+    ("character", "--rank", "100", "--partition", "2,1"): (
+        "the character of w1 + w2 lists 333300 weights of 100 exponents, 33330000 in all"
+    ),
+    ("character", "--rank", "257", "--partition", "1"): (
+        "total degree 32897, at or above the packed-monomial limit 32768"
+    ),
 }
 
 
@@ -207,20 +224,72 @@ def test_alternant_commands_refuse_rank_9_up_front(argv, capsys):
     ],
 )
 def test_rank_past_the_int_string_limit_is_refused_without_traceback(argv, capsys):
-    # from N = 1559 on, N! has more digits than Python converts to a string
+    # from N = 1559 on, N! has more digits than Python converts to a string;
+    # no message names N!, so none needs that conversion
     rank = int(argv[2].split(",")[-1])
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    terms = f"{rank}! = {factorial(rank)}" if rank < 1559 else f"{rank}!"
-    assert captured.err == (
-        f"error: rank {rank} needs an alternant of {terms} terms; at most 8 rows are supported\n"
-    )
+    if argv[0] == "character":
+        # the alternant of w1 has degree 1 + N(N-1)/2
+        expected = (
+            f"the alternant of w1 has total degree {1 + rank * (rank - 1) // 2}, "
+            "at or above the packed-monomial limit 32768"
+        )
+    else:
+        # the orbits of (4), (3,1), (2,2), (2,1,1) and (1,1,1,1)
+        weights = rank + rank * (rank - 1) + comb(rank, 2) + rank * comb(rank - 1, 2) + comb(rank, 4)
+        expected = (
+            f"height class 4 of A{rank - 1} lists {weights} weights of {rank} exponents, "
+            f"{weights * rank} in all; at most 4000000 are supported"
+        )
+    assert captured.err == f"error: {expected}\n"
+
+
+# (argv, exit status, seconds allowed) at ranks 2, 9, 100 and 2000, with
+# small weights and heights; both sides of the exponent bound at rank 100
+# (505,000 and 17,170,000 exponents for audit) and at its edge: the orbit of
+# w1 at rank 2000 writes exactly 4,000,000 exponents
+RANK_GATE = [
+    (["mult", "--rank", "2", "--partition", "3"], EXIT_OK, 1.0),
+    (["orbit", "--rank", "2", "--partition", "3"], EXIT_OK, 1.0),
+    (["character", "--rank", "2", "--partition", "3"], EXIT_OK, 1.0),
+    (["audit", "--ranks", "2", "--max-height", "4"], EXIT_OK, 1.0),
+    (["mult", "--rank", "9", "--partition", "2,1"], EXIT_OK, 1.0),
+    (["orbit", "--rank", "9", "--partition", "2,1"], EXIT_OK, 1.0),
+    (["character", "--rank", "9", "--partition", "2,1"], EXIT_OK, 1.0),
+    (["audit", "--ranks", "9", "--max-height", "4"], EXIT_OK, 1.0),
+    (["mult", "--rank", "100", "--partition", "2,1"], EXIT_OK, 1.0),
+    (["orbit", "--rank", "100", "--partition", "2,1"], EXIT_OK, 1.0),
+    (["character", "--rank", "100", "--partition", "1"], EXIT_OK, 1.0),
+    (["character", "--rank", "100", "--partition", "2,1"], EXIT_USAGE, 1.0),
+    (["audit", "--ranks", "100", "--max-height", "2"], EXIT_OK, 2.0),
+    (["audit", "--ranks", "100", "--max-height", "3"], EXIT_USAGE, 1.0),
+    (["orbit", "--rank", "1000", "--partition", "1,1"], EXIT_USAGE, 1.0),
+    (["mult", "--rank", "2000", "--partition", "1"], EXIT_OK, 1.5),
+    (["orbit", "--rank", "2000", "--partition", "1"], EXIT_OK, 3.0),
+    (["character", "--rank", "2000", "--partition", "1"], EXIT_USAGE, 1.0),
+    (["audit", "--ranks", "2000", "--max-height", "1"], EXIT_OK, 3.0),
+]
+
+
+def test_any_rank_finishes_or_is_refused_up_front(capsys):
+    for argv, status, budget in RANK_GATE:
+        start = time.perf_counter()
+        assert main(argv) == status, argv
+        assert time.perf_counter() - start < budget, argv
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err, argv
+        if status == EXIT_OK:
+            assert captured.out and captured.err == "", argv
+        else:
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
 
 
 def test_audit_builds_no_factorial_polynomial(monkeypatch):
-    # the alternant route solves in the basis of alternants; neither the
-    # N!-term alternant nor the character it divides down to is built
+    # the alternant route solves in the basis of alternants and builds no
+    # character
     query = Query("audit", ranks=(3, 4), max_height=4)
     status, out = run(query)
     assert status == EXIT_OK
@@ -230,7 +299,6 @@ def test_audit_builds_no_factorial_polynomial(monkeypatch):
         raise AssertionError("an N!-term polynomial was built")
 
     monkeypatch.setattr(cli, "weyl_character_u", refuse)
-    monkeypatch.setattr(weyl, "alternant_matrix", refuse)
     assert run(query) == (status, out)
 
 
@@ -269,20 +337,22 @@ def test_character_coefficient_sum_off_the_dimension_maps_to_exit_code(monkeypat
     assert captured.err.startswith("internal inconsistency: ")
 
 
-def test_character_builds_no_factorial_polynomial(monkeypatch):
+def test_character_builds_no_factorial_polynomial():
     # the character is read off the straightened alternants; at the
     # division route this case took 8 s on a 2-core machine
     query = Query("character", rank=8, partition=(5, 4, 2))
     expected = run(query)
     assert expected[0] == EXIT_OK
-
-    def refuse(*args):
-        raise AssertionError("an N!-term polynomial was built")
-
-    monkeypatch.setattr(weyl, "alternant_matrix", refuse)
     start = time.perf_counter()
     assert run(query) == expected
     assert time.perf_counter() - start < 2.0
+
+
+def test_no_module_expands_a_signed_permutation_sum():
+    # N!-term alternants are gone from the package: nothing imports permutations
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        imported = _names(ast.parse(path.read_text(), filename=str(path)))
+        assert "permutations" not in imported, path.name
 
 
 def test_repeated_mult_reads_orbit_sizes_off_the_table(monkeypatch, capsys):
@@ -317,7 +387,7 @@ def test_orbit_at_the_term_bound_is_not_refused(monkeypatch):
 
 # the bounds the library checks; the CLI only maps their LimitError to exit 1
 LIBRARY_BOUNDS = {
-    "MAX_CLASS_MEMBERS", "MAX_OUTPUT_TERMS", "ALTERNANT_MAX_ROWS", "DEGREE_LIMIT", "class_size"
+    "MAX_CLASS_MEMBERS", "MAX_OUTPUT_TERMS", "MAX_OUTPUT_EXPONENTS", "DEGREE_LIMIT", "class_size"
 }
 
 
@@ -342,10 +412,10 @@ def test_cli_names_no_library_bound():
 def test_bound_named_in_cli_is_reported():
     tree = ast.parse(
         "from .lattice import class_size as count\n"
-        "from . import weyl\n"
-        "print(weyl.ALTERNANT_MAX_ROWS, MAX_OUTPUT_TERMS, check_class_size)\n"
+        "from . import lattice\n"
+        "print(lattice.MAX_OUTPUT_EXPONENTS, MAX_OUTPUT_TERMS, check_class_size)\n"
     )
-    assert _names(tree) & LIBRARY_BOUNDS == {"class_size", "ALTERNANT_MAX_ROWS", "MAX_OUTPUT_TERMS"}
+    assert _names(tree) & LIBRARY_BOUNDS == {"class_size", "MAX_OUTPUT_EXPONENTS", "MAX_OUTPUT_TERMS"}
 
 
 def test_oracle_mismatch_detected_on_doctored_table():
