@@ -188,9 +188,9 @@ REFUSED_UP_FRONT = {
     ("audit", "--ranks", "3,8", "--max-height", "40"): "height class 40 of A7 has 9749 members",
     ("orbit", "--rank", "10", "--weight", "1,1,1,1,1,1,1,1,1"): "has 3628800 weights",
     ("orbit", "--rank", "10", "--weight", "0,1,0,1,0,1,1,1,1"): "453600 weights of 10 exponents",
-    ("audit", "--ranks", "7", "--max-height", "24"): "593775 weights of 7 exponents, 4156425 in all",
-    ("audit", "--ranks", "8", "--max-height", "19"): "657800 weights of 8 exponents, 5262400 in all",
-    ("audit", "--ranks", "9", "--max-height", "15"): "490314 weights of 9 exponents, 4412826 in all",
+    ("audit", "--ranks", "7", "--max-height", "24"): "593775 weights of 7 exponents, 4156425 in",
+    ("audit", "--ranks", "8", "--max-height", "19"): "657800 weights of 8 exponents, 5262400 in",
+    ("audit", "--ranks", "9", "--max-height", "15"): "490314 weights of 9 exponents, 4412826 in",
     ("audit", "--ranks", "50"): "height class 4 of A49 lists 292825 weights of 50 exponents",
     ("character", "--rank", "100", "--partition", "2,1"): (
         "the character of w1 + w2 lists 333300 weights of 100 exponents, 33330000 in all"
@@ -238,7 +238,8 @@ def test_rank_past_the_int_string_limit_is_refused_without_traceback(argv, capsy
         )
     else:
         # the orbits of (4), (3,1), (2,2), (2,1,1) and (1,1,1,1)
-        weights = rank + rank * (rank - 1) + comb(rank, 2) + rank * comb(rank - 1, 2) + comb(rank, 4)
+        weights = rank + rank * (rank - 1) + comb(rank, 2)
+        weights += rank * comb(rank - 1, 2) + comb(rank, 4)
         expected = (
             f"height class 4 of A{rank - 1} lists {weights} weights of {rank} exponents, "
             f"{weights * rank} in all; at most 4000000 are supported"
@@ -415,7 +416,8 @@ def test_bound_named_in_cli_is_reported():
         "from . import lattice\n"
         "print(lattice.MAX_OUTPUT_EXPONENTS, MAX_OUTPUT_TERMS, check_class_size)\n"
     )
-    assert _names(tree) & LIBRARY_BOUNDS == {"class_size", "MAX_OUTPUT_EXPONENTS", "MAX_OUTPUT_TERMS"}
+    named = {"class_size", "MAX_OUTPUT_EXPONENTS", "MAX_OUTPUT_TERMS"}
+    assert _names(tree) & LIBRARY_BOUNDS == named
 
 
 def test_oracle_mismatch_detected_on_doctored_table():
