@@ -27,11 +27,11 @@ from itertools import chain
 from math import comb
 
 from .lattice import (
-    AlgebraContext, DominantWeight, LimitError, Partition, Weight, check_class_size,
+    AlgebraContext, DominantWeight, LimitError, Partition, check_class_size,
     check_listed_exponents, height, orbit_size, orbit_weights, partition_to_dominant,
     partitions_of, sub_Q_lambda1,
 )
-from .oracle import freudenthal, inflated_exponents, kostka_multiplicity
+from .oracle import dominant_freudenthal, inflated_exponents, kostka_numbers
 from .polyengine import XPoly
 from .schur import generalized_schur
 from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
@@ -173,17 +173,17 @@ def _run_mult(q: Query) -> str:
 
 def _check_against_oracles(table: MultiplicityTable) -> None:
     target = table.highest_weight
-    ctx = target.context
-    fm = freudenthal(target)
-    for member, mult in table:
-        freud = fm.get(Weight(member.mu_vector(), ctx), 0)
-        tableau = kostka_multiplicity(target, member)
+    total = height(target)
+    fm = dominant_freudenthal(target)
+    contents = [inflated_exponents(member, total) for member, _ in table]
+    for (member, mult), tableau in zip(table, kostka_numbers(target.to_partition(), contents)):
+        freud = fm.get(member, 0)
         if mult != freud or mult != tableau:
             raise AuditMismatch(
                 f"multiplicity of {member} in {target}: solver={mult}, "
                 f"recursion={freud}, tableaux={tableau}"
             )
-    if table.dimension != sum(fm.values()):
+    if table.dimension != sum(mult * orbit_size(member) for member, mult in fm.items()):
         raise AuditMismatch(f"dimension mismatch for {target}")
 
 

@@ -49,12 +49,16 @@ def _dominated(v: tuple[int, ...], top: tuple[int, ...]) -> bool:
     return True
 
 
-def freudenthal(w: DominantWeight) -> WeightMultiplicityMap:
-    """Full weight-multiplicity map by the classical top-down recursion.
+def dominant_freudenthal(w: DominantWeight) -> dict[DominantWeight, int]:
+    """Nonzero multiplicities of the dominant weights of ``w``'s
+    representation by the classical top-down recursion, in the order the
+    recursion reaches them.
 
     Works in exponent coordinates where positive roots are differences of
-    coordinate vectors and all inner products reduce to integers.  Desk
-    scale only.
+    coordinate vectors and all inner products reduce to integers.  Every
+    weight of an orbit has its dominant member's multiplicity, so the
+    recursion looks its terms up by their sorted exponents and keeps only
+    the dominant weights; full columns are removed from the keys.
     """
     n = w.context.N
     top = w.mu_vector()
@@ -110,52 +114,82 @@ def freudenthal(w: DominantWeight) -> WeightMultiplicityMap:
             )
         table[v] = mult
 
-    out: WeightMultiplicityMap = {}
-    for v, mult in table.items():
-        for perm in distinct_permutations(v):
-            out[Weight(perm, w.context)] = mult
-    return out
+    ctx = w.context
+    return {
+        DominantWeight(tuple(v[i] - v[i + 1] for i in range(n - 1)), ctx): mult
+        for v, mult in table.items()
+    }
 
 
-def kostka(shape: Partition, content) -> int:
-    """Number of semistandard fillings of ``shape`` with the given content.
+def freudenthal(w: DominantWeight) -> WeightMultiplicityMap:
+    """Full weight-multiplicity map: :func:`dominant_freudenthal` with each
+    multiplicity at every weight of its orbit."""
+    return {
+        Weight(perm, w.context): mult
+        for member, mult in dominant_freudenthal(w).items()
+        for perm in distinct_permutations(member.mu_vector())
+    }
+
+
+def _inners(rows: tuple[int, ...], i: int, left: int):
+    """``rows[i:]`` less ``left`` cells, no two in a column: row i keeps
+    rows[i + 1] to rows[i] cells, so rows[i:] spare at most rows[i]."""
+    if left > (rows[i] if i < len(rows) else 0):
+        return
+    if i == len(rows):
+        yield ()
+        return
+    below = rows[i + 1] if i + 1 < len(rows) else 0
+    for kept in range(max(below, rows[i] - left), rows[i] + 1):
+        for rest in _inners(rows, i + 1, left - rows[i] + kept):
+            yield (kept,) + rest if kept else rest
+
+
+def kostka_numbers(shape: Partition, contents) -> list[int]:
+    """Number of semistandard fillings of ``shape`` for each content.
 
     Rows weakly increase, columns strictly increase, and entry ``i+1``
     appears exactly ``content[i]`` times.  The cells holding the largest
     entry form a horizontal strip, so the entries are peeled from the last
     to the first: a map from shapes to their number of fillings replaces
     each shape by the shapes left after removing such a strip (Macdonald,
-    *Symmetric Functions and Hall Polynomials*, ch. I section 5).
+    *Symmetric Functions and Hall Polynomials*, ch. I section 5).  The map
+    left after peeling depends only on the content's length and the
+    entries peeled, so the contents share it along a trie, one entry per
+    step, and contents with a common suffix peel it once.
     """
-    counts = list(content)
-    if any(c < 0 for c in counts):
-        raise ValueError(f"content must be nonnegative, got {content}")
-    if sum(counts) != shape.weight:
-        raise ValueError(f"content {content} does not fill shape {shape}")
+    all_counts = []
+    for content in contents:
+        counts = list(content)
+        if any(c < 0 for c in counts):
+            raise ValueError(f"content must be nonnegative, got {content}")
+        if sum(counts) != shape.weight:
+            raise ValueError(f"content {content} does not fill shape {shape}")
+        all_counts.append(counts)
+    # a trie node is the peeled map and its children by the next entry
+    roots: dict[int, tuple[dict, dict]] = {}
+    out = []
+    for counts in all_counts:
+        node = roots.setdefault(len(counts), ({tuple(shape.parts): 1}, {}))
+        for left in range(len(counts) - 1, -1, -1):
+            ways, children = node
+            node = children.get(counts[left])
+            if node is None:
+                peeled: dict[tuple[int, ...], int] = {}
+                for rows, n in ways.items():
+                    # entries 1..left fill at most ``left`` rows
+                    for inner in _inners(rows, 0, counts[left]):
+                        if len(inner) <= left:
+                            peeled[inner] = peeled.get(inner, 0) + n
+                node = children[counts[left]] = (peeled, {})
+        out.append(node[0].get((), 0))
+    return out
 
-    def inners(rows: tuple[int, ...], i: int, left: int):
-        # rows[i:] less ``left`` cells, no two in a column: row i keeps
-        # rows[i + 1] to rows[i] cells, so rows[i:] spare at most rows[i]
-        if left > (rows[i] if i < len(rows) else 0):
-            return
-        if i == len(rows):
-            yield ()
-            return
-        below = rows[i + 1] if i + 1 < len(rows) else 0
-        for kept in range(max(below, rows[i] - left), rows[i] + 1):
-            for rest in inners(rows, i + 1, left - rows[i] + kept):
-                yield (kept,) + rest if kept else rest
 
-    ways = {tuple(shape.parts): 1}
-    for left in range(len(counts) - 1, -1, -1):
-        peeled: dict[tuple[int, ...], int] = {}
-        for rows, n in ways.items():
-            # entries 1..left fill at most ``left`` rows
-            for inner in inners(rows, 0, counts[left]):
-                if len(inner) <= left:
-                    peeled[inner] = peeled.get(inner, 0) + n
-        ways = peeled
-    return ways.get((), 0)
+def kostka(shape: Partition, content) -> int:
+    """Number of semistandard fillings of ``shape`` with the given content;
+    see :func:`kostka_numbers`."""
+    return kostka_numbers(shape, [content])[0]
 
 
 def brute_orbit_char(w: DominantWeight) -> UPoly:

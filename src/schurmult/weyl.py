@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .lattice import (
     MAX_OUTPUT_TERMS, AlgebraContext, DominantWeight, LimitError, Partition,
@@ -22,6 +23,11 @@ from .orbitchar import orbit_char_u
 from .polyengine import DEGREE_LIMIT, UPoly, pack_monomial, unpack_monomial
 from .schur import generalized_schur
 from .solver import SolverError, dimension
+
+# Straightened orbits kept by :func:`_straightened_orbit`, one per canonical
+# exponent vector: every μ that one target reaches lies in its height
+# class, so a class at the bound lattice.MAX_CLASS_MEMBERS fits whole.
+ORBIT_CACHE_SIZE = 1024
 
 
 def _sign(exps) -> int:
@@ -105,8 +111,18 @@ def alternant_multiplicities(w: DominantWeight) -> dict[tuple[int, ...], int]:
         k = residual.get(mu, 0)
         if k:
             found[mu] = k
-            _straighten(((alpha, -k) for alpha in distinct_permutations(mu)), residual)
+            for nu, c in _straightened_orbit(mu):
+                residual[nu] = residual.get(nu, 0) - k * c
     return found
+
+
+@lru_cache(maxsize=ORBIT_CACHE_SIZE)
+def _straightened_orbit(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """m_μ a_δ, the sum of a_(α+δ) over the orbit of μ, straightened: its
+    (ν, coefficient of a_(ν+δ)) pairs.  It depends on μ alone, so every
+    target of a height class that reaches μ reuses it."""
+    straightened = _straighten(((alpha, 1) for alpha in distinct_permutations(mu)), {})
+    return tuple((nu, c) for nu, c in straightened.items() if c)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 import shlex
 import time
 from math import comb
@@ -311,6 +312,26 @@ def test_audit_of_rank_8_within_time_gate():
     assert time.perf_counter() - start < 5.0
 
 
+def test_audit_of_rank_9_to_height_10_within_time_gate(capsys):
+    # on a 2-core machine the expanded recursion and an unshared alternant
+    # route took 15.8 s, the dominant table and one straightened orbit per
+    # partition 0.6 s
+    weyl._straightened_orbit.cache_clear()
+    start = time.perf_counter()
+    assert main(["audit", "--ranks", "9", "--max-height", "10"]) == EXIT_OK
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out.endswith("audit: 135 passed, 0 failed\n")
+
+
+def test_oracle_check_of_a9_within_time_gate(capsys):
+    # expanding the recursion to all 1,445,970 weights took 7.1 s and 439 MB
+    # on a 2-core machine, the dominant table 0.1 s
+    start = time.perf_counter()
+    assert main(["mult", "--rank", "10", "--partition", "6,4,3,2,1", "--oracle"]) == EXIT_OK
+    assert time.perf_counter() - start < 2.0
+    assert json.loads(capsys.readouterr().out)["oracle_check"] == "ok"
+
+
 def test_internal_error_maps_to_exit_code(monkeypatch):
     def explode(_):
         raise SolverError("forced failure")
@@ -431,6 +452,41 @@ def test_oracle_mismatch_detected_on_doctored_table():
     )
     with pytest.raises(AuditMismatch):
         _check_against_oracles(doctored)
+
+
+def _doctor_dominant_table(monkeypatch, change):
+    original = cli.dominant_freudenthal
+
+    def doctored(w):
+        table = original(w)
+        change(table, w)
+        return table
+
+    monkeypatch.setattr(cli, "dominant_freudenthal", doctored)
+
+
+def test_oracle_mismatch_detected_on_a_doctored_recursion(monkeypatch, capsys):
+    def off_by_one(table, w):
+        table[DominantWeight((1, 2), w.context)] += 1
+
+    _doctor_dominant_table(monkeypatch, off_by_one)
+    target = DominantWeight((3, 1), AlgebraContext(3))
+    message = "multiplicity of w1 + 2 w2 in 3 w1 + w2: solver=1, recursion=2, tableaux=1"
+    with pytest.raises(AuditMismatch, match=f"^{re.escape(message)}$"):
+        _check_against_oracles(solve_multiplicities(target))
+    assert main(["mult", "--rank", "3", "--weight", "3,1", "--oracle"]) == EXIT_AUDIT
+    assert capsys.readouterr().out == ""
+
+
+def test_oracle_mismatch_detected_on_an_extra_dominant_weight(monkeypatch):
+    # a weight outside the height class matches no table member, so only the
+    # dimension, summed over orbits of the dominant table, can catch it
+    def extra(table, w):
+        table[DominantWeight((1, 0), w.context)] = 1
+
+    _doctor_dominant_table(monkeypatch, extra)
+    with pytest.raises(AuditMismatch, match=f"^{re.escape('dimension mismatch for w1 + w2')}$"):
+        _check_against_oracles(solve_multiplicities(DominantWeight((1, 1), AlgebraContext(3))))
 
 
 # -- argv parsing ----------------------------------------------------------------

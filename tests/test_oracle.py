@@ -10,18 +10,21 @@ from schurmult.lattice import (
     Partition,
     Weight,
     height,
+    orbit_size,
     partition_to_dominant,
     partitions_of,
 )
 from schurmult.oracle import (
     brute_orbit_char,
+    dominant_freudenthal,
     freudenthal,
     inflated_exponents,
     kostka,
     kostka_multiplicity,
+    kostka_numbers,
 )
 from schurmult.orbitchar import orbit_char_u
-from schurmult.solver import dimension
+from schurmult.solver import dimension, solve_multiplicities
 
 from helpers import kostka_backtrack, package_modules
 
@@ -46,12 +49,35 @@ def test_adjoint_multiplicities():
     assert all(fm[w] == 1 for w in nonzero)
 
 
+RECURSION_GRID = [(3, (2, 1)), (4, (2, 1, 1)), (3, (4,)), (5, (2, 2, 1))]
+
+
 def test_recursion_total_equals_dimension():
-    for n, parts in [(3, (2, 1)), (4, (2, 1, 1)), (3, (4,)), (5, (2, 2, 1))]:
+    for n, parts in RECURSION_GRID:
         ctx = AlgebraContext(n)
         target = partition_to_dominant(Partition(parts), ctx)
         fm = freudenthal(target)
         assert sum(fm.values()) == dimension(target), (n, parts)
+
+
+def test_full_map_expands_the_dominant_table():
+    for n, parts in RECURSION_GRID:
+        ctx = AlgebraContext(n)
+        target = partition_to_dominant(Partition(parts), ctx)
+        dominant = dominant_freudenthal(target)
+        full = freudenthal(target)
+        assert len(full) == sum(orbit_size(member) for member in dominant), (n, parts)
+        for weight, mult in full.items():
+            assert dominant[weight.dominant_representative()] == mult, (n, parts, weight)
+        assert sum(mult * orbit_size(m) for m, mult in dominant.items()) == dimension(target)
+
+
+def test_dominant_table_keys_are_the_solver_members():
+    # full columns are removed, so each key equals the table member it checks
+    for n, parts in RECURSION_GRID + [(6, (5, 1)), (10, (6, 4, 3, 2, 1))]:
+        target = partition_to_dominant(Partition(parts), AlgebraContext(n))
+        solved = {member: mult for member, mult in solve_multiplicities(target) if mult}
+        assert dominant_freudenthal(target) == solved, (n, parts)
 
 
 def test_recursion_is_orbit_invariant():
@@ -117,6 +143,35 @@ def test_tableau_count_by_strips_matches_backtracking():
                 )
                 pairs += 1
     assert pairs == 335
+
+
+def test_tableau_counts_of_many_contents_match_one_at_a_time():
+    # contents of one shape share the strips peeled off common suffixes, in
+    # whatever order they come and whatever their lengths
+    rng = random.Random(20261020)
+    for size in range(1, 10):
+        for parts in partitions_of(size, size):
+            shape = Partition(parts)
+            contents = []
+            for length in (size, size, rng.randint(1, size + 2)):
+                content = [0] * length
+                for _ in range(size):
+                    content[rng.randrange(length)] += 1
+                contents += [content, content[::-1], sorted(content)]
+            rng.shuffle(contents)
+            expected = [kostka_backtrack(shape, content) for content in contents]
+            assert kostka_numbers(shape, contents) == expected, (parts, contents)
+            assert [kostka(shape, content) for content in contents] == expected, parts
+    assert kostka_numbers(Partition((2, 1)), []) == []
+
+
+@pytest.mark.parametrize("content", [(1, 2), (3, -1)])
+def test_tableau_counts_refuse_a_bad_content_like_one_at_a_time(content):
+    with pytest.raises(ValueError) as single:
+        kostka(Partition((2,)), content)
+    with pytest.raises(ValueError) as shared:
+        kostka_numbers(Partition((2,)), [(1, 1, 0), content, (2,)])
+    assert str(shared.value) == str(single.value)
 
 
 def test_inflation_roundtrip():

@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -130,6 +132,65 @@ def test_alternant_multiplicities_match_the_solver(n, parts):
     target = partition_to_dominant(Partition(parts), AlgebraContext(n))
     solved = {member.mu_vector(): mult for member, mult in solve_multiplicities(target) if mult}
     assert alternant_multiplicities(target) == solved
+
+
+def _class_targets(n, q):
+    ctx = AlgebraContext(n)
+    return [partition_to_dominant(Partition(parts), ctx) for parts in partitions_of(q, n - 1)]
+
+
+def test_alternant_multiplicities_agree_with_the_orbit_memo_cold_and_warm():
+    # the straightened orbit of each μ is shared by the targets of a class,
+    # whichever target reaches it first
+    targets = _class_targets(5, 7)
+    weyl._straightened_orbit.cache_clear()
+    cold = {w: alternant_multiplicities(w) for w in targets}
+    assert weyl._straightened_orbit.cache_info().hits > 0
+    for w in targets:
+        alternant_multiplicities(w).clear()  # a caller's map is its own
+    warm = {w: alternant_multiplicities(w) for w in reversed(targets)}
+    weyl._straightened_orbit.cache_clear()
+    cold_reversed = {w: alternant_multiplicities(w) for w in reversed(targets)}
+    assert cold == warm == cold_reversed
+    for w, found in cold.items():
+        solved = {m.mu_vector(): k for m, k in solve_multiplicities(w) if k}
+        assert found == solved, w
+
+
+def test_orbit_memo_is_bounded():
+    assert weyl._straightened_orbit.cache_info().maxsize == weyl.ORBIT_CACHE_SIZE
+
+
+def test_concurrent_alternant_routes_share_one_orbit_memo():
+    targets = _class_targets(6, 6)
+    serial = {w: alternant_multiplicities(w) for w in targets}
+    weyl._straightened_orbit.cache_clear()
+
+    results = [{} for _ in range(4)]
+    errors = []
+
+    def work(out, seed):
+        order = list(targets)
+        random.Random(seed).shuffle(order)
+        try:
+            for w in order:
+                out[w] = alternant_multiplicities(w)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(out, seed)) for seed, out in enumerate(results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(out == serial for out in results)
 
 
 def _inflate(member, total):
