@@ -3,8 +3,9 @@
 Nothing here touches the Schur or solver machinery: multiplicities come
 from the classical top-down recursion over positive roots, from counting
 semistandard tableau fillings strip by strip, and orbit characters from
-direct orbit expansion.  These are desk-scale tools; performance is a
-non-goal.
+direct orbit expansion.  That independence, not speed, makes them ground
+truth; :func:`dominant_freudenthal` and :func:`kostka_numbers` still run
+at the solver's scale.
 """
 
 from __future__ import annotations
@@ -133,14 +134,15 @@ def freudenthal(w: DominantWeight) -> WeightMultiplicityMap:
 
 def _inners(rows: tuple[int, ...], i: int, left: int):
     """``rows[i:]`` less ``left`` cells, no two in a column: row i keeps
-    rows[i + 1] to rows[i] cells, so rows[i:] spare at most rows[i]."""
+    rows[i + 1] to rows[i] cells, so rows[i:] spare at most rows[i], and
+    keeps enough that the rows below can spare the rest."""
     if left > (rows[i] if i < len(rows) else 0):
         return
     if i == len(rows):
         yield ()
         return
     below = rows[i + 1] if i + 1 < len(rows) else 0
-    for kept in range(max(below, rows[i] - left), rows[i] + 1):
+    for kept in range(max(below, rows[i] - left), min(rows[i], rows[i] - left + below) + 1):
         for rest in _inners(rows, i + 1, left - rows[i] + kept):
             yield (kept,) + rest if kept else rest
 

@@ -17,12 +17,11 @@ every exponent field stays clear, so total degrees stay below
 :data:`DEGREE_LIMIT`; packing or multiplying past it raises
 :class:`OverflowError` instead of wrapping into another monomial.
 Callers see exponent tuples: the constructor,
-:meth:`~_SparsePoly.sorted_terms` and ``terms``, a read-only view that
-packs a key on lookup and unpacks on iteration; its ``values()`` and
-``items()`` read the numerators without packing.  A coefficient read back
-is an ``int`` when ``den`` is 1 and a ``Fraction`` otherwise.  Only
-:mod:`solver` and :mod:`weyl` read packed keys, through ``num``,
-:func:`pack_monomial`, :func:`unpack_monomial` and ``_make``.
+:meth:`~_SparsePoly.sorted_terms` and ``terms``, a read-only
+``{exponents: coefficient}`` snapshot unpacked on each access.  A
+coefficient read back is an ``int`` when ``den`` is 1 and a ``Fraction``
+otherwise.  Only :mod:`solver` and :mod:`weyl` read packed keys, through
+``num``, :func:`pack_monomial`, :func:`unpack_monomial` and ``_make``.
 
 :func:`poly_dot` is the one accumulate kernel: it sums ``c * a * b`` over
 many products in one numerator map over one lcm denominator.  Nothing
@@ -34,9 +33,10 @@ polynomial.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Sequence
 
 # Bits per exponent field of a packed monomial.  The field's top bit is a
@@ -78,56 +78,6 @@ def unpack_monomial(key: int, nvars: int) -> tuple[int, ...]:
     return tuple(
         key >> shift & _FIELD_MASK for shift in range(FIELD_BITS * (nvars - 1), -1, -FIELD_BITS)
     )
-
-
-class _TermsValues(ValuesView):
-    """Coefficients of a terms view, read off the numerators with no key packed."""
-
-    def __iter__(self):
-        p = self._mapping._poly
-        return map(p._coefficient_value, p.num.values())
-
-
-class _TermsItems(ItemsView):
-    """``(exponents, coefficient)`` pairs of a terms view, each key unpacked once."""
-
-    def __iter__(self):
-        return zip(self._mapping, _TermsValues(self._mapping))
-
-
-class _TermsView(Mapping):
-    """Read-only ``{exponents: coefficient}`` view of a polynomial's packed terms."""
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: "_SparsePoly"):
-        self._poly = poly
-
-    def __getitem__(self, exps):
-        p = self._poly
-        try:
-            c = p.num.get(pack_monomial(exps, p.nvars))
-        except (TypeError, ValueError, OverflowError):
-            c = None
-        if c is None:
-            raise KeyError(exps)
-        return p._coefficient_value(c)
-
-    def __iter__(self):
-        nvars = self._poly.nvars
-        return (unpack_monomial(key, nvars) for key in self._poly.num)
-
-    def __len__(self) -> int:
-        return len(self._poly.num)
-
-    def values(self) -> ValuesView:
-        return _TermsValues(self)
-
-    def items(self) -> ItemsView:
-        return _TermsItems(self)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
 
 
 class _SparsePoly:
@@ -178,7 +128,7 @@ class _SparsePoly:
 
     def __reduce__(self):
         # The default slot-state restore would go through __setattr__.
-        return type(self), (self.nvars, dict(self.terms.items()))
+        return type(self), (self.nvars, dict(self.terms))
 
     @staticmethod
     def _coerce(value):
@@ -192,8 +142,9 @@ class _SparsePoly:
 
     @property
     def terms(self) -> Mapping:
-        """Read-only ``{exponents: coefficient}`` view, built on each access."""
-        return _TermsView(self)
+        """Read-only ``{exponents: coefficient}`` snapshot, built on each access."""
+        nvars, value = self.nvars, self._coefficient_value
+        return MappingProxyType({unpack_monomial(k, nvars): value(c) for k, c in self.num.items()})
 
     # -- constructors -------------------------------------------------
 
@@ -285,7 +236,8 @@ class _SparsePoly:
 
         Each power is the previous one times the value, once per call.
         """
-        top = [max(column) for column in zip(*self.terms)]
+        nvars = self.nvars
+        top = [max(column) for column in zip(*(unpack_monomial(k, nvars) for k in self.num))]
         table = []
         for value, t in zip(values, top):
             powers = [one]

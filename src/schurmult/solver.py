@@ -108,15 +108,15 @@ class HeightClassSystem:
 
     The class also keeps what a table needs from its members: ``position``
     maps each member to its unknown, and ``orbit_sizes`` holds their orbit
-    sizes (given by :func:`height_class_system`), so a warm solve only
-    sums and divides.  The object is never mutated after construction, so
-    one instance is shared by every solve of the class, across threads too.
+    sizes, so a warm solve only sums and divides.  The object is never
+    mutated after construction, so one instance is shared by every solve
+    of the class, across threads too.
     """
 
-    def __init__(self, members: Sequence[DominantWeight], orbit_sizes: Sequence[int]):
+    def __init__(self, members: Sequence[DominantWeight]):
         self.members = tuple(members)
         self.position = {member: i for i, member in enumerate(self.members)}
-        self.orbit_sizes = tuple(orbit_sizes)
+        self.orbit_sizes = tuple(map(orbit_size, self.members))
         n = self.members[0].context.N
         # partitions are numbered as they are met, so the memos hash ints
         number = {(): 0}
@@ -191,8 +191,7 @@ class HeightClassSystem:
 @lru_cache(maxsize=SYSTEM_CACHE_SIZE)
 def height_class_system(N: int, Q: int) -> HeightClassSystem:
     """The monomial -> orbit matrix of the height-``Q`` class of the rank-``N`` algebra."""
-    members = sub_Q_lambda1(Q, AlgebraContext(N))
-    return HeightClassSystem(members, [orbit_size(m) for m in members])
+    return HeightClassSystem(sub_Q_lambda1(Q, AlgebraContext(N)))
 
 
 def solve_multiplicities(w: DominantWeight) -> MultiplicityTable:

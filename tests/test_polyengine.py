@@ -441,6 +441,9 @@ def test_terms_lookup_of_invalid_keys_is_missing(ring):
     assert p.terms.get((2, -1), 0) == 0
     assert p.terms.get((1, 0), 0) == 5
     assert dict(p.terms) == {(0, 0): 3, (1, 0): 5, (0, 1): 7}
+    with pytest.raises(TypeError):
+        p.terms[(1, 0)] = 6
+    assert p.terms[(1, 0)] == 5
 
 
 @pytest.mark.parametrize(
@@ -466,4 +469,5 @@ def test_terms_values_and_items_pack_no_key(monkeypatch, p):
     assert [type(c) for c in p.terms.values()] == [type(c) for _, c in expected]
     assert len(p.terms.items()) == len(p.terms.values()) == len(expected)
     assert p.__reduce__() == (type(p), (p.nvars, dict(expected)))
+    assert p.terms == dict(p.sorted_terms())
     assert calls == []
