@@ -11,7 +11,7 @@ so the canonical representative has minimum entry zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb
 from typing import Iterator
 
 # Largest height class that the multiplicity pipeline takes on.  On a
@@ -297,9 +297,15 @@ def orbit_weights(w: DominantWeight) -> list[Weight]:
 
 
 def orbit_size(w: DominantWeight) -> int:
-    """Multiset-permutation count of the exponent vector."""
+    """Multiset-permutation count of the exponent vector, a product of one
+    binomial per distinct entry: placing an entry's copies among the
+    places left costs at most the smaller of the two counts, so the long
+    run of zeros at high rank is no N! of big-int work."""
     vec = w.mu_vector()
-    count = factorial(w.context.N)
+    count = 1
+    left = w.context.N
     for value in set(vec):
-        count //= factorial(vec.count(value))
+        copies = vec.count(value)
+        count *= comb(left, copies)
+        left -= copies
     return count

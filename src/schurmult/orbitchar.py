@@ -5,20 +5,20 @@ distinct monomial exactly once); :func:`orbit_char_u` builds it directly.
 :func:`orbit_char_x` writes the same character in the x-indeterminates,
 where K(Q) -> Q*x_Q sends the Q-th power sum to Q*x_Q.  Because the
 product of all u's is constrained to 1 (e_N = 1), the x-variables of
-degree >= N are not independent.  The power sums from degree N on and
-the complete homogeneous functions then obey one recurrence
-f_m = sum_(k=1..min(m,N)) (-1)^(k+1) e_k f_(m-k), run by one fill-upward
-helper.  For 0 < k < N, e_k is the orbit column of (1^k), which the
-merge recursion builds from p_1..p_k alone, so no call cycles.
+degree >= N are not independent.  The power sums from degree N on obey
+the recurrence f_m = sum_(k=1..N) (-1)^(k+1) e_k f_(m-k) that
+:mod:`schur` runs for the complete homogeneous functions, with the same
+fill-upward helper; e_k comes from :mod:`schur`, built without any orbit
+column, so the solver and the Schur stage never call :func:`orbit_char_x`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from fractions import Fraction
 
 from .lattice import AlgebraContext, Partition, distinct_permutations
 from .polyengine import UPoly, XPoly, poly_dot
+from .schur import _fill_upward
 
 
 def orbit_char_u(p: Partition, ctx: AlgebraContext) -> UPoly:
@@ -37,59 +37,17 @@ def orbit_char_u(p: Partition, ctx: AlgebraContext) -> UPoly:
 _psum_cache: dict[tuple[int, int], XPoly] = {}
 
 
-def elementary_symmetric_x(n: int, k: int) -> XPoly:
-    """Elementary symmetric polynomial of n variables, written in x1..x(n-1).
-
-    The top one is pinned to 1 (the degeneration constraint) and degrees
-    outside 0..n vanish; in between, e_k is the orbit column of (1^k).
-    """
-    if k == 0 or k == n:
-        return XPoly.one(n - 1)
-    if not 0 < k < n:
-        return XPoly.zero(n - 1)
-    return orbit_char_x(Partition((1,) * k), AlgebraContext(n))
-
-
-def _fill_upward(
-    cache: dict[tuple[int, int], XPoly],
-    n: int,
-    m: int,
-    first_terms: Callable[[int], list[XPoly]],
-) -> XPoly:
-    """Degree m of a sequence over x1..x(n-1) that obeys the e-recurrence.
-
-    Past the sequence's first terms ``first_terms(n)`` (degrees 0, 1, ...),
-    f_d = sum_(k=1..min(d,n)) (-1)^(k+1) e_k f_(d-k).  ``cache`` maps
-    (n, d) to f_d; it is seeded with the first terms in one update, then
-    filled upward from the highest cached degree, so no call recurses.
-    """
-    if (n, 0) not in cache:
-        cache.update({(n, d): f for d, f in enumerate(first_terms(n))})
-    top = m
-    while (n, top) not in cache:
-        top -= 1
-    if top < m:
-        es = [elementary_symmetric_x(n, k) for k in range(1, min(m, n) + 1)]
-        for d in range(top + 1, m + 1):
-            cache[(n, d)] = poly_dot(
-                XPoly,
-                n - 1,
-                [
-                    (1 if k % 2 else -1, es[k - 1], cache[(n, d - k)])
-                    for k in range(1, min(d, n) + 1)
-                ],
-            )
-    return cache[(n, m)]
-
-
-def _first_power_sums(n: int) -> list[XPoly]:
-    """p_0 = n, and p_i = i*x_i for the independent degrees 0 < i < n."""
-    return [XPoly.constant(n - 1, n)] + [XPoly.variable(n - 1, i - 1) * i for i in range(1, n)]
-
-
 def _power_sum_x(n: int, Q: int) -> XPoly:
-    """Power sum of n constrained variables as a polynomial in x1..x(n-1)."""
-    return _fill_upward(_psum_cache, n, Q, _first_power_sums)
+    """Power sum of n constrained variables as a polynomial in x1..x(n-1).
+
+    p_0 = n and p_i = i*x_i for the independent degrees 0 < i < n; only
+    the degrees up to Q are built.
+    """
+
+    def seed(d: int) -> XPoly:
+        return XPoly.constant(n - 1, n) if d == 0 else XPoly.variable(n - 1, d - 1) * d
+
+    return _fill_upward(_psum_cache, n, Q, seed)
 
 
 _orbit_x_cache: dict[tuple[int, tuple[int, ...]], XPoly] = {}

@@ -21,7 +21,9 @@ Callers see exponent tuples: the constructor,
 ``{exponents: coefficient}`` snapshot unpacked on each access.  A
 coefficient read back is an ``int`` when ``den`` is 1 and a ``Fraction``
 otherwise.  Only :mod:`solver` and :mod:`weyl` read packed keys, through
-``num``, :func:`pack_monomial`, :func:`unpack_monomial` and ``_make``.
+``num``, :func:`pack_monomial`, :func:`unpack_monomial` and ``_make``,
+and :mod:`schur`, which reads the total-degree field above
+``FIELD_BITS * nvars`` to twist h_k into e_k.
 
 :func:`poly_dot` is the one accumulate kernel: it sums ``c * a * b`` over
 many products in one numerator map over one lcm denominator.  Nothing
@@ -36,48 +38,45 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
+from struct import pack, unpack_from
 from types import MappingProxyType
 from typing import Sequence
 
 # Bits per exponent field of a packed monomial.  The field's top bit is a
 # guard: total degrees stay below 2**15, so the sum of two keys within the
-# limit cannot carry from one field into the next.
+# limit cannot carry from one field into the next.  Packing writes each
+# field as an unsigned 16-bit word (struct format "H").
 FIELD_BITS = 16
 DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
-_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 def pack_monomial(exponents: Sequence[int], nvars: int) -> int:
     """Packed key of an exponent tuple of length ``nvars``.
 
-    Raises :class:`ValueError` for a wrong length or a negative exponent
-    and :class:`OverflowError` for a total degree of at least
+    The degree and exponent fields are packed as big-endian 16-bit words
+    and read as one int, so the cost is linear in ``nvars``.  Raises
+    :class:`ValueError` for a wrong length or a negative exponent and
+    :class:`OverflowError` for a total degree of at least
     :data:`DEGREE_LIMIT`.
     """
     if len(exponents) != nvars:
         raise ValueError(
             f"exponent tuple {tuple(exponents)} has length {len(exponents)}, expected {nvars}"
         )
-    key = 0
-    degree = 0
-    for e in exponents:
-        if e < 0:
-            raise ValueError(f"negative exponent in {tuple(exponents)}")
-        key = key << FIELD_BITS | e
-        degree += e
+    if nvars and min(exponents) < 0:
+        raise ValueError(f"negative exponent in {tuple(exponents)}")
+    degree = sum(exponents)
     if degree >= DEGREE_LIMIT:
         raise OverflowError(
             f"monomial {tuple(exponents)} has total degree {degree}, "
             f"at or above the packed-monomial limit {DEGREE_LIMIT}"
         )
-    return degree << (FIELD_BITS * nvars) | key
+    return int.from_bytes(pack(f">{nvars + 1}H", degree, *exponents), "big")
 
 
 def unpack_monomial(key: int, nvars: int) -> tuple[int, ...]:
-    """Exponent tuple of a packed key."""
-    return tuple(
-        key >> shift & _FIELD_MASK for shift in range(FIELD_BITS * (nvars - 1), -1, -FIELD_BITS)
-    )
+    """Exponent tuple of a packed key, read from its bytes in linear time."""
+    return unpack_from(f">{nvars}H", key.to_bytes(2 * nvars + 2, "big"), 2)
 
 
 class _SparsePoly:

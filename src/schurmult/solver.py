@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import comb, lcm, prod
 from operator import mul
 
 from .lattice import (
@@ -68,22 +68,29 @@ SYSTEM_CACHE_SIZE = 16
 def _times_power_sum(r: int, mu: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], int]]:
     """The pairs (ν, c) of p_r m_μ = sum(c m_ν) in n variables modulo e_n = 1.
 
-    Each ν adds r to the first of one run of equal parts of μ, or appends
-    r when μ has fewer than n parts; c counts the part so formed in ν.  A
-    ν of n parts is replaced by ν - ν_n, its zeros dropped.
+    Each ν adds r to one distinct part of μ, or to a zero part when μ has
+    fewer than n parts; the part so formed moves up to its sorted place,
+    past the smaller parts before it.  It exceeds every part after it, so
+    c, its count in ν, is one more than its count in μ.  A ν of n parts is
+    replaced by ν - ν_n, its zeros dropped.
     """
-    bumps = [i for i, part in enumerate(mu) if not i or part != mu[i - 1]]
-    if len(mu) < n:
-        bumps.append(len(mu))
+    length = len(mu)
     pairs = []
-    for i in bumps:
-        formed = (mu[i] if i < len(mu) else 0) + r
-        nu = sorted(mu[:i] + (formed,) + mu[i + 1 :], reverse=True)
-        count = nu.count(formed)
+    previous = None
+    for i in range(length + (length < n)):
+        part = mu[i] if i < length else 0
+        if part == previous:
+            continue
+        previous = part
+        formed = part + r
+        j = i
+        while j and mu[j - 1] < formed:
+            j -= 1
+        nu = mu[:j] + (formed,) + mu[j:i] + mu[i + 1 :]
         if len(nu) == n:
             low = nu[-1]
-            nu = [part - low for part in nu if part > low]
-        pairs.append((tuple(nu), count))
+            nu = tuple(q - low for q in nu if q > low)
+        pairs.append((nu, mu.count(formed) + 1))
     return pairs
 
 
@@ -235,21 +242,25 @@ def solve_multiplicities(w: DominantWeight) -> MultiplicityTable:
 def dimension(w: DominantWeight) -> int:
     """Dimension by the exact product formula over positive root pairs.
 
-    A pair of equal entries contributes (j - i) / (j - i) = 1 and is
-    skipped; the entries decrease weakly, so the outer loop stops at the
-    first entry equal to the last.
+    With l_i = μ_i + N - 1 - i, the pairs i < j contribute
+    (l_i - l_j) / (j - i).  A pair of equal entries contributes 1 and is
+    skipped.  The pairs of row i of the partition (k rows) with the N - k
+    zero entries telescope to comb(μ_i + N - 1 - i, μ_i) /
+    comb(μ_i + k - 1 - i, μ_i), so the work is one factor per pair of
+    unequal rows plus binomials of at most min(μ_i, N) factors each,
+    not O(N^2).
     """
     n = w.context.N
-    vec = w.mu_vector()
-    shifted = [vec[i] + n - 1 - i for i in range(n)]
+    parts = w.to_partition().parts
+    k = len(parts)
     num = 1
     den = 1
-    for i, entry in enumerate(vec):
-        if entry == vec[-1]:
-            break
-        for j in range(i + 1, n):
-            if vec[j] != entry:
-                num *= shifted[i] - shifted[j]
+    for i, part in enumerate(parts):
+        num *= comb(part + n - 1 - i, part)
+        den *= comb(part + k - 1 - i, part)
+        for j in range(i + 1, k):
+            if parts[j] != part:
+                num *= part - parts[j] + j - i
                 den *= j - i
     value, rem = divmod(num, den)
     if rem:

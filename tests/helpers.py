@@ -2,9 +2,10 @@
 
 import ast
 from fractions import Fraction
+from math import factorial, prod
 from pathlib import Path
 
-from schurmult.lattice import Partition
+from schurmult.lattice import Partition, partitions_of
 from schurmult.orbitchar import orbit_char_u, orbit_char_x
 from schurmult.polyengine import UPoly, XPoly, poly_det, poly_dot
 from schurmult.schur import elementary_schur, generalized_schur
@@ -69,6 +70,38 @@ def degenerate_x(Q, ctx):
     The orbit column of the one-part partition (Q) is the power sum p_Q.
     """
     return orbit_char_x(Partition((Q,)), ctx) * Fraction(1, Q)
+
+
+def complete_closed_form(Q, n):
+    """h_Q below n in closed form: sum(x^α / prod(α_i!)) over the x^α of
+    weighted degree Q, one for each partition of Q (α_i parts equal to i)."""
+    terms = {}
+    for parts in partitions_of(Q, Q):
+        alpha = [0] * (n - 1)
+        for part in parts:
+            alpha[part - 1] += 1
+        terms[tuple(alpha)] = Fraction(1, prod(map(factorial, alpha)))
+    return XPoly(n - 1, terms)
+
+
+def recurrence_schur(p, ctx):
+    """The generalized Schur function with every degree of S_Q from the
+    e-recurrence, e_k (0 < k < N) the orbit column of (1^k): the route the
+    Schur stage took before Newton's identity."""
+    n = ctx.N
+    k = p.length
+    if k == 0:
+        return XPoly.one(n - 1)
+    es = [orbit_char_x(Partition((1,) * j), ctx) for j in range(1, n)] + [XPoly.one(n - 1)]
+    h = [XPoly.one(n - 1)]
+    for d in range(1, p.parts[0] + k):
+        products = [(1 if j % 2 else -1, es[j - 1], h[d - j]) for j in range(1, min(d, n) + 1)]
+        h.append(poly_dot(XPoly, n - 1, products))
+
+    def entry(q):
+        return h[q] if q >= 0 else XPoly.zero(n - 1)
+
+    return poly_det([[entry(p.parts[i] - i + j) for j in range(k)] for i in range(k)])
 
 
 def star_schur(Q, ctx):

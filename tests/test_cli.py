@@ -20,7 +20,7 @@ from schurmult.cli import (
     parse_query,
     run,
 )
-from schurmult import cli, lattice, weyl
+from schurmult import cli, lattice, orbitchar, schur, weyl
 from schurmult.lattice import AlgebraContext, DominantWeight
 from schurmult.polyengine import UPoly
 from schurmult.solver import MultiplicityTable, SolverError, solve_multiplicities
@@ -248,10 +248,15 @@ def test_rank_past_the_int_string_limit_is_refused_without_traceback(argv, capsy
     assert captured.err == f"error: {expected}\n"
 
 
-# (argv, exit status, seconds allowed) at ranks 2, 9, 100 and 2000, with
-# small weights and heights; both sides of the exponent bound at rank 100
-# (505,000 and 17,170,000 exponents for audit) and at its edge: the orbit of
-# w1 at rank 2000 writes exactly 4,000,000 exponents
+# (argv, exit status, seconds allowed) at ranks 2, 9, 100, 2000 and 100000,
+# with small weights and heights; both sides of the exponent bound at rank
+# 100 (505,000 and 17,170,000 exponents for audit) and at its edge: the
+# orbit of w1 at rank 2000 writes exactly 4,000,000 exponents.  At rank
+# 100000 every packed key has 1.6 million bits, so any step that is O(N^2)
+# (all N - 1 power sums seeded, a shift-built key, N! in an orbit size)
+# blows the budget or the memory: on a 2-core machine the three rows took
+# 0.26-0.37 s (37 MB), 0.47-0.77 s (58 MB) and 0.02 s, where seeding all
+# N - 1 power sums alone would take about 2 N^2 bytes, 20 GB
 RANK_GATE = [
     (["mult", "--rank", "2", "--partition", "3"], EXIT_OK, 1.0),
     (["orbit", "--rank", "2", "--partition", "3"], EXIT_OK, 1.0),
@@ -272,6 +277,9 @@ RANK_GATE = [
     (["orbit", "--rank", "2000", "--partition", "1"], EXIT_OK, 3.0),
     (["character", "--rank", "2000", "--partition", "1"], EXIT_USAGE, 1.0),
     (["audit", "--ranks", "2000", "--max-height", "1"], EXIT_OK, 3.0),
+    (["mult", "--rank", "100000", "--partition", "1"], EXIT_OK, 1.0),
+    (["mult", "--rank", "100000", "--partition", "2,1"], EXIT_OK, 2.0),
+    (["schur", "--rank", "100000", "--partition", "1"], EXIT_OK, 1.0),
 ]
 
 
@@ -302,6 +310,25 @@ def test_audit_builds_no_factorial_polynomial(monkeypatch):
 
     monkeypatch.setattr(cli, "weyl_character_u", refuse)
     assert run(query) == (status, out)
+
+
+def test_mult_builds_no_orbit_column_or_power_sum(monkeypatch, capsys):
+    # the class matrix counts p_r m_μ off the partitions and the Schur stage
+    # takes e_k from h_k, so a table past the e-recurrence's first degree
+    # reads no orbit character in x
+    argv = ["mult", "--rank", "9", "--partition", "6,4"]
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("an orbit column or a power sum was built")
+
+    monkeypatch.setattr(schur, "_elementary_cache", {})
+    monkeypatch.setattr(schur, "_generalized_cache", {})
+    monkeypatch.setattr(orbitchar, "orbit_char_x", refuse)
+    monkeypatch.setattr(orbitchar, "_power_sum_x", refuse)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
 
 
 def test_audit_of_rank_8_within_time_gate():

@@ -233,6 +233,17 @@ def test_orbit_size_examples():
     assert orbit_size(DominantWeight((0, 0, 1, 1, 0), A5)) == 60
 
 
+def test_orbit_size_at_rank_100000_is_a_product_of_binomials():
+    # N! over the run counts built 1.5-million-bit factorials at this rank
+    n = 100_000
+    start = time.perf_counter()
+    ctx = AlgebraContext(n)
+    assert orbit_size(partition_to_dominant(Partition((2, 1)), ctx)) == n * (n - 1)
+    assert orbit_size(partition_to_dominant(Partition((1,)), ctx)) == n
+    assert orbit_size(partition_to_dominant(Partition((3, 1, 1)), ctx)) == n * (n - 1) * (n - 2) // 2
+    assert time.perf_counter() - start < 1.0
+
+
 @given(st.integers(2, 6), st.integers(1, 7))
 @settings(max_examples=60, deadline=None)
 def test_orbit_size_matches_enumeration(n, total):

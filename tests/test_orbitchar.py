@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from schurmult import orbitchar
 from schurmult.lattice import AlgebraContext, Partition, orbit_size, partition_to_dominant, partitions_of
-from schurmult.orbitchar import elementary_symmetric_x, orbit_char_u, orbit_char_x
+from schurmult.orbitchar import orbit_char_u, orbit_char_x
+from schurmult.schur import elementary_symmetric_x
 from schurmult.polyengine import UPoly, XPoly
 
 from helpers import degenerate_x, evaluate, product_one_normal_form, up, xp

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import time
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 from schurmult import polyengine
 from schurmult.polyengine import (
     DEGREE_LIMIT,
+    FIELD_BITS,
     UPoly,
     XPoly,
     pack_monomial,
     poly_det,
     poly_dot,
+    unpack_monomial,
 )
 
 from helpers import evaluate, up, xp
@@ -454,8 +457,9 @@ def test_terms_lookup_of_invalid_keys_is_missing(ring):
         XPoly.zero(2),
     ],
 )
-def test_terms_values_and_items_pack_no_key(monkeypatch, p):
-    # what Mapping's own views give: one lookup, so one packed key, per term
+def test_terms_snapshot_reads_without_packing(monkeypatch, p):
+    # ``terms`` is a read-only dict built from the packed keys: its items,
+    # values, length and pickled form unpack each key and pack none
     expected = [(exps, p.terms[exps]) for exps in p.terms]
     calls = []
 
@@ -471,3 +475,21 @@ def test_terms_values_and_items_pack_no_key(monkeypatch, p):
     assert p.__reduce__() == (type(p), (p.nvars, dict(expected)))
     assert p.terms == dict(p.sorted_terms())
     assert calls == []
+
+
+def test_packing_is_linear_at_high_rank():
+    # one 16-bit field per variable through bytes: a shift per field made
+    # each key O(nvars^2) bit work, about 2-3 s at 100,000 variables
+    nvars = 100_000
+    exps = (3,) + (0,) * (nvars - 3) + (1, 2)
+    start = time.perf_counter()
+    for _ in range(10):
+        key = pack_monomial(exps, nvars)
+        assert unpack_monomial(key, nvars) == exps
+    assert time.perf_counter() - start < 1.0
+    assert key >> FIELD_BITS * nvars == 6
+    assert key & (1 << FIELD_BITS * 3) - 1 == 1 << FIELD_BITS | 2
+    with pytest.raises(ValueError, match="negative"):
+        pack_monomial((1, -1, 0), 3)
+    with pytest.raises(OverflowError, match=str(DEGREE_LIMIT)):
+        pack_monomial((DEGREE_LIMIT - 1, 0, 1), 3)

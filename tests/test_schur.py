@@ -1,22 +1,28 @@
+import ast
 import random
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
+from pathlib import Path
 
 import pytest
 
 from schurmult import orbitchar, schur
 from schurmult.lattice import AlgebraContext, Partition, partitions_of
-from schurmult.schur import elementary_schur, generalized_schur
+from schurmult.orbitchar import orbit_char_x
+from schurmult.schur import elementary_schur, elementary_symmetric_x, generalized_schur
 from schurmult.polyengine import XPoly
 
 from helpers import (
     character_value,
+    complete_closed_form,
     degenerate_x,
     evaluate,
+    package_modules,
     power_sum_values,
     product_one_point,
+    recurrence_schur,
     star_schur,
     xp,
 )
@@ -511,3 +517,49 @@ def test_high_degrees_do_not_recurse(monkeypatch):
     monkeypatch.setattr(schur, "_elementary_cache", {})
     elementary_schur(40, ctx)
     assert elementary_schur(120, ctx) == full[(2, 120)]
+
+
+# -- Newton's identity and the omega-twist ----------------------------------------
+
+
+def test_elementary_symmetric_is_the_orbit_column_of_a_column(monkeypatch):
+    monkeypatch.setattr(schur, "_elementary_cache", {})
+    for n in range(2, 13):
+        ctx = AlgebraContext(n)
+        for k in range(1, n):
+            assert elementary_symmetric_x(n, k) == orbit_char_x(Partition((1,) * k), ctx), (n, k)
+
+
+def test_newton_gives_the_closed_form_below_n(monkeypatch):
+    monkeypatch.setattr(schur, "_elementary_cache", {})
+    for n in range(2, 13):
+        for Q in range(n):
+            assert elementary_schur(Q, AlgebraContext(n)) == complete_closed_form(Q, n), (n, Q)
+
+
+def test_closed_form_spelled_out():
+    # h_3 = x1^3/6 + x1 x2 + x3 in four variables
+    assert complete_closed_form(3, 5) == xp(4, [(1, {1: 3}), (6, {1: 1, 2: 1}), (6, {3: 1})], 6)
+
+
+def test_generalized_schur_matches_the_orbit_column_recurrence_across_n(monkeypatch):
+    # degrees below N come from Newton's identity, degrees from N on from
+    # the e-recurrence; partitions of up to N + 3 boxes cross the boundary
+    monkeypatch.setattr(schur, "_elementary_cache", {})
+    monkeypatch.setattr(schur, "_generalized_cache", {})
+    for n in range(2, 7):
+        ctx = AlgebraContext(n)
+        for total in range(n + 4):
+            for parts in partitions_of(total, n):
+                p = Partition(parts)
+                assert generalized_schur(p, ctx) == recurrence_schur(p, ctx), (n, parts)
+    ctx = AlgebraContext(12)
+    for parts in ((11,), (12,), (13,), (12, 1), (11, 2), (7, 5, 1)):
+        p = Partition(parts)
+        assert generalized_schur(p, ctx) == recurrence_schur(p, ctx), parts
+
+
+def test_schur_imports_nothing_from_orbitchar():
+    path = Path(schur.__file__)
+    modules = package_modules(ast.parse(path.read_text(), filename=str(path)))
+    assert modules <= {"lattice", "polyengine"}

@@ -7,6 +7,7 @@ import threading
 import time
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,29 @@ def test_dimension_at_high_rank_takes_only_the_unequal_pairs():
         w = partition_to_dominant(Partition((3, 2, 1)), ctx)
         assert dimension(w) == n * (n + 1) * (n + 2) * (n - 1) * n * (n - 2) // 45
     assert time.perf_counter() - start < 1.0
+
+
+def test_dimension_is_cheap_at_rank_40000_and_at_large_weights():
+    # the N - k zero entries telescope to one binomial per row, so neither
+    # the rank nor a long first row costs O(N^2) or O(|λ|) factors; the
+    # pair-by-pair product took 4.4 s for (2,1) at rank 40000
+    start = time.perf_counter()
+    n = 40_000
+    ctx = AlgebraContext(n)
+    assert dimension(partition_to_dominant(Partition((2, 1)), ctx)) == n * (n * n - 1) // 3
+    assert dimension(partition_to_dominant(Partition((1,)), AlgebraContext(100_000))) == 100_000
+    assert dimension(DominantWeight((10**9,), AlgebraContext(2))) == 10**9 + 1
+    assert dimension(DominantWeight((10**6, 0), AlgebraContext(3))) == comb(10**6 + 2, 2)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_dimension_agrees_with_the_full_product_formula_on_random_weights():
+    rng = random.Random(26)
+    for _ in range(300):
+        n = rng.randint(2, 30)
+        coords = tuple(rng.choice((0, 0, 0, 1, 2, 5)) for _ in range(n - 1))
+        w = DominantWeight(coords, AlgebraContext(n))
+        assert dimension(w) == product_formula_dimension(w), w
 
 
 # -- the monomial -> orbit matrix ------------------------------------------------
