@@ -18,7 +18,7 @@ from .lattice import (
     partition_to_dominant,
     sub_Q_lambda1,
 )
-from .orbitchar import orbit_char_u, orbit_char_x
+from .orbitchar import orbit_char_x
 from .polyengine import UPoly, XPoly, poly_det
 from .schur import elementary_schur, generalized_schur
 from .solver import MultiplicityTable, SolverError, dimension, solve_multiplicities
@@ -39,7 +39,6 @@ __all__ = [
     "elementary_schur",
     "generalized_schur",
     "height",
-    "orbit_char_u",
     "orbit_char_x",
     "orbit_size",
     "orbit_weights",

@@ -1,9 +1,9 @@
-"""Weyl-orbit characters in the u-variables and in the x-indeterminates.
+"""Weyl-orbit characters in the x-indeterminates.
 
-An orbit character is a monomial symmetric polynomial in u1..uN (each
-distinct monomial exactly once); :func:`orbit_char_u` builds it directly.
-:func:`orbit_char_x` writes the same character in the x-indeterminates,
-where K(Q) -> Q*x_Q sends the Q-th power sum to Q*x_Q.  Because the
+An orbit character is a monomial symmetric polynomial in u1..uN, each
+distinct monomial exactly once (:func:`oracle.brute_orbit_char` lists
+it).  :func:`orbit_char_x` writes it in the x-indeterminates, where
+K(Q) -> Q*x_Q sends the Q-th power sum to Q*x_Q.  Because the
 product of all u's is constrained to 1 (e_N = 1), the x-variables of
 degree >= N are not independent.  The power sums from degree N on obey
 the recurrence f_m = sum_(k=1..N) (-1)^(k+1) e_k f_(m-k) that
@@ -16,22 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import AlgebraContext, Partition, distinct_permutations
-from .polyengine import UPoly, XPoly, poly_dot
+from .lattice import AlgebraContext, Partition
+from .polyengine import XPoly, poly_dot
 from .schur import _fill_upward
-
-
-def orbit_char_u(p: Partition, ctx: AlgebraContext) -> UPoly:
-    """Orbit character as a polynomial in u1..uN.
-
-    Sum over the distinct permutations of the zero-padded parts of ``p``,
-    each distinct monomial counted once.  Partitions with more than N
-    parts have no valid placement and give zero.
-    """
-    n = ctx.N
-    if p.length > n:
-        return UPoly.zero(n)
-    return UPoly(n, dict.fromkeys(distinct_permutations(p.padded(n)), 1))
 
 
 _psum_cache: dict[tuple[int, int], XPoly] = {}

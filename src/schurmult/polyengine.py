@@ -228,51 +228,7 @@ class _SparsePoly:
         num = self.num if n == 1 else {e: k * n for e, k in self.num.items()}
         return self._make(self.nvars, num, self.den * d)
 
-    # -- substitution and printing --------------------------------------
-
-    def _power_table(self, values: Sequence, one) -> list[list]:
-        """``table[i][e] == values[i] ** e`` for every exponent the terms use.
-
-        Each power is the previous one times the value, once per call.
-        """
-        nvars = self.nvars
-        top = [max(column) for column in zip(*(unpack_monomial(k, nvars) for k in self.num))]
-        table = []
-        for value, t in zip(values, top):
-            powers = [one]
-            for _ in range(t):
-                powers.append(powers[-1] * value)
-            table.append(powers)
-        return table
-
-    def substitute(self, values: Sequence["_SparsePoly"]) -> "_SparsePoly":
-        """Evaluate with each variable replaced by a polynomial.
-
-        All replacement polynomials must live in one common ring; the
-        result lives there too.  Each term's last power factor goes into
-        one :func:`poly_dot` with the term's coefficient.
-        """
-        if len(values) != self.nvars:
-            raise ValueError(f"expected {self.nvars} replacement values, got {len(values)}")
-        if not values:
-            raise ValueError("substitution into a 0-variable polynomial needs a target ring")
-        target = values[0]
-        for v in values[1:]:
-            target._check_ring(v)
-        ring, nvars = type(target), target.nvars
-        one = ring.one(nvars)
-        table = self._power_table(values, one)
-        products = []
-        for key, coeff in self.num.items():
-            factors = [
-                powers[e] for powers, e in zip(table, unpack_monomial(key, self.nvars)) if e
-            ]
-            head = one
-            for factor in factors[:-1]:
-                head = head * factor
-            products.append((coeff, head, factors[-1] if factors else None))
-        out = poly_dot(ring, nvars, products)
-        return ring._make(nvars, out.num, out.den * self.den)
+    # -- printing ------------------------------------------------------
 
     def __str__(self) -> str:
         if not self.num:

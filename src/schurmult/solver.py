@@ -94,6 +94,54 @@ def _times_power_sum(r: int, mu: tuple[int, ...], n: int) -> list[tuple[tuple[in
     return pairs
 
 
+def _power_products(alphas, start, times):
+    """p_ρ(α) ``start`` for each α of ``alphas``, expanded in the basis that
+    ``times`` acts on: ``times(r, b)`` gives the pairs (b', c) of
+    p_r b = sum(c b').
+
+    Each p_ρ(α) comes from α less its largest part (a unit off its last
+    nonzero entry), one power sum at a time, with no recursion (A1 at
+    height 1998 is a chain 1998 deep), and every α met on the way is kept.
+    Basis elements are numbered as they are met, so the memo of the pairs
+    per (r, b) hashes ints.  Returns ``(expanded, basis)``: ``expanded``
+    maps each α met to ``{b's number: coefficient}`` and ``basis`` lists
+    the elements by number, ``start`` first.
+    """
+    number = {start: 0}
+    basis = [start]
+    expanded = {(0,) * len(alphas[0]): {0: 1}}
+    memos = {}  # r -> {b's number: pairs of p_r b, b' numbered}
+    for alpha in alphas:
+        # peel largest parts down to an expanded α, then expand back up
+        peeled = []
+        while alpha not in expanded:
+            r = len(alpha) - next(i for i, a in enumerate(reversed(alpha)) if a)
+            parent = alpha[: r - 1] + (alpha[r - 1] - 1,) + alpha[r:]
+            peeled.append((alpha, r, parent))
+            alpha = parent
+        for alpha, r, parent in reversed(peeled):
+            memo = memos.setdefault(r, {})
+            out = {}
+            for b, c in expanded[parent].items():
+                pairs = memo.get(b)
+                if pairs is None:
+                    pairs = memo[b] = []
+                    for image, count in times(r, basis[b]):
+                        if image not in number:
+                            number[image] = len(basis)
+                            basis.append(image)
+                        pairs.append((number[image], count))
+                for image, count in pairs:
+                    out[image] = out.get(image, 0) + c * count
+            expanded[alpha] = out
+    return expanded, basis
+
+
+def _denominator(alpha: Sequence[int]) -> int:
+    """w_α = prod(i ** α_i), the denominator of x^α = p_ρ(α) / w_α."""
+    return prod(i**a for i, a in enumerate(alpha, 1))
+
+
 class HeightClassSystem:
     """Monomial -> orbit matrix of one height class, built once.
 
@@ -104,14 +152,10 @@ class HeightClassSystem:
     of the class are exactly the members' (the matrix is square).
     ``rows`` maps each packed row monomial x^α to its pairs
     ``(member index, c L / w_α)``, c = [m_ν] p_ρ(α) for the member's
-    partition ν, scaled to integers by ``scale``, L = lcm w_α.
-
-    Construction builds each p_ρ(α) from α less its largest part, one
-    power sum at a time, with no recursion (A1 at height 1998 is a chain
-    1998 deep).  Two memos, p_ρ per α and the pairs of p_r m_μ per
-    (r, μ), are locals of one build.  :meth:`solve` is one pass over the
-    generalized Schur function's terms and an exact division by
-    L ``rhs.den``.
+    partition ν, scaled to integers by ``scale``, L = lcm w_α.  The
+    p_ρ(α) are built by :func:`_power_products` in the m-basis.
+    :meth:`solve` is one pass over the generalized Schur function's terms
+    and an exact division by L ``rhs.den``.
 
     The class also keeps what a table needs from its members: ``position``
     maps each member to its unknown, and ``orbit_sizes`` holds their orbit
@@ -125,43 +169,17 @@ class HeightClassSystem:
         self.position = {member: i for i, member in enumerate(self.members)}
         self.orbit_sizes = tuple(map(orbit_size, self.members))
         n = self.members[0].context.N
-        # partitions are numbered as they are met, so the memos hash ints
-        number = {(): 0}
-        partitions = [()]
-        expanded = {(0,) * (n - 1): {0: 1}}  # α -> {ν's number: [m_ν] p_ρ(α)}
-        times = {}  # r -> {μ's number: pairs of p_r m_μ, ν numbered}
-        for member in self.members:
-            # peel largest parts down to an expanded α, then expand back up
-            peeled = []
-            alpha = member.coords
-            while alpha not in expanded:
-                r = len(alpha) - next(i for i, a in enumerate(reversed(alpha)) if a)
-                parent = alpha[: r - 1] + (alpha[r - 1] - 1,) + alpha[r:]
-                peeled.append((alpha, r, parent))
-                alpha = parent
-            for alpha, r, parent in reversed(peeled):
-                memo = times.setdefault(r, {})
-                out = {}
-                for mu, c in expanded[parent].items():
-                    pairs = memo.get(mu)
-                    if pairs is None:
-                        pairs = memo[mu] = []
-                        for nu, count in _times_power_sum(r, partitions[mu], n):
-                            if nu not in number:
-                                number[nu] = len(partitions)
-                                partitions.append(nu)
-                            pairs.append((number[nu], count))
-                    for nu, count in pairs:
-                        out[nu] = out.get(nu, 0) + c * count
-                expanded[alpha] = out
-        w_alpha = [prod(i**a for i, a in enumerate(member.coords, 1)) for member in self.members]
+        alphas = [member.coords for member in self.members]
+        expanded, partitions = _power_products(alphas, (), lambda r, mu: _times_power_sum(r, mu, n))
+        w_alpha = list(map(_denominator, alphas))
         self.scale = lcm(*w_alpha)
+        number = {nu: i for i, nu in enumerate(partitions)}
         column = {number[member.to_partition().parts]: j for j, member in enumerate(self.members)}
         self.rows = {}
-        for member, w in zip(self.members, w_alpha):
+        for alpha, w in zip(alphas, w_alpha):
             factor = self.scale // w
-            self.rows[pack_monomial(member.coords, n - 1)] = tuple(
-                (column[nu], c * factor) for nu, c in expanded[member.coords].items()
+            self.rows[pack_monomial(alpha, n - 1)] = tuple(
+                (column[nu], c * factor) for nu, c in expanded[alpha].items()
             )
 
     def solve(self, rhs: XPoly) -> list[int]:

@@ -2,11 +2,10 @@
 
 The Weyl character formula a_(λ+δ) = s_λ a_δ, δ = (N-1, ..., 0), is read
 without division, as coefficients of alternants (Macdonald, *Symmetric
-Functions and Hall Polynomials*, I §3): for a symmetric S = sum(s_α u^α),
-S a_δ = sum(s_α a_(α+δ)), and a_(α+δ) straightens to 0 or ±a_(μ+δ) modulo
-the product constraint.  Nothing here builds an alternant of N! terms:
-the character, both audits and a factorization mismatch all stay in the
-basis of alternants.
+Functions and Hall Polynomials*, I §3): a_(α+δ) straightens to 0 or
+±a_(μ+δ) modulo the product constraint.  Nothing here builds an alternant
+of N! terms: the character, both audits and a factorization mismatch all
+stay in the basis of alternants.
 """
 
 from __future__ import annotations
@@ -14,15 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .lattice import (
     MAX_OUTPUT_TERMS, AlgebraContext, DominantWeight, LimitError, Partition,
     check_listed_exponents, distinct_permutations, height, partitions_of,
 )
-from .orbitchar import orbit_char_u
 from .polyengine import DEGREE_LIMIT, UPoly, pack_monomial, unpack_monomial
 from .schur import generalized_schur
-from .solver import SolverError, dimension
+from .solver import SolverError, _denominator, _power_products, dimension
 
 # Straightened orbits kept by :func:`_straightened_orbit`, one per canonical
 # exponent vector: every μ that one target reaches lies in its height
@@ -59,18 +58,17 @@ def weyl_character_u(w: DominantWeight) -> UPoly:
     full columns restored ((height(w) - |μ|) / N in every entry), with its
     multiplicity at every distinct permutation.
 
-    Raises :class:`LimitError` before any work at an alternant degree of
-    ``DEGREE_LIMIT``, above a dimension (a bound on the term count) of
-    ``MAX_OUTPUT_TERMS``, or when that many weights of N exponents exceed
-    ``MAX_OUTPUT_EXPONENTS``; raises :class:`SolverError` when the
-    coefficients do not sum to the dimension.
+    Raises :class:`LimitError` before any work when its terms' total
+    degree, height(w), reaches ``DEGREE_LIMIT``, above a dimension (a bound
+    on the term count) of ``MAX_OUTPUT_TERMS``, or when that many weights
+    of N exponents exceed ``MAX_OUTPUT_EXPONENTS``; raises
+    :class:`SolverError` when the coefficients do not sum to the dimension.
     """
     n = w.context.N
     total = height(w)
-    degree = total + n * (n - 1) // 2
-    if degree >= DEGREE_LIMIT:
+    if total >= DEGREE_LIMIT:
         raise LimitError(
-            f"the alternant of {w} has total degree {degree}, "
+            f"the character of {w} has total degree {total}, "
             f"at or above the packed-monomial limit {DEGREE_LIMIT}"
         )
     size = dimension(w)
@@ -151,20 +149,31 @@ class FactorizationReport:
 def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationReport:
     """Check that the shifted alternant equals Vandermonde times the Schur function.
 
-    The generalized Schur function is pushed into the u-ring by replacing
-    each x_i with the i-th power sum over i.  Degenerated Schur functions
-    mix graded degrees, so the sides are compared modulo the product
-    constraint, as coefficients of alternants.  A mismatch is reported as
-    those coefficients, one per partition μ of a_(μ+δ) (rendered a[μ]), so
-    no alternant is expanded at any rank.
+    Each term s_α x^α of the generalized Schur function is s_α p_ρ(α) / w_α,
+    and a power sum shifts one exponent of an alternant,
+    p_r a_(γ+δ) = sum_j a_(γ+δ + r e_j) (Macdonald, I §3), so
+    :func:`_power_products` builds S_λ a_δ from a_δ straightened after each
+    shift, and no step leaves the basis of alternants.  Degenerated Schur
+    functions mix graded degrees, so the sides are compared modulo the
+    product constraint.  A mismatch is reported as the coefficients of
+    a_(λ+δ) - S_λ a_δ, one per partition μ of a_(μ+δ) (rendered a[μ]).
     """
     n = ctx.N
-    power_sums = [orbit_char_u(Partition((k,)), ctx) * Fraction(1, k) for k in range(1, n)]
-    schur = generalized_schur(p, ctx).substitute(power_sums)
-    # S_λ(u) is a polynomial in power sums, so it is symmetric, and that
-    # makes the sum of s_α a_(α+δ) over its terms s_α u^α equal to S_λ(u) a_δ.
-    terms = [(unpack_monomial(key, n), -c) for key, c in schur.num.items()]
-    diff = _straighten([(p.padded(n), schur.den)] + terms, {})
+    schur = generalized_schur(p, ctx)
+    alphas = [unpack_monomial(key, n - 1) for key in schur.num]
+
+    def shift(r, mu):
+        shifted = _straighten(((mu[:j] + (mu[j] + r,) + mu[j + 1 :], 1) for j in range(n)), {})
+        return [(nu, c) for nu, c in shifted.items() if c]
+
+    expanded, basis = _power_products(alphas, (0,) * n, shift)
+    scale = lcm(*map(_denominator, alphas))
+    den = scale * schur.den
+    diff = _straighten([(p.padded(n), den)], {})
+    for alpha, s in zip(alphas, schur.num.values()):
+        factor = s * (scale // _denominator(alpha))
+        for b, c in expanded[alpha].items():
+            diff[basis[b]] = diff.get(basis[b], 0) - factor * c
     wrong = sorted(((mu, c) for mu, c in diff.items() if c), reverse=True)
-    difference = {Partition(mu[: mu.index(0)]): Fraction(c, schur.den) for mu, c in wrong}
+    difference = {Partition(mu[: mu.index(0)]): Fraction(c, den) for mu, c in wrong}
     return FactorizationReport(p, ctx, difference)

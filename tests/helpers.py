@@ -5,8 +5,8 @@ from fractions import Fraction
 from math import factorial, prod
 from pathlib import Path
 
-from schurmult.lattice import Partition, partitions_of
-from schurmult.orbitchar import orbit_char_u, orbit_char_x
+from schurmult.lattice import Partition, distinct_permutations, partitions_of
+from schurmult.orbitchar import orbit_char_x
 from schurmult.polyengine import UPoly, XPoly, poly_det, poly_dot
 from schurmult.schur import elementary_schur, generalized_schur
 
@@ -64,6 +64,36 @@ def up(nvars, terms):
     return UPoly(nvars, out)
 
 
+def orbit_char_u(p, ctx):
+    """The orbit character of ``p`` in u1..uN: each distinct permutation of
+    its zero-padded parts once, and zero when ``p`` has more than N parts."""
+    n = ctx.N
+    if p.length > n:
+        return UPoly.zero(n)
+    return UPoly(n, dict.fromkeys(distinct_permutations(p.padded(n)), 1))
+
+
+def substitute(poly, values):
+    """``poly`` with its i-th variable replaced by ``values[i]``, in their ring."""
+    ring, nvars = type(values[0]), values[0].nvars
+    powers = [[ring.one(nvars)] for _ in values]
+    products = []
+    for exps, coeff in poly.terms.items():
+        term = ring.one(nvars)
+        for known, value, e in zip(powers, values, exps):
+            while len(known) <= e:
+                known.append(known[-1] * value)
+            term = term * known[e]
+        products.append((coeff, term, None))
+    return poly_dot(ring, nvars, products)
+
+
+def in_power_sums(poly, ctx):
+    """A polynomial in x1..x(N-1) pushed into the u-ring by x_k -> p_k / k."""
+    power_sums = [orbit_char_u(Partition((k,)), ctx) * Fraction(1, k) for k in range(1, ctx.N)]
+    return substitute(poly, power_sums)
+
+
 def degenerate_x(Q, ctx):
     """The dependent indeterminate x_Q = p_Q / Q (Q >= N) in x1..x(N-1).
 
@@ -107,7 +137,7 @@ def recurrence_schur(p, ctx):
 def star_schur(Q, ctx):
     """The elementary Schur function S_Q with every variable negated."""
     n = ctx.N - 1
-    return elementary_schur(Q, ctx).substitute([-XPoly.variable(n, i) for i in range(n)])
+    return substitute(elementary_schur(Q, ctx), [-XPoly.variable(n, i) for i in range(n)])
 
 
 def product_one_normal_form(p):
@@ -134,8 +164,7 @@ def multiplied_out_factorization(p, ctx):
     exactly when the audit passes.
     """
     n = ctx.N
-    power_sums = [orbit_char_u(Partition((k,)), ctx) * Fraction(1, k) for k in range(1, n)]
-    product = generalized_schur(p, ctx).substitute(power_sums)
+    product = in_power_sums(generalized_schur(p, ctx), ctx)
     u = [UPoly.variable(n, i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):

@@ -183,7 +183,8 @@ REFUSED_UP_FRONT = {
     ("schur", "--rank", "3", "--partition", "1,1,1,1"): "partition (1,1,1,1) has more than 3 rows",
     ("bench",): "invalid choice: 'bench'",
     ("character", "--rank", "3", "--weight", "40000,0"): (
-        "total degree 40003, at or above the packed-monomial limit 32768"
+        "the character of 40000 w1 has total degree 40000, "
+        "at or above the packed-monomial limit 32768"
     ),
     ("character", "--rank", "3", "--weight", "1000,0"): "has dimension 501501",
     ("audit", "--ranks", "3,8", "--max-height", "40"): "height class 40 of A7 has 9749 members",
@@ -196,8 +197,8 @@ REFUSED_UP_FRONT = {
     ("character", "--rank", "100", "--partition", "2,1"): (
         "the character of w1 + w2 lists 333300 weights of 100 exponents, 33330000 in all"
     ),
-    ("character", "--rank", "257", "--partition", "1"): (
-        "total degree 32897, at or above the packed-monomial limit 32768"
+    ("character", "--rank", "2001", "--partition", "1"): (
+        "the character of w1 lists 2001 weights of 2001 exponents, 4004001 in all"
     ),
 }
 
@@ -217,8 +218,8 @@ def test_alternant_commands_refuse_rank_9_up_front(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["character", "--rank", "1558", "--partition", "1"],
-        ["character", "--rank", "1559", "--partition", "1"],
+        ["character", "--rank", "1558", "--partition", "1,1"],
+        ["character", "--rank", "1559", "--partition", "1,1"],
         ["character", "--rank", "3000", "--partition", "1"],
         ["audit", "--ranks", "1559"],
         ["audit", "--ranks", "3,3000"],
@@ -231,11 +232,17 @@ def test_rank_past_the_int_string_limit_is_refused_without_traceback(argv, capsy
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    if argv[0] == "character":
-        # the alternant of w1 has degree 1 + N(N-1)/2
+    if argv[0] == "character" and argv[4] == "1,1":
+        # w2 has dimension comb(N, 2), above the term bound
         expected = (
-            f"the alternant of w1 has total degree {1 + rank * (rank - 1) // 2}, "
-            "at or above the packed-monomial limit 32768"
+            f"the character of w2 has dimension {comb(rank, 2)}; "
+            "at most 500000 is supported"
+        )
+    elif argv[0] == "character":
+        # w1 lists N weights of N exponents, above the exponent bound
+        expected = (
+            f"the character of w1 lists {rank} weights of {rank} exponents, "
+            f"{rank * rank} in all; at most 4000000 are supported"
         )
     else:
         # the orbits of (4), (3,1), (2,2), (2,1,1) and (1,1,1,1)
@@ -248,10 +255,12 @@ def test_rank_past_the_int_string_limit_is_refused_without_traceback(argv, capsy
     assert captured.err == f"error: {expected}\n"
 
 
-# (argv, exit status, seconds allowed) at ranks 2, 9, 100, 2000 and 100000,
-# with small weights and heights; both sides of the exponent bound at rank
-# 100 (505,000 and 17,170,000 exponents for audit) and at its edge: the
-# orbit of w1 at rank 2000 writes exactly 4,000,000 exponents.  At rank
+# (argv, exit status, seconds allowed) at ranks 2, 9, 100, 257, 2000 and
+# 100000, with small weights and heights; both sides of the exponent bound
+# at rank 100 (505,000 and 17,170,000 exponents for audit) and at its
+# edge: the orbit and the character of w1 at rank 2000 write exactly
+# 4,000,000 exponents.  From rank 257 on an alternant of w1 would pass the
+# packed-degree limit, but the character's terms have degree 1.  At rank
 # 100000 every packed key has 1.6 million bits, so any step that is O(N^2)
 # (all N - 1 power sums seeded, a shift-built key, N! in an orbit size)
 # blows the budget or the memory: on a 2-core machine the three rows took
@@ -269,13 +278,14 @@ RANK_GATE = [
     (["mult", "--rank", "100", "--partition", "2,1"], EXIT_OK, 1.0),
     (["orbit", "--rank", "100", "--partition", "2,1"], EXIT_OK, 1.0),
     (["character", "--rank", "100", "--partition", "1"], EXIT_OK, 1.0),
+    (["character", "--rank", "257", "--partition", "1"], EXIT_OK, 1.0),
     (["character", "--rank", "100", "--partition", "2,1"], EXIT_USAGE, 1.0),
     (["audit", "--ranks", "100", "--max-height", "2"], EXIT_OK, 2.0),
     (["audit", "--ranks", "100", "--max-height", "3"], EXIT_USAGE, 1.0),
     (["orbit", "--rank", "1000", "--partition", "1,1"], EXIT_USAGE, 1.0),
     (["mult", "--rank", "2000", "--partition", "1"], EXIT_OK, 1.5),
     (["orbit", "--rank", "2000", "--partition", "1"], EXIT_OK, 3.0),
-    (["character", "--rank", "2000", "--partition", "1"], EXIT_USAGE, 1.0),
+    (["character", "--rank", "2000", "--partition", "1"], EXIT_OK, 3.0),
     (["audit", "--ranks", "2000", "--max-height", "1"], EXIT_OK, 3.0),
     (["mult", "--rank", "100000", "--partition", "1"], EXIT_OK, 1.0),
     (["mult", "--rank", "100000", "--partition", "2,1"], EXIT_OK, 2.0),

@@ -23,10 +23,9 @@ from schurmult.oracle import (
     kostka_multiplicity,
     kostka_numbers,
 )
-from schurmult.orbitchar import orbit_char_u
 from schurmult.solver import dimension, solve_multiplicities
 
-from helpers import kostka_backtrack, package_modules
+from helpers import kostka_backtrack, orbit_char_u, package_modules
 
 A2 = AlgebraContext(3)
 A5 = AlgebraContext(6)

@@ -27,7 +27,7 @@ from schurmult.lattice import (
     sub_Q_lambda1,
 )
 from schurmult.oracle import freudenthal, inflated_exponents, kostka_multiplicity
-from schurmult.orbitchar import orbit_char_u, orbit_char_x
+from schurmult.orbitchar import orbit_char_x
 from schurmult.polyengine import UPoly, XPoly, unpack_monomial
 from schurmult.schur import generalized_schur
 from schurmult.solver import (
@@ -41,6 +41,7 @@ from schurmult.solver import (
 )
 
 from helpers import (
+    orbit_char_u,
     orbit_equation,
     package_modules,
     product_formula_dimension,

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from schurmult import weyl
+from schurmult import orbitchar, polyengine, schur, weyl
 from schurmult.lattice import (
     AlgebraContext,
     DominantWeight,
@@ -16,7 +16,6 @@ from schurmult.lattice import (
     partition_to_dominant,
     partitions_of,
 )
-from schurmult.orbitchar import orbit_char_u
 from schurmult.polyengine import UPoly, XPoly
 from schurmult.solver import solve_multiplicities
 from schurmult.weyl import (
@@ -31,6 +30,7 @@ from helpers import (
     expanded_difference,
     monomial_alternant,
     multiplied_out_factorization,
+    orbit_char_u,
     product_one_normal_form,
     up,
 )
@@ -54,8 +54,8 @@ def _swap_variables(p: UPoly, i: int, j: int) -> UPoly:
 @pytest.mark.parametrize(
     "n, coords, reason",
     [
-        (257, (1,) + (0,) * 255, "total degree 32897, at or above the packed-monomial limit 32768"),
-        (3, (40000, 0), "total degree 40003, at or above the packed-monomial limit 32768"),
+        (257, (32768,) + (0,) * 255, "32768 w1 has total degree 32768, at or above the packed-"),
+        (3, (40000, 0), "40000 w1 has total degree 40000, at or above the packed-monomial limit"),
         (3, (1000, 0), "has dimension 501501; at most 500000 is supported"),
         (
             100,
@@ -277,6 +277,22 @@ def test_factorization_mismatch_report_equals_the_reference(monkeypatch):
             assert str(report).startswith(f"{ctx} {Partition(parts)}: MISMATCH: ")
 
 
+def test_factorization_audit_does_no_u_ring_arithmetic(monkeypatch):
+    # the audit stays in the basis of alternants: no product, sum or
+    # determinant of UPoly values, which all go through poly_dot
+    original = polyengine.poly_dot
+
+    def x_ring_only(ring, nvars, products):
+        if ring is UPoly:
+            raise AssertionError("the factorization audit did arithmetic in the u-ring")
+        return original(ring, nvars, products)
+
+    for module in (polyengine, schur, orbitchar):
+        monkeypatch.setattr(module, "poly_dot", x_ring_only)
+    for n, parts in CRITERION_5_CASES:
+        assert verify_factorization(Partition(parts), AlgebraContext(n)).ok, (n, parts)
+
+
 def test_factorization_above_the_alternant_row_bound():
     for n, parts in [(10, (2, 1)), (12, (3, 2, 1))]:
         report = verify_factorization(Partition(parts), AlgebraContext(n))
@@ -287,7 +303,7 @@ def test_factorization_mismatch_above_rank_8_is_reported(monkeypatch):
     # the coefficients of alternants are reported as they are; expanding
     # them would take alternants of N! terms
     _doctor_schur(monkeypatch)
-    for n, parts in [(9, (2, 1)), (12, (3, 2, 1))]:
+    for n, parts in [(9, (2, 1)), (12, (3, 2, 1)), (100, (2, 1))]:
         start = time.perf_counter()
         report = verify_factorization(Partition(parts), AlgebraContext(n))
         assert time.perf_counter() - start < 1.0, (n, parts)
