@@ -1,9 +1,9 @@
 """Weyl-orbit characters in the x-indeterminates.
 
-An orbit character is a monomial symmetric polynomial in u1..uN, each
-distinct monomial exactly once (:func:`oracle.brute_orbit_char` lists
-it).  :func:`orbit_char_x` writes it in the x-indeterminates, where
-K(Q) -> Q*x_Q sends the Q-th power sum to Q*x_Q.  Because the
+An orbit character is a monomial symmetric polynomial in u1..uN (each
+distinct monomial once, as :func:`oracle.brute_orbit_char` lists it);
+:func:`orbit_char_x` writes it in the x-indeterminates, where K(Q) ->
+Q*x_Q sends the Q-th power sum to Q*x_Q.  Because the
 product of all u's is constrained to 1 (e_N = 1), the x-variables of
 degree >= N are not independent.  The power sums from degree N on obey
 the recurrence f_m = sum_(k=1..N) (-1)^(k+1) e_k f_(m-k) that

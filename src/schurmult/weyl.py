@@ -150,10 +150,9 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
     """Check that the shifted alternant equals Vandermonde times the Schur function.
 
     Each term s_α x^α of the generalized Schur function is s_α p_ρ(α) / w_α,
-    and a power sum shifts one exponent of an alternant,
-    p_r a_(γ+δ) = sum_j a_(γ+δ + r e_j) (Macdonald, I §3), so
-    :func:`_power_products` builds S_λ a_δ from a_δ straightened after each
-    shift, and no step leaves the basis of alternants.  Degenerated Schur
+    and p_r a_(γ+δ) = sum_j a_(γ+δ + r e_j) (Macdonald, I §3), so
+    :func:`_power_products` builds S_λ a_δ from a_δ, straightened after each
+    shift: no step leaves the basis of alternants.  Degenerated Schur
     functions mix graded degrees, so the sides are compared modulo the
     product constraint.  A mismatch is reported as the coefficients of
     a_(λ+δ) - S_λ a_δ, one per partition μ of a_(μ+δ) (rendered a[μ]).
@@ -166,7 +165,7 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
         shifted = _straighten(((mu[:j] + (mu[j] + r,) + mu[j + 1 :], 1) for j in range(n)), {})
         return [(nu, c) for nu, c in shifted.items() if c]
 
-    expanded, basis = _power_products(alphas, (0,) * n, shift)
+    expanded, basis, _ = _power_products(alphas, (0,) * n, shift)
     scale = lcm(*map(_denominator, alphas))
     den = scale * schur.den
     diff = _straighten([(p.padded(n), den)], {})
