@@ -160,15 +160,15 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
     n = ctx.N
     schur = generalized_schur(p, ctx)
     alphas = [unpack_monomial(key, n - 1) for key in schur.num]
+    scale = lcm(*map(_denominator, alphas))
+    den = scale * schur.den
+    diff = _straighten([(p.padded(n), den)], {})  # refuses more than N parts
 
     def shift(r, mu):
         shifted = _straighten(((mu[:j] + (mu[j] + r,) + mu[j + 1 :], 1) for j in range(n)), {})
         return [(nu, c) for nu, c in shifted.items() if c]
 
     expanded, basis, _ = _power_products(alphas, (0,) * n, shift)
-    scale = lcm(*map(_denominator, alphas))
-    den = scale * schur.den
-    diff = _straighten([(p.padded(n), den)], {})
     for alpha, s in zip(alphas, schur.num.values()):
         factor = s * (scale // _denominator(alpha))
         for b, c in expanded[alpha].items():

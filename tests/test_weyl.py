@@ -224,6 +224,13 @@ def test_factorization_single_box_two_rows():
     assert report.difference == {}
 
 
+def test_factorization_of_more_than_n_rows_is_refused():
+    # S_λ of N + 1 rows has no terms; the partition is refused, not audited
+    for n, parts in [(2, (1, 1, 1)), (3, (1, 1, 1, 1))]:
+        with pytest.raises(ValueError, match=f"has more than {n} parts"):
+            verify_factorization(Partition(parts), AlgebraContext(n))
+
+
 def test_factorization_flagship_cases():
     ctx = AlgebraContext(6)
     for parts in [(6, 1), (5, 2), (4, 3)]:
