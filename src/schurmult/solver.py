@@ -65,7 +65,7 @@ class MultiplicityTable:
 SYSTEM_CACHE_SIZE = 16
 
 
-def _times_power_sum(r: int, mu: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], int]]:
+def _times_power_sum(n: int, r: int, mu: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     """The pairs (ν, c) of p_r m_μ = sum(c m_ν) in n variables modulo e_n = 1.
 
     Each ν adds r to one distinct part of μ, or to a zero part when μ has
@@ -103,10 +103,10 @@ def _power_products(alphas, start, times):
     height 1998 is a chain 1998 deep).  Basis elements are numbered as
     they are met, so the memos of the pairs per (r, b) hash ints.
     Returns ``expanded`` ({b's number: coefficient} for each α met),
-    ``basis`` (the elements by number, ``start`` first) and the memos:
-    a caller that builds tuples from ``expanded`` keeps them until done,
-    or its tuples reuse their freed blocks, scattered (warm solves over
-    class rows built so ran 10-15 % slower).
+    ``number`` ({b: its number}, ``start`` 0, in the order met) and the
+    memos: a caller that builds tuples from ``expanded`` keeps them until
+    done, or its tuples reuse their freed blocks, scattered (warm solves
+    over class rows built so ran 10-15 % slower).
     """
     number = {start: 0}
     basis = [start]
@@ -135,7 +135,7 @@ def _power_products(alphas, start, times):
                 for image, count in pairs:
                     out[image] = out.get(image, 0) + c * count
             expanded[alpha] = out
-    return expanded, basis, memos
+    return expanded, number, memos
 
 
 def _denominator(alpha: Sequence[int]) -> int:
@@ -172,10 +172,9 @@ class HeightClassSystem:
         n = self.members[0].context.N
         alphas = [member.coords for member in self.members]
         # the memos stay alive until the rows are built: see _power_products
-        expanded, partitions, memos = _power_products(alphas, (), partial(_times_power_sum, n=n))
+        expanded, number, memos = _power_products(alphas, (), partial(_times_power_sum, n))
         w_alpha = list(map(_denominator, alphas))
         self.scale = lcm(*w_alpha)
-        number = {nu: i for i, nu in enumerate(partitions)}
         column = {number[member.to_partition().parts]: j for j, member in enumerate(self.members)}
         self.rows = {}
         for alpha, w in zip(alphas, w_alpha):

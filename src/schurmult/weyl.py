@@ -168,7 +168,8 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
         shifted = _straighten(((mu[:j] + (mu[j] + r,) + mu[j + 1 :], 1) for j in range(n)), {})
         return [(nu, c) for nu, c in shifted.items() if c]
 
-    expanded, basis, _ = _power_products(alphas, (0,) * n, shift)
+    expanded, number, _ = _power_products(alphas, (0,) * n, shift)
+    basis = list(number)
     for alpha, s in zip(alphas, schur.num.values()):
         factor = s * (scale // _denominator(alpha))
         for b, c in expanded[alpha].items():

@@ -199,7 +199,7 @@ def test_power_sum_times_orbit_sum_is_counted():
             for size in range(7):
                 for mu in partitions_of(size, n - 1):
                     product = power_sum * orbit_char_u(Partition(mu), ctx)
-                    pairs = solver._times_power_sum(r, mu, n)
+                    pairs = solver._times_power_sum(n, r, mu)
                     assert len({nu for nu, _ in pairs}) == len(pairs)
                     counted = sum(
                         (c * orbit_char_u(Partition(nu), ctx) for nu, c in pairs),
