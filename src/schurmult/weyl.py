@@ -5,11 +5,14 @@ without division, as coefficients of alternants (Macdonald, *Symmetric
 Functions and Hall Polynomials*, I §3): a_(α+δ) straightens to 0 or
 ±a_(μ+δ) modulo the product constraint.  Nothing here builds an alternant
 of N! terms: the character, both audits and a factorization mismatch all
-stay in the basis of alternants.
+stay in the basis of alternants.  Straightening sorts nothing: each entry
+of α + δ is inserted once among entries in order, the sign is the parity
+of the entries it passes, and an alternant is dropped when two meet.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,30 +30,6 @@ from .solver import SolverError, _denominator, _power_products, dimension
 # exponent vector: every μ that one target reaches lies in its height
 # class, so a class at the bound lattice.MAX_CLASS_MEMBERS fits whole.
 ORBIT_CACHE_SIZE = 1024
-
-
-def _sign(exps) -> int:
-    """(-1) ** (number of rises) of ``exps``; 0 when two entries coincide."""
-    if len(set(exps)) < len(exps):
-        return 0
-    rises = sum(x < y for i, x in enumerate(exps) for y in exps[i + 1 :])
-    return -1 if rises % 2 else 1
-
-
-def _straighten(terms, out: dict) -> dict:
-    """Add sum(c a_(α+δ)) over the pairs ``(α, c)`` of ``terms`` into ``out``
-    by a_(α+δ) ≡ sign · a_(μ+δ) modulo the product constraint: μ is
-    sort(α + δ) - δ less its full columns, a canonical exponent vector of
-    fewer than N parts, and the sign is 0 when two entries of α + δ meet."""
-    for alpha, c in terms:
-        n = len(alpha)
-        gamma = [a + n - 1 - j for j, a in enumerate(alpha)]
-        sign = _sign(gamma)
-        if sign:
-            gamma.sort(reverse=True)
-            mu = tuple(g - gamma[-1] - (n - 1 - j) for j, g in enumerate(gamma))
-            out[mu] = out.get(mu, 0) + sign * c
-    return out
 
 
 def weyl_character_u(w: DominantWeight) -> UPoly:
@@ -118,9 +97,43 @@ def alternant_multiplicities(w: DominantWeight) -> dict[tuple[int, ...], int]:
 def _straightened_orbit(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """m_μ a_δ, the sum of a_(α+δ) over the orbit of μ, straightened: its
     (ν, coefficient of a_(ν+δ)) pairs.  It depends on μ alone, so every
-    target of a height class that reaches μ reuses it."""
-    straightened = _straighten(((alpha, 1) for alpha in distinct_permutations(mu)), {})
-    return tuple((nu, c) for nu, c in straightened.items() if c)
+    target of a height class that reaches μ reuses it.
+
+    Each entry of α + δ is inserted once, without recursion, into the
+    ascending entries placed before it: a value whose entry is taken is
+    skipped, the sign counts the entries each one lands above, and the
+    entries of a completed α give ν."""
+    n = len(mu)
+    values = sorted(set(mu), reverse=True)
+    left = [mu.count(v) for v in values]
+    taken, at, choice, signs = [], [0] * n, [-1] * n, [1] * (n + 1)
+    by_entries = {}
+    i = 0
+    while i >= 0:
+        if choice[i] >= 0:
+            left[choice[i]] += 1
+            del taken[at[i]]
+        for c in range(choice[i] + 1, len(values)):
+            g = values[c] + n - 1 - i
+            k = bisect_left(taken, g)
+            if left[c] and (k == len(taken) or taken[k] != g):
+                break
+        else:
+            choice[i] = -1
+            i -= 1
+            continue
+        choice[i], at[i] = c, k
+        left[c] -= 1
+        taken.insert(k, g)
+        signs[i + 1] = -signs[i] if k & 1 else signs[i]
+        if i + 1 < n:
+            i += 1
+        else:
+            key = tuple(taken)
+            by_entries[key] = by_entries.get(key, 0) + signs[n]
+    return tuple(
+        (tuple(e[t] - e[0] - t for t in reversed(range(n))), k) for e, k in by_entries.items() if k
+    )
 
 
 @dataclass(frozen=True)
@@ -162,11 +175,24 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
     alphas = [unpack_monomial(key, n - 1) for key in schur.num]
     scale = lcm(*map(_denominator, alphas))
     den = scale * schur.den
-    diff = _straighten([(p.padded(n), den)], {})  # refuses more than N parts
+    q = p.padded(n)  # refuses more than N parts
+    diff = {tuple(e - q[-1] for e in q): den}
 
     def shift(r, mu):
-        shifted = _straighten(((mu[:j] + (mu[j] + r,) + mu[j + 1 :], 1) for j in range(n)), {})
-        return [(nu, c) for nu, c in shifted.items() if c]
+        # entry j of γ = μ + δ raised by r passes k entries: 0 on a tie, else (-1) ** k
+        gamma = [m + n - 1 - t for t, m in enumerate(mu)]
+        pairs = []
+        for j in range(n):
+            raised = gamma[j] + r
+            i = j
+            while i and gamma[i - 1] < raised:
+                i -= 1
+            if i and gamma[i - 1] == raised:
+                continue
+            entries = gamma[:i] + [raised] + gamma[i:j] + gamma[j + 1 :]
+            nu = tuple(g - entries[-1] - (n - 1 - t) for t, g in enumerate(entries))
+            pairs.append((nu, -1 if (j - i) & 1 else 1))
+        return pairs
 
     expanded, number, _ = _power_products(alphas, (0,) * n, shift)
     basis = list(number)
