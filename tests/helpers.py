@@ -181,6 +181,25 @@ def expanded_difference(report):
     return product_one_normal_form(poly_dot(UPoly, n, products))
 
 
+def straighten(terms):
+    """sum(c a_(α+δ)) over the pairs ``(α, c)`` of ``terms``, straightened
+    the generic way: α + δ is sorted, its sign (-1) ** (rises) is counted
+    over all pairs, 0 when two entries meet, and μ is sort(α + δ) - δ less
+    its full columns.  The reference for the insertion kernels of
+    ``weyl``; returns {μ: coefficient of a_(μ+δ)}, zeros dropped."""
+    out = {}
+    for alpha, c in terms:
+        n = len(alpha)
+        gamma = [a + n - 1 - j for j, a in enumerate(alpha)]
+        if len(set(gamma)) < n:
+            continue
+        rises = sum(x < y for i, x in enumerate(gamma) for y in gamma[i + 1 :])
+        gamma.sort(reverse=True)
+        mu = tuple(g - gamma[-1] - (n - 1 - j) for j, g in enumerate(gamma))
+        out[mu] = out.get(mu, 0) + (-1) ** rises * c
+    return {mu: c for mu, c in out.items() if c}
+
+
 def orbit_equation(table):
     """The paper's equation for a multiplicity table, as its difference
     sum(K_ν orbit_char_x(ν)) - S_λ; zero when the table is right."""

@@ -13,6 +13,7 @@ from schurmult.lattice import (
     DominantWeight,
     LimitError,
     Partition,
+    distinct_permutations,
     partition_to_dominant,
     partitions_of,
 )
@@ -191,6 +192,63 @@ def test_concurrent_alternant_routes_share_one_orbit_memo():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert all(out == serial for out in results)
+
+
+def test_alternant_multiplicities_of_a11_within_time_gate():
+    # (6,4,3,2,1) at N = 12: the 108 orbits it straightens hold 10.6 million
+    # permutations (up to 554,400 each), of which few survive
+    target = DominantWeight((2, 1, 1, 1, 1) + (0,) * 6, AlgebraContext(12))
+    weyl._straightened_orbit.cache_clear()
+    start = time.perf_counter()
+    found = alternant_multiplicities(target)
+    assert time.perf_counter() - start < 3.0
+    solved = {member.mu_vector(): mult for member, mult in solve_multiplicities(target) if mult}
+    assert found == solved
+
+
+# -- straightening ---------------------------------------------------------
+
+# every canonical exponent vector μ (fewer than N parts) of height at most 8
+# at N = 2..7, and 5-part ones at N = 12
+CANONICAL = [
+    parts + (0,) * (n - len(parts))
+    for n in range(2, 8)
+    for total in range(9)
+    for parts in partitions_of(total, n - 1)
+]
+FIVE_PARTS_AT_RANK_12 = [
+    parts + (0,) * 7 for parts in [(2, 1, 1, 1, 1), (2, 2, 2, 1, 1), (3, 3, 2, 2, 1), (5, 4, 3, 2, 1)]
+]
+
+
+def test_straightened_orbit_equals_the_generic_straightening():
+    for mu in CANONICAL + FIVE_PARTS_AT_RANK_12:
+        got = weyl._straightened_orbit.__wrapped__(mu)
+        assert len(dict(got)) == len(got), mu
+        expected = helpers.straighten((alpha, 1) for alpha in distinct_permutations(mu))
+        assert dict(got) == expected, mu
+
+
+def test_shift_equals_the_generic_straightening(monkeypatch):
+    # the shift p_r a_(μ+δ) = sum_j a_(μ+δ + r e_j) that the factorization
+    # audit hands to the power-sum peel, one per rank
+    shifts = {}
+    original = weyl._power_products
+
+    def capture(alphas, start, times):
+        shifts[len(start)] = times
+        return original(alphas, start, times)
+
+    monkeypatch.setattr(weyl, "_power_products", capture)
+    for n in range(2, 8):
+        assert verify_factorization(Partition((1,)), AlgebraContext(n)).ok
+    for mu in CANONICAL:
+        n = len(mu)
+        for r in range(1, 5):
+            got = shifts[n](r, mu)
+            assert len(dict(got)) == len(got), (r, mu)
+            raised = ((mu[:j] + (mu[j] + r,) + mu[j + 1 :], 1) for j in range(n))
+            assert dict(got) == helpers.straighten(raised), (r, mu)
 
 
 def _inflate(member, total):
