@@ -95,18 +95,18 @@ def _times_power_sum(n: int, r: int, mu: tuple[int, ...]) -> list[tuple[tuple[in
 
 
 def _power_products(alphas, start, times):
-    """p_ρ(α) ``start`` for each α of ``alphas`` in the basis ``times`` acts
-    on: ``times(r, b)`` gives the pairs (b', c) of p_r b = sum(c b').
+    """L x^α ``start`` for each distinct α of ``alphas``, in the basis
+    ``times`` acts on: ``times(r, b)`` gives the pairs (b', c) of
+    p_r b = sum(c b').  x^α = p_ρ(α) / w_α with w_α = prod(i ** α_i), and
+    L = lcm w_α clears every denominator.
 
     Each p_ρ(α) comes from α less its largest part (a unit off its last
     nonzero entry), one power sum at a time, with no recursion (A1 at
     height 1998 is a chain 1998 deep).  Basis elements are numbered as
     they are met, so the memos of the pairs per (r, b) hash ints.
-    Returns ``expanded`` ({b's number: coefficient} for each α met),
-    ``number`` ({b: its number}, ``start`` 0, in the order met) and the
-    memos: a caller that builds tuples from ``expanded`` keeps them until
-    done, or its tuples reuse their freed blocks, scattered (warm solves
-    over class rows built so ran 10-15 % slower).
+    Returns ``rows`` ({b's number: c L / w_α} for each α, in order),
+    ``number`` ({b: its number}, ``start`` 0, in the order met) and
+    ``scale``, L.
     """
     number = {start: 0}
     basis = [start]
@@ -135,12 +135,14 @@ def _power_products(alphas, start, times):
                 for image, count in pairs:
                     out[image] = out.get(image, 0) + c * count
             expanded[alpha] = out
-    return expanded, number, memos
-
-
-def _denominator(alpha: Sequence[int]) -> int:
-    """w_α = prod(i ** α_i), the denominator of x^α = p_ρ(α) / w_α."""
-    return prod(i**a for i, a in enumerate(alpha, 1))
+    w_alpha = [prod(i**a for i, a in enumerate(alpha, 1)) for alpha in alphas]
+    scale = lcm(*w_alpha)
+    rows = [expanded[alpha] for alpha in alphas]
+    for row, w in zip(rows, w_alpha):
+        factor = scale // w
+        for b in row:
+            row[b] *= factor
+    return rows, number, scale
 
 
 class HeightClassSystem:
@@ -153,8 +155,9 @@ class HeightClassSystem:
     of the class are exactly the members' (the matrix is square).
     ``rows`` maps each packed row monomial x^α to its pairs
     ``(member index, c L / w_α)``, c = [m_ν] p_ρ(α) for the member's
-    partition ν, scaled to integers by ``scale``, L = lcm w_α.  The
-    p_ρ(α) are built by :func:`_power_products` in the m-basis.
+    partition ν, scaled to integers by ``scale``, L = lcm w_α.
+    :func:`_power_products` builds these scaled rows and L in the
+    m-basis; the class only numbers their columns by member.
     :meth:`solve` is one pass over the generalized Schur function's terms
     and an exact division by L ``rhs.den``.
 
@@ -171,17 +174,12 @@ class HeightClassSystem:
         self.orbit_sizes = tuple(map(orbit_size, self.members))
         n = self.members[0].context.N
         alphas = [member.coords for member in self.members]
-        # the memos stay alive until the rows are built: see _power_products
-        expanded, number, memos = _power_products(alphas, (), partial(_times_power_sum, n))
-        w_alpha = list(map(_denominator, alphas))
-        self.scale = lcm(*w_alpha)
+        rows, number, self.scale = _power_products(alphas, (), partial(_times_power_sum, n))
         column = {number[member.to_partition().parts]: j for j, member in enumerate(self.members)}
-        self.rows = {}
-        for alpha, w in zip(alphas, w_alpha):
-            factor = self.scale // w
-            self.rows[pack_monomial(alpha, n - 1)] = tuple(
-                (column[nu], c * factor) for nu, c in expanded[alpha].items()
-            )
+        self.rows = {
+            pack_monomial(alpha, n - 1): tuple((column[nu], c) for nu, c in row.items())
+            for alpha, row in zip(alphas, rows)
+        }
 
     def solve(self, rhs: XPoly) -> list[int]:
         """The multiplicities that expand ``rhs`` in the members' orbit characters.

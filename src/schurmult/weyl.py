@@ -15,8 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import lru_cache, partial
 
 from .lattice import (
     MAX_OUTPUT_TERMS, AlgebraContext, DominantWeight, LimitError, Partition,
@@ -24,7 +23,7 @@ from .lattice import (
 )
 from .polyengine import DEGREE_LIMIT, UPoly, pack_monomial, unpack_monomial
 from .schur import generalized_schur
-from .solver import SolverError, _denominator, _power_products, dimension
+from .solver import SolverError, _power_products, dimension
 
 # Straightened orbits kept by :func:`_straightened_orbit`, one per canonical
 # exponent vector: every μ that one target reaches lies in its height
@@ -159,6 +158,25 @@ class FactorizationReport:
         return f"{self.context} {self.partition}: {status}"
 
 
+def _shift(n: int, r: int, mu: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The pairs (ν, ±1) of p_r a_(μ+δ) = sum_j a_(μ+δ + r e_j), straightened:
+    entry j of the strictly decreasing γ = μ + δ raised by r passes the k
+    entries it now exceeds, 0 on a tie, else (-1) ** k."""
+    gamma = [m + n - 1 - t for t, m in enumerate(mu)]
+    pairs = []
+    for j in range(n):
+        raised = gamma[j] + r
+        i = j
+        while i and gamma[i - 1] < raised:
+            i -= 1
+        if i and gamma[i - 1] == raised:
+            continue
+        entries = gamma[:i] + [raised] + gamma[i:j] + gamma[j + 1 :]
+        nu = tuple(g - entries[-1] - (n - 1 - t) for t, g in enumerate(entries))
+        pairs.append((nu, -1 if (j - i) & 1 else 1))
+    return pairs
+
+
 def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationReport:
     """Check that the shifted alternant equals Vandermonde times the Schur function.
 
@@ -173,33 +191,14 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
     n = ctx.N
     schur = generalized_schur(p, ctx)
     alphas = [unpack_monomial(key, n - 1) for key in schur.num]
-    scale = lcm(*map(_denominator, alphas))
-    den = scale * schur.den
     q = p.padded(n)  # refuses more than N parts
+    rows, number, scale = _power_products(alphas, (0,) * n, partial(_shift, n))
+    den = scale * schur.den
     diff = {tuple(e - q[-1] for e in q): den}
-
-    def shift(r, mu):
-        # entry j of γ = μ + δ raised by r passes k entries: 0 on a tie, else (-1) ** k
-        gamma = [m + n - 1 - t for t, m in enumerate(mu)]
-        pairs = []
-        for j in range(n):
-            raised = gamma[j] + r
-            i = j
-            while i and gamma[i - 1] < raised:
-                i -= 1
-            if i and gamma[i - 1] == raised:
-                continue
-            entries = gamma[:i] + [raised] + gamma[i:j] + gamma[j + 1 :]
-            nu = tuple(g - entries[-1] - (n - 1 - t) for t, g in enumerate(entries))
-            pairs.append((nu, -1 if (j - i) & 1 else 1))
-        return pairs
-
-    expanded, number, _ = _power_products(alphas, (0,) * n, shift)
     basis = list(number)
-    for alpha, s in zip(alphas, schur.num.values()):
-        factor = s * (scale // _denominator(alpha))
-        for b, c in expanded[alpha].items():
-            diff[basis[b]] = diff.get(basis[b], 0) - factor * c
+    for row, s in zip(rows, schur.num.values()):
+        for b, c in row.items():
+            diff[basis[b]] = diff.get(basis[b], 0) - s * c
     wrong = sorted(((mu, c) for mu, c in diff.items() if c), reverse=True)
     difference = {Partition(mu[: mu.index(0)]): Fraction(c, den) for mu, c in wrong}
     return FactorizationReport(p, ctx, difference)

@@ -387,8 +387,11 @@ def test_concurrent_solves_share_one_system(monkeypatch):
     serial = {w: solve_multiplicities(w) for w in targets}
     built = copy.deepcopy(vars(height_class_system(6, 7)))
     height_class_system.cache_clear()
-    # the threads also race on first misses of the generalized Schur functions
+    # the threads also race on first misses of the generalized Schur functions,
+    # and on filling the elementary ones upward from degree 0: a thread that
+    # finds degree d must find 0..d, which a warm cache would never test
     monkeypatch.setattr(schur, "_generalized_cache", {})
+    monkeypatch.setattr(schur, "_elementary_cache", {})
 
     results = [{} for _ in range(4)]
     errors = []
