@@ -8,7 +8,7 @@ product of all u's is constrained to 1 (e_N = 1), the x-variables of
 degree >= N are not independent.  The power sums from degree N on obey
 the recurrence f_m = sum_(k=1..N) (-1)^(k+1) e_k f_(m-k) that
 :mod:`schur` runs for the complete homogeneous functions, with the same
-fill-upward helper; e_k comes from :mod:`schur`, built without any orbit
+helper; e_k comes from :mod:`schur`, built without any orbit
 column, so the solver and the Schur stage never call :func:`orbit_char_x`.
 """
 
@@ -18,23 +18,25 @@ from fractions import Fraction
 
 from .lattice import AlgebraContext, Partition
 from .polyengine import XPoly, poly_dot
-from .schur import _fill_upward
+from .schur import _recurrence_degrees
 
 
 _psum_cache: dict[tuple[int, int], XPoly] = {}
+_psum_window: dict[int, tuple[int, tuple[XPoly, ...]]] = {}
+
+
+def _power_seed(n: int, d: int, lower: list[XPoly]) -> XPoly:
+    """p_d below n: p_0 = n and p_d = d x_d."""
+    return XPoly.constant(n - 1, n) if d == 0 else XPoly.variable(n - 1, d - 1) * d
 
 
 def _power_sum_x(n: int, Q: int) -> XPoly:
     """Power sum of n constrained variables as a polynomial in x1..x(n-1).
 
-    p_0 = n and p_i = i*x_i for the independent degrees 0 < i < n; only
-    the degrees up to Q are built.
+    Below n from :func:`_power_seed`, from n on by the e-recurrence; no
+    degree above Q is built.
     """
-
-    def seed(d: int) -> XPoly:
-        return XPoly.constant(n - 1, n) if d == 0 else XPoly.variable(n - 1, d - 1) * d
-
-    return _fill_upward(_psum_cache, n, Q, seed)
+    return _recurrence_degrees(_psum_cache, _psum_window, n, (Q,), _power_seed)[Q]
 
 
 _orbit_x_cache: dict[tuple[int, tuple[int, ...]], XPoly] = {}

@@ -11,19 +11,21 @@ I §2).  With the top elementary symmetric polynomial pinned to 1
 (H(t)E(-t) = 1), every degree from N on follows the e-recurrence
 f_m = sum_(k=1..N) (-1)^(k+1) e_k f_(m-k), which gives the degenerated
 functions; the power sums of :mod:`orbitchar` obey the same recurrence
-and share its fill-upward helper.  Generalized Schur functions are
+and share its helper, which keeps the degrees below N, the degrees asked
+for and a window of the last N degrees, not every degree.  Generalized Schur functions are
 determinants of the banded matrix with entries S_(q_i - i + j).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from .lattice import AlgebraContext, Partition, check_class_size
 from .polyengine import FIELD_BITS, XPoly, poly_det, poly_dot
 
 _elementary_cache: dict[tuple[int, int], XPoly] = {}
+_elementary_window: dict[int, tuple[int, tuple[XPoly, ...]]] = {}
 _generalized_cache: dict[tuple[int, tuple[int, ...]], XPoly] = {}
 
 
@@ -45,59 +47,92 @@ def elementary_symmetric_x(n: int, k: int) -> XPoly:
     return XPoly._make(h.nvars, num, h.den)
 
 
-def _fill_upward(
+def _recurrence_degrees(
     cache: dict[tuple[int, int], XPoly],
+    windows: dict[int, tuple[int, tuple[XPoly, ...]]],
     n: int,
-    m: int,
-    seed: Callable[[int], XPoly],
-) -> XPoly:
-    """Degree m of a sequence over x1..x(n-1) that obeys the e-recurrence.
+    degrees: Iterable[int],
+    seed: Callable[[int, int, list[XPoly]], XPoly],
+) -> dict[int, XPoly]:
+    """The degrees ``degrees`` (none negative) of a sequence over x1..x(n-1)
+    that obeys the e-recurrence, keyed by degree.
 
-    Below degree n, f_d = ``seed(d)``, which may read the cached lower
-    degrees; from degree n on, f_d = sum_(k=1..n) (-1)^(k+1) e_k f_(d-k).
-    ``cache`` maps (n, d) to f_d and holds every degree from 0 up to the
-    highest one asked for; it is filled upward from there, so no call
-    recurses and no degree above m is built.
+    Below degree n, f_d = ``seed(n, d, [f_0, ..., f_(d-1)])``; from degree
+    n on, f_d = sum_(k=1..n) (-1)^(k+1) e_k f_(d-k), which reads only the
+    last n degrees.  ``cache`` maps (n, d) to f_d for the seeds below n,
+    stored upward so a cached seed has every lower one beside it, and for
+    every degree ever asked for.  ``windows`` maps n to (top, (f_(top-n+1),
+    ..., f_top)), the last n degrees of the highest pass, stored as one
+    immutable value so a concurrent reader never sees a torn window (a lost
+    race keeps a lower window, never a wrong one).  The missing degrees
+    from n on are built in one upward pass: from the window when it lies
+    below them all, else from the seeds, so a degree below the window that
+    was never asked for is recomputed locally.  No call recurses and no
+    degree above the highest asked for is built.
     """
-    top = m
-    while top >= 0 and (n, top) not in cache:
-        top -= 1
-    es = None
-    for d in range(top + 1, m + 1):
-        if d < n:
-            cache[(n, d)] = seed(d)
-            continue
-        if es is None:
-            es = [elementary_symmetric_x(n, k) for k in range(1, n + 1)]
-        cache[(n, d)] = poly_dot(
-            XPoly,
-            n - 1,
-            [(1 if k % 2 else -1, es[k - 1], cache[(n, d - k)]) for k in range(1, n + 1)],
-        )
-    return cache[(n, m)]
+    found = {d: cache.get((n, d)) for d in degrees}
+    missing = sorted(d for d, f in found.items() if f is None)
+    if not missing:
+        return found
+    low = [d for d in missing if d < n]
+    high = missing[len(low) :]
+    start = windows.get(n)
+    if start is not None and high and start[0] >= high[0]:
+        start = None
+    last_seed = n - 1 if high and start is None else (low[-1] if low else -1)
+    seeds: list[XPoly] = []
+    for d in range(last_seed + 1):
+        f = cache.get((n, d))
+        if f is None:
+            f = cache[(n, d)] = seed(n, d, seeds)
+        seeds.append(f)
+        if d in found:
+            found[d] = f
+    if high:
+        top, window = start if start is not None else (n - 1, seeds)
+        window = list(window)
+        es = [elementary_symmetric_x(n, k) for k in range(1, n + 1)]
+        wanted = set(high)
+        for d in range(top + 1, high[-1] + 1):
+            f = poly_dot(
+                XPoly,
+                n - 1,
+                [(1 if k % 2 else -1, es[k - 1], window[-k]) for k in range(1, n + 1)],
+            )
+            del window[0]
+            window.append(f)
+            if d in wanted:
+                found[d] = cache[(n, d)] = f
+        current = windows.get(n)
+        if current is None or current[0] < high[-1]:
+            windows[n] = (high[-1], tuple(window))
+    return found
+
+
+def _newton(n: int, d: int, lower: list[XPoly]) -> XPoly:
+    """h_d below n by Newton's identity d h_d = sum_(i=1..d) i x_i h_(d-i)."""
+    if d == 0:
+        return XPoly.one(n - 1)
+    products = [(i, XPoly.variable(n - 1, i - 1), lower[d - i]) for i in range(1, d + 1)]
+    return poly_dot(XPoly, n - 1, products).scale(Fraction(1, d))
+
+
+def _complete(n: int, degrees: Iterable[int]) -> dict[int, XPoly]:
+    """h_d = S_d over x1..x(n-1) for each of ``degrees`` (none negative)."""
+    return _recurrence_degrees(_elementary_cache, _elementary_window, n, degrees, _newton)
 
 
 def elementary_schur(Q: int, ctx: AlgebraContext) -> XPoly:
     """Elementary Schur function of degree Q over x1..x(N-1).
 
-    Degree 0 is 1 and negative degrees are 0.  Every degree from 0 to Q
-    ends up cached: below N by Newton's identity, from N on by the
-    e-recurrence, so no call recurses.
+    Degree 0 is 1 and negative degrees are 0.  Below N it comes from
+    Newton's identity, from N on from the e-recurrence; degree Q stays
+    cached, with the seeds below N and the window of the last N degrees.
     """
     n = ctx.N
     if Q < 0:
         return XPoly.zero(n - 1)
-
-    def newton(d: int) -> XPoly:
-        if d == 0:
-            return XPoly.one(n - 1)
-        products = [
-            (i, XPoly.variable(n - 1, i - 1), _elementary_cache[(n, d - i)])
-            for i in range(1, d + 1)
-        ]
-        return poly_dot(XPoly, n - 1, products).scale(Fraction(1, d))
-
-    return _fill_upward(_elementary_cache, n, Q, newton)
+    return _complete(n, (Q,))[Q]
 
 
 def generalized_schur(p: Partition, ctx: AlgebraContext) -> XPoly:
@@ -112,10 +147,9 @@ def generalized_schur(p: Partition, ctx: AlgebraContext) -> XPoly:
     if k == 0:
         result = XPoly.one(ctx.N - 1)
     else:
-        matrix = [
-            [elementary_schur(p.parts[i] - i + j, ctx) for j in range(k)]
-            for i in range(k)
-        ]
-        result = poly_det(matrix)
+        degrees = [[p.parts[i] - i + j for j in range(k)] for i in range(k)]
+        entries = _complete(ctx.N, {q for row in degrees for q in row if q >= 0})
+        zero = XPoly.zero(ctx.N - 1)
+        result = poly_det([[entries.get(q, zero) for q in row] for row in degrees])
     _generalized_cache[key] = result
     return result

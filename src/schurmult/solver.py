@@ -102,39 +102,51 @@ def _power_products(alphas, start, times):
 
     Each p_ρ(α) comes from α less its largest part (a unit off its last
     nonzero entry), one power sum at a time, with no recursion (A1 at
-    height 1998 is a chain 1998 deep).  Basis elements are numbered as
-    they are met, so the memos of the pairs per (r, b) hash ints.
-    Returns ``rows`` ({b's number: c L / w_α} for each α, in order),
-    ``number`` ({b: its number}, ``start`` 0, in the order met) and
-    ``scale``, L.
+    height 1998 is a chain 1998 deep).  The steps are laid out first, so
+    an expansion that is no row is dropped once its last child is
+    expanded.  Basis elements are numbered as they are met, so the memos
+    of the pairs per (r, b) hash ints.  Returns ``rows`` ({b's number:
+    c L / w_α} for each α, in order), ``number`` ({b: its number},
+    ``start`` 0, in the order met) and ``scale``, L.
     """
-    number = {start: 0}
-    basis = [start]
-    expanded = {(0,) * len(alphas[0]): {0: 1}}
-    memos = {}  # r -> {b's number: pairs of p_r b, b' numbered}
+    root = (0,) * len(alphas[0])
+    children = {root: 0}  # α -> its children still to expand, plus one for a row
+    steps = []  # (α, r, parent) in the order they are expanded
     for alpha in alphas:
-        # peel largest parts down to an expanded α, then expand back up
+        # peel largest parts down to an α met before, then expand back up;
+        # each α met here first has one count (the row, or the child just
+        # peeled), and the α met before gains one
         peeled = []
-        while alpha not in expanded:
+        while alpha not in children:
             r = len(alpha) - next(i for i, a in enumerate(reversed(alpha)) if a)
             parent = alpha[: r - 1] + (alpha[r - 1] - 1,) + alpha[r:]
+            children[alpha] = 1
             peeled.append((alpha, r, parent))
             alpha = parent
-        for alpha, r, parent in reversed(peeled):
-            memo = memos.setdefault(r, {})
-            out = {}
-            for b, c in expanded[parent].items():
-                pairs = memo.get(b)
-                if pairs is None:
-                    pairs = memo[b] = []
-                    for image, count in times(r, basis[b]):
-                        if image not in number:
-                            number[image] = len(basis)
-                            basis.append(image)
-                        pairs.append((number[image], count))
-                for image, count in pairs:
-                    out[image] = out.get(image, 0) + c * count
-            expanded[alpha] = out
+        children[alpha] += 1
+        steps.extend(reversed(peeled))
+    number = {start: 0}
+    basis = [start]
+    expanded = {root: {0: 1}}
+    memos = {}  # r -> {b's number: pairs of p_r b, b' numbered}
+    for alpha, r, parent in steps:
+        memo = memos.setdefault(r, {})
+        out = {}
+        for b, c in expanded[parent].items():
+            pairs = memo.get(b)
+            if pairs is None:
+                pairs = memo[b] = []
+                for image, count in times(r, basis[b]):
+                    if image not in number:
+                        number[image] = len(basis)
+                        basis.append(image)
+                    pairs.append((number[image], count))
+            for image, count in pairs:
+                out[image] = out.get(image, 0) + c * count
+        expanded[alpha] = out
+        children[parent] -= 1
+        if not children[parent]:
+            del expanded[parent]
     w_alpha = [prod(i**a for i, a in enumerate(alpha, 1)) for alpha in alphas]
     scale = lcm(*w_alpha)
     rows = [expanded[alpha] for alpha in alphas]

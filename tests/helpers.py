@@ -2,7 +2,7 @@
 
 import ast
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from pathlib import Path
 
 from schurmult.lattice import Partition, distinct_permutations, partitions_of
@@ -198,6 +198,44 @@ def straighten(terms):
         mu = tuple(g - gamma[-1] - (n - 1 - j) for j, g in enumerate(gamma))
         out[mu] = out.get(mu, 0) + (-1) ** rises * c
     return {mu: c for mu, c in out.items() if c}
+
+
+def power_products(alphas, start, times):
+    """``solver._power_products`` keeping the expansion of every α it meets
+    until it returns: each α is peeled down to one expanded before and
+    expanded back up, with nothing laid out in advance.  The reference for
+    the peel that drops spent expansions; returns the same
+    ``(rows, number, scale)``."""
+    number = {start: 0}
+    basis = [start]
+    expanded = {(0,) * len(alphas[0]): {0: 1}}
+    memos = {}
+    for alpha in alphas:
+        peeled = []
+        while alpha not in expanded:
+            r = len(alpha) - next(i for i, a in enumerate(reversed(alpha)) if a)
+            parent = alpha[: r - 1] + (alpha[r - 1] - 1,) + alpha[r:]
+            peeled.append((alpha, r, parent))
+            alpha = parent
+        for alpha, r, parent in reversed(peeled):
+            memo = memos.setdefault(r, {})
+            out = {}
+            for b, c in expanded[parent].items():
+                pairs = memo.get(b)
+                if pairs is None:
+                    pairs = memo[b] = []
+                    for image, count in times(r, basis[b]):
+                        if image not in number:
+                            number[image] = len(basis)
+                            basis.append(image)
+                        pairs.append((number[image], count))
+                for image, count in pairs:
+                    out[image] = out.get(image, 0) + c * count
+            expanded[alpha] = out
+    w_alpha = [prod(i**a for i, a in enumerate(alpha, 1)) for alpha in alphas]
+    scale = lcm(*w_alpha)
+    rows = [{b: c * (scale // w) for b, c in expanded[alpha].items()} for alpha, w in zip(alphas, w_alpha)]
+    return rows, number, scale
 
 
 def orbit_equation(table):

@@ -1,7 +1,11 @@
 import ast
+import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from math import comb
 from pathlib import Path
@@ -20,6 +24,7 @@ from schurmult.cli import (
     parse_query,
     run,
 )
+import schurmult
 from schurmult import cli, lattice, orbitchar, schur, weyl
 from schurmult.lattice import AlgebraContext, DominantWeight
 from schurmult.polyengine import UPoly
@@ -305,6 +310,34 @@ def test_any_rank_finishes_or_is_refused_up_front(capsys):
         else:
             assert captured.out == "", argv
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+
+
+# A1 at height 1998, the largest class the bound admits, in a fresh
+# interpreter that reports its own peak: on a 2-core machine it peaked at
+# 335 MB while the Schur stage kept every degree and the peel every p_1^k,
+# and at 151 MB with only the seeds, the asked degree and a window of two
+# degrees kept and each spent expansion dropped
+A1_TOP_MB = 250
+A1_TOP_SHA256 = "bbd609f179b1d5009e1180a9f6b626026aaf3ad33275c5424542c339fb692a65"
+A1_TOP_SCRIPT = """
+import resource, sys
+from schurmult.cli import main
+status = main(["mult", "--rank", "2", "--weight", "1998", "--format", "json"])
+sys.stdout.flush()
+print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_a1_table_at_the_class_bound_within_memory_gate():
+    source = str(Path(schurmult.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", A1_TOP_SCRIPT], capture_output=True, env=env, timeout=120, check=True
+    )
+    status, peak_kb = map(int, child.stderr.split()[-2:])
+    assert status == EXIT_OK
+    assert peak_kb / 1024 < A1_TOP_MB, peak_kb / 1024
+    assert hashlib.sha256(child.stdout).hexdigest() == A1_TOP_SHA256
 
 
 def test_audit_builds_no_factorial_polynomial(monkeypatch):

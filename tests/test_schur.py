@@ -479,16 +479,76 @@ def test_full_column_identity_through_seven_and_eight_rows(monkeypatch):
                 assert generalized_schur(widened, ctx) == generalized_schur(p, ctx), (n, parts)
 
 
+def _empty_degree_caches(monkeypatch):
+    for module, name in DEGREE_CACHES:
+        monkeypatch.setattr(module, name, {})
+
+
+DEGREE_CACHES = [
+    (schur, "_elementary_cache"),
+    (schur, "_elementary_window"),
+    (orbitchar, "_psum_cache"),
+    (orbitchar, "_psum_window"),
+]
+
+
 def test_context_caching_and_reuse(monkeypatch):
-    # separate contexts of one rank share the module memos
-    monkeypatch.setattr(schur, "_elementary_cache", {})
+    # separate contexts of one rank share the module memos; the degree cache
+    # keeps the seeds below N, the degrees asked for and the last N degrees
+    _empty_degree_caches(monkeypatch)
     monkeypatch.setattr(schur, "_generalized_cache", {})
     first = elementary_schur(4, AlgebraContext(3))
     assert elementary_schur(4, AlgebraContext(3)) is first
+    assert sorted(schur._elementary_cache) == [(3, 0), (3, 1), (3, 2), (3, 4)]
+    top, window = schur._elementary_window[3]
+    assert top == 4 and len(window) == 3 and window[-1] is first
     two_row = generalized_schur(Partition((2, 1)), AlgebraContext(3))
     assert generalized_schur(Partition((2, 1)), AlgebraContext(3)) is two_row
+    # (2, 1) asks for S_0..S_3 in one call: degree 3 lies below the window
     assert sorted(schur._elementary_cache) == [(3, d) for d in range(5)]
+    assert schur._elementary_window[3] == (top, window)
     assert sorted(schur._generalized_cache) == [(3, (2, 1))]
+
+
+SEQUENCES = [
+    pytest.param(schur, "_elementary_cache", "_elementary_window", "_newton", id="S"),
+    pytest.param(orbitchar, "_psum_cache", "_psum_window", "_power_seed", id="p"),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 12])
+@pytest.mark.parametrize("module, cache, window, seed", SEQUENCES)
+def test_degrees_asked_any_way_equal_one_pass(monkeypatch, module, cache, window, seed, n):
+    def ask(*degrees):
+        found = schur._recurrence_degrees(
+            getattr(module, cache), getattr(module, window), n, degrees, getattr(module, seed)
+        )
+        return [found[d] for d in degrees]
+
+    def assert_kept(asked, top):
+        seeds = set(range(n))
+        assert sorted(getattr(module, cache)) == [(n, d) for d in sorted(seeds | set(asked))]
+        kept_top, kept = getattr(module, window)[n]
+        assert kept_top == top and kept == tuple(one_pass[top - n + 1 : top + 1])
+
+    high = 2 * n + 4
+    _empty_degree_caches(monkeypatch)
+    one_pass = ask(*range(high + 1))
+    # a high degree, then one below its window: a local pass from the seeds
+    _empty_degree_caches(monkeypatch)
+    assert ask(high) == [one_pass[high]]
+    assert ask(n + 3) == [one_pass[n + 3]]
+    assert_kept([high, n + 3], high)
+    # a degree that continues the window of an earlier call
+    _empty_degree_caches(monkeypatch)
+    assert ask(n + 1) == [one_pass[n + 1]]
+    assert ask(n + 4) == [one_pass[n + 4]]
+    assert_kept([n + 1, n + 4], n + 4)
+    # N + 3 degrees in one call
+    _empty_degree_caches(monkeypatch)
+    asked = range(n, 2 * n + 3)
+    assert ask(*asked) == one_pass[n : 2 * n + 3]
+    assert_kept(asked, 2 * n + 2)
 
 
 def _stack_depth():
@@ -499,24 +559,28 @@ def _stack_depth():
 
 
 def test_high_degrees_do_not_recurse(monkeypatch):
-    monkeypatch.setattr(orbitchar, "_psum_cache", {})
-    monkeypatch.setattr(schur, "_elementary_cache", {})
+    _empty_degree_caches(monkeypatch)
     ctx = AlgebraContext(2)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 60)
     try:
-        elementary_schur(300, ctx)
+        h300 = elementary_schur(300, ctx)
         x300 = degenerate_x(300, ctx)
     finally:
         sys.setrecursionlimit(limit)
-    full = schur._elementary_cache
-    assert sorted(full) == [(2, d) for d in range(301)]
-    assert sorted(orbitchar._psum_cache) == [(2, d) for d in range(301)]
+    # the seeds below N, the degree asked for and a window of N degrees
+    assert sorted(schur._elementary_cache) == [(2, 0), (2, 1), (2, 300)]
+    top, window = schur._elementary_window[2]
+    assert top == 300 and len(window) == 2 and window[-1] is h300
+    assert sorted(orbitchar._psum_cache) == [(2, 0), (2, 1), (2, 300)]
+    assert orbitchar._psum_window[2][0] == 300
     assert x300.nvars == 1 and x300.terms
     # filling upward from a partly cached prefix gives the same values
-    monkeypatch.setattr(schur, "_elementary_cache", {})
+    _empty_degree_caches(monkeypatch)
+    h120 = elementary_schur(120, ctx)
+    _empty_degree_caches(monkeypatch)
     elementary_schur(40, ctx)
-    assert elementary_schur(120, ctx) == full[(2, 120)]
+    assert elementary_schur(120, ctx) == h120
 
 
 # -- Newton's identity and the omega-twist ----------------------------------------

@@ -7,6 +7,7 @@ import threading
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import comb
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurmult import schur, solver
+from schurmult import schur, solver, weyl
 from schurmult.lattice import (
     AlgebraContext,
     DominantWeight,
@@ -40,6 +41,7 @@ from schurmult.solver import (
     solve_multiplicities,
 )
 
+import helpers
 from helpers import (
     orbit_char_u,
     orbit_equation,
@@ -206,6 +208,42 @@ def test_power_sum_times_orbit_sum_is_counted():
                         UPoly.zero(n),
                     )
                     assert product_one_normal_form(product) == counted, (n, r, mu)
+
+
+def _in_order(peel):
+    """The peel's ``(rows, number, scale)`` with every dict read in order."""
+    rows, number, scale = peel
+    return [list(row.items()) for row in rows], list(number.items()), scale
+
+
+@pytest.mark.parametrize("n, q", [(2, 200), (3, 30), (8, 10), (12, 12)])
+def test_peel_that_drops_spent_expansions_equals_keeping_them(n, q):
+    alphas = [member.coords for member in sub_Q_lambda1(q, AlgebraContext(n))]
+    times = partial(solver._times_power_sum, n)
+    got = solver._power_products(alphas, (), times)
+    assert _in_order(got) == _in_order(helpers.power_products(alphas, (), times))
+
+
+# the factorization cases of the audit-sweep benchmark workload
+AUDIT_PARTITIONS = [
+    (5, parts)
+    for parts in (
+        (2,), (1, 1),
+        (3,), (2, 1), (1, 1, 1),
+        (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1),
+        (5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1),
+        (3, 2, 1), (4, 2), (4, 3, 2),
+    )
+] + [(6, (2, 1)), (6, (3, 1))]
+
+
+@pytest.mark.parametrize("n, parts", AUDIT_PARTITIONS)
+def test_alternant_peel_that_drops_spent_expansions_equals_keeping_them(n, parts):
+    schur_function = generalized_schur(Partition(parts), AlgebraContext(n))
+    alphas = [unpack_monomial(key, n - 1) for key in schur_function.num]
+    times = partial(weyl._shift, n)
+    got = solver._power_products(alphas, (0,) * n, times)
+    assert _in_order(got) == _in_order(helpers.power_products(alphas, (0,) * n, times))
 
 
 @pytest.mark.parametrize("n, q", [(6, 7), (8, 10), (8, 16), (12, 9), (3, 20), (2, 301)])
@@ -388,10 +426,12 @@ def test_concurrent_solves_share_one_system(monkeypatch):
     built = copy.deepcopy(vars(height_class_system(6, 7)))
     height_class_system.cache_clear()
     # the threads also race on first misses of the generalized Schur functions,
-    # and on filling the elementary ones upward from degree 0: a thread that
-    # finds degree d must find 0..d, which a warm cache would never test
+    # on the seeds below N (a thread that finds seed d must find 0..d) and on
+    # filling and storing the window of the last N degrees, which a warm
+    # cache would never test
     monkeypatch.setattr(schur, "_generalized_cache", {})
     monkeypatch.setattr(schur, "_elementary_cache", {})
+    monkeypatch.setattr(schur, "_elementary_window", {})
 
     results = [{} for _ in range(4)]
     errors = []
