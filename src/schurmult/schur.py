@@ -12,8 +12,9 @@ I §2).  With the top elementary symmetric polynomial pinned to 1
 f_m = sum_(k=1..N) (-1)^(k+1) e_k f_(m-k), which gives the degenerated
 functions; the power sums of :mod:`orbitchar` obey the same recurrence
 and share its helper, which keeps the degrees below N, the degrees asked
-for and a window of the last N degrees, not every degree.  Generalized Schur functions are
-determinants of the banded matrix with entries S_(q_i - i + j).
+for and a window of the last N degrees, not every degree.  Generalized
+Schur functions are determinants of the banded matrix with entries
+S_(q_i - i + j).
 """
 
 from __future__ import annotations

@@ -234,7 +234,10 @@ def power_products(alphas, start, times):
             expanded[alpha] = out
     w_alpha = [prod(i**a for i, a in enumerate(alpha, 1)) for alpha in alphas]
     scale = lcm(*w_alpha)
-    rows = [{b: c * (scale // w) for b, c in expanded[alpha].items()} for alpha, w in zip(alphas, w_alpha)]
+    rows = [
+        {b: c * (scale // w) for b, c in expanded[alpha].items()}
+        for alpha, w in zip(alphas, w_alpha)
+    ]
     return rows, number, scale
 
 

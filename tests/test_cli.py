@@ -330,7 +330,8 @@ print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stder
 
 def test_a1_table_at_the_class_bound_within_memory_gate():
     source = str(Path(schurmult.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     child = subprocess.run(
         [sys.executable, "-c", A1_TOP_SCRIPT], capture_output=True, env=env, timeout=120, check=True
     )
