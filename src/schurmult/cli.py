@@ -10,8 +10,10 @@ The CLI parses a query, calls the library and renders its result; the
 size bounds live in the library, which raises ``LimitError`` before any
 work.  Exit codes: 0 success, 1 usage error or ``LimitError``, 2 audit
 mismatch, 3 internal inconsistency (a generalized Schur function with a
-monomial outside its class matrix's rows or with a multiplicity that is not
-an integer, or a character whose coefficients do not sum to its dimension).
+monomial outside its height class or with a multiplicity that is not an
+integer, or a character whose coefficients do not sum to its dimension),
+4 internal error (an ``ArithmeticError``, such as an ``OverflowError``, or
+a ``MemoryError``, reported in one line).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_AUDIT = 2
 EXIT_INTERNAL = 3
+EXIT_ERROR = 4
 
 
 class UsageError(Exception):
@@ -336,6 +339,8 @@ def run(q: Query) -> tuple[int, str]:
         return EXIT_AUDIT, str(exc)
     except SolverError as exc:
         return EXIT_INTERNAL, f"internal inconsistency: {exc}\n"
+    except (ArithmeticError, MemoryError) as exc:
+        return EXIT_ERROR, f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 class _Parser(argparse.ArgumentParser):

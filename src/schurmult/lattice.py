@@ -15,10 +15,12 @@ from math import comb
 from typing import Iterator
 
 # Largest height class that the multiplicity pipeline takes on.  On a
-# 2-core machine `mult` of A11 at height 20 (582 members) takes about 0.14 s
-# and 32 MB, and of A1 at height 1998 (1,000 members, at the bound)
-# 1.6 s and 151 MB, most of it the class rows (148 MB for the build alone);
-# solving A11 at height 25 (1,686 members) in-process took 0.8 s and 135 MB.
+# 2-core machine `mult` of A11 at height 20 (582 members) takes about 0.06 s
+# and 19 MB, and of A1 at height 1998 (1,000 members, at the bound) about
+# 1 s and 19 MB, since a first table folds and builds no class rows; the
+# matrix that a class solved again builds takes 148 MB alone at A1 height
+# 1998.  Solving A11 at height 25 (1,686 members) in-process, with the
+# bound raised, took 0.17 s and 22 MB.
 MAX_CLASS_MEMBERS = 1000
 
 # Most terms that a character (its dimension bounds its term count) or an

@@ -9,9 +9,12 @@ parts, and c counts the part so formed in ν; modulo e_N = 1 an m_ν of N
 parts is m_(ν - ν_N) (Macdonald, *Symmetric Functions and Hall
 Polynomials*, I §6).  So the multiplicity of the orbit of ν is
 K_ν = sum_α s_α [m_ν] p_ρ(α) / w_α over the terms s_α x^α of the
-generalized Schur function, read off with no elimination.  The solution
-must be integral and nonnegative; anything else signals a bug in the
-degeneration machinery and fails loudly.
+generalized Schur function, read off with no elimination.  The first
+solve of a height class folds the sum over the peel of the α by Horner's
+rule, one p_r at a time, and builds no matrix; a class solved again
+builds its monomial -> orbit matrix and keeps it, so later solves only
+sum and divide.  The solution must be integral and nonnegative; anything
+else signals a bug in the degeneration machinery and fails loudly.
 """
 
 from __future__ import annotations
@@ -59,9 +62,9 @@ class MultiplicityTable:
         return len(self.entries)
 
 
-# Height-class systems kept at once; each holds one integer per nonzero of
-# its monomial -> orbit matrix (610 for the 40 rows of A7 at height 10), so
-# the bound caps the memory a long-lived process spends.
+# Height-class systems kept at once; a class solved more than once holds one
+# integer per nonzero of its monomial -> orbit matrix (610 for the 40 rows of
+# A7 at height 10), so the bound caps the memory a long-lived process spends.
 SYSTEM_CACHE_SIZE = 16
 
 
@@ -94,45 +97,47 @@ def _times_power_sum(n: int, r: int, mu: tuple[int, ...]) -> list[tuple[tuple[in
     return pairs
 
 
-def _power_products(alphas, start, times):
-    """L x^α ``start`` for each distinct α of ``alphas``, in the basis
-    ``times`` acts on: ``times(r, b)`` gives the pairs (b', c) of
-    p_r b = sum(c b').  x^α = p_ρ(α) / w_α with w_α = prod(i ** α_i), and
-    L = lcm w_α clears every denominator.
+def _peel(alphas):
+    """The steps (α, r, parent) that build every α of ``alphas`` from the
+    root, each α after its parent.
 
-    Each p_ρ(α) comes from α less its largest part (a unit off its last
-    nonzero entry), one power sum at a time, with no recursion (A1 at
-    height 1998 is a chain 1998 deep).  The steps are laid out first, so
-    an expansion that is no row is dropped once its last child is
-    expanded.  Basis elements are numbered as they are met, so the memos
-    of the pairs per (r, b) hash ints.  Returns ``rows`` ({b's number:
-    c L / w_α} for each α, in order), ``number`` ({b: its number},
-    ``start`` 0, in the order met) and ``scale``, L.
+    An α is its parent, α less its largest part (a unit off its last
+    nonzero entry r), times one power sum p_r.  Each α is peeled down to
+    one met before and the steps are laid out back up, with no recursion
+    (A1 at height 1998 is a chain 1998 deep).
     """
     root = (0,) * len(alphas[0])
-    children = {root: 0}  # α -> its children still to expand, plus one for a row
-    steps = []  # (α, r, parent) in the order they are expanded
+    met = {root}
+    steps = []
     for alpha in alphas:
-        # peel largest parts down to an α met before, then expand back up;
-        # each α met here first has one count (the row, or the child just
-        # peeled), and the α met before gains one
         peeled = []
-        while alpha not in children:
-            r = len(alpha) - next(i for i, a in enumerate(reversed(alpha)) if a)
+        while alpha not in met:
+            r = len(alpha)
+            while not alpha[r - 1]:
+                r -= 1
             parent = alpha[: r - 1] + (alpha[r - 1] - 1,) + alpha[r:]
-            children[alpha] = 1
+            met.add(alpha)
             peeled.append((alpha, r, parent))
             alpha = parent
-        children[alpha] += 1
         steps.extend(reversed(peeled))
+    return steps
+
+
+def _power_sum_action(start, times):
+    """``act(r, vector, out)``, which adds p_r ``vector`` to ``out``, and
+    ``number``, {b: its number}, ``start`` 0, in the order met.
+
+    ``times(r, b)`` gives the pairs (b', c) of p_r b = sum(c b').  Vectors
+    map basis elements' numbers to coefficients, so the memos of the pairs
+    per (r, b) hash ints.
+    """
     number = {start: 0}
     basis = [start]
-    expanded = {root: {0: 1}}
     memos = {}  # r -> {b's number: pairs of p_r b, b' numbered}
-    for alpha, r, parent in steps:
+
+    def act(r, vector, out):
         memo = memos.setdefault(r, {})
-        out = {}
-        for b, c in expanded[parent].items():
+        for b, c in vector.items():
             pairs = memo.get(b)
             if pairs is None:
                 pairs = memo[b] = []
@@ -143,12 +148,62 @@ def _power_products(alphas, start, times):
                     pairs.append((number[image], count))
             for image, count in pairs:
                 out[image] = out.get(image, 0) + c * count
-        expanded[alpha] = out
+        return out
+
+    return act, number
+
+
+def _weights(alphas):
+    """w_α = prod(i ** α_i) for each α, and L = lcm w_α."""
+    w_alpha = [prod(i**a for i, a in enumerate(alpha, 1)) for alpha in alphas]
+    return w_alpha, lcm(*w_alpha)
+
+
+def _fold(alphas, coeffs, start, times):
+    """L sum(s_α x^α) ``start`` over the α of ``alphas`` and their
+    ``coeffs`` s_α, in the basis ``times`` acts on (see
+    :func:`_power_sum_action`), with x^α = p_ρ(α) / w_α and L = lcm w_α.
+
+    Horner's rule over the peel tree of :func:`_peel`: for a node β,
+    G(β) = c_β ``start`` + sum over its children α of p_r G(α), with
+    c_β = s_β L / w_β (0 off ``alphas``), runs children first, so G(root)
+    is the sum and no p_ρ(α) is expanded alone.  Returns ({b: its
+    coefficient}, L).
+    """
+    if not alphas:
+        return {}, 1
+    w_alpha, scale = _weights(alphas)
+    # β -> c_β start, plus p_r G(α) for each child α of β folded so far
+    folded = {alpha: {0: s * (scale // w)} for alpha, s, w in zip(alphas, coeffs, w_alpha)}
+    act, number = _power_sum_action(start, times)
+    for alpha, r, parent in reversed(_peel(alphas)):
+        act(r, folded.pop(alpha), folded.setdefault(parent, {}))
+    basis = list(number)
+    return {basis[b]: c for b, c in folded[(0,) * len(alphas[0])].items()}, scale
+
+
+def _power_products(alphas, start, times):
+    """L x^α ``start`` for each distinct α of ``alphas``, in the basis
+    ``times`` acts on (see :func:`_power_sum_action`), with
+    x^α = p_ρ(α) / w_α and L = lcm w_α.
+
+    Each α is expanded from its parent along the steps of :func:`_peel`,
+    and an expansion that is no row is dropped once its last child is
+    expanded.  Returns ``rows`` ({b's number: c L / w_α} for each α, in
+    order), ``number`` and ``scale``, L.
+    """
+    steps = _peel(alphas)
+    children = dict.fromkeys(alphas, 1)  # α -> its children still to expand, plus one for a row
+    for _, _, parent in steps:
+        children[parent] = children.get(parent, 0) + 1
+    act, number = _power_sum_action(start, times)
+    expanded = {(0,) * len(alphas[0]): {0: 1}}
+    for alpha, r, parent in steps:
+        expanded[alpha] = act(r, expanded[parent], {})
         children[parent] -= 1
         if not children[parent]:
             del expanded[parent]
-    w_alpha = [prod(i**a for i, a in enumerate(alpha, 1)) for alpha in alphas]
-    scale = lcm(*w_alpha)
+    w_alpha, scale = _weights(alphas)
     rows = [expanded[alpha] for alpha in alphas]
     for row, w in zip(rows, w_alpha):
         factor = scale // w
@@ -157,41 +212,61 @@ def _power_products(alphas, start, times):
     return rows, number, scale
 
 
+def _inconsistent(alpha: tuple[int, ...]) -> SolverError:
+    return SolverError(f"system is inconsistent: rhs monomial {alpha} lies outside the class rows")
+
+
 class HeightClassSystem:
-    """Monomial -> orbit matrix of one height class, built once.
+    """The multiplicity system of one height class.
 
     The unknowns are the orbit multiplicities of ``members``.  The rows
     are the members' own coordinates read as x-exponents: the conjugate of
     a member's partition has ``coords[i]`` parts equal to i + 1, so the
     row α = ``coords`` has the x-weight of the member, and the x-monomials
-    of the class are exactly the members' (the matrix is square).
-    ``rows`` maps each packed row monomial x^α to its pairs
-    ``(member index, c L / w_α)``, c = [m_ν] p_ρ(α) for the member's
-    partition ν, scaled to integers by ``scale``, L = lcm w_α.
-    :func:`_power_products` builds these scaled rows and L in the
-    m-basis; the class only numbers their columns by member.
-    :meth:`solve` is one pass over the generalized Schur function's terms
-    and an exact division by L ``rhs.den``.
+    of the class are exactly the members' (the matrix is square).  Row α
+    holds c = [m_ν] p_ρ(α) / w_α for each member's partition ν.
 
-    The class also keeps what a table needs from its members: ``position``
-    maps each member to its unknown, and ``orbit_sizes`` holds their orbit
-    sizes, so a warm solve only sums and divides.  The object is never
-    mutated after construction, so one instance is shared by every solve
-    of the class, across threads too.
+    The first :meth:`solve` of the class folds the right-hand side over
+    the peel (:func:`_fold`) and builds no row.  Any later solve reads
+    the rows off :meth:`matrix`, built then and kept, so a class solved
+    again only sums and divides.  The class also keeps what a table
+    needs from its members: ``position`` maps each member to its unknown,
+    and ``orbit_sizes`` holds their orbit sizes.
+
+    One instance is shared by every solve of the class, across threads
+    too.  ``members``, ``position`` and ``orbit_sizes`` are never mutated;
+    the matrix is published as one ``(rows, scale)`` value, and threads
+    that race to the first solves fold or build the same values.
     """
 
     def __init__(self, members: Sequence[DominantWeight]):
         self.members = tuple(members)
         self.position = {member: i for i, member in enumerate(self.members)}
         self.orbit_sizes = tuple(map(orbit_size, self.members))
-        n = self.members[0].context.N
-        alphas = [member.coords for member in self.members]
-        rows, number, self.scale = _power_products(alphas, (), partial(_times_power_sum, n))
-        column = {number[member.to_partition().parts]: j for j, member in enumerate(self.members)}
-        self.rows = {
-            pack_monomial(alpha, n - 1): tuple((column[nu], c) for nu, c in row.items())
-            for alpha, row in zip(alphas, rows)
-        }
+        self._folded = False  # whether a solve has folded already
+        self._matrix = None
+
+    def matrix(self) -> tuple[dict[int, tuple[tuple[int, int], ...]], int]:
+        """The monomial -> orbit matrix as ``(rows, scale)``, built at the
+        first call and kept.
+
+        ``rows`` maps each packed row monomial x^α to its pairs
+        ``(member index, c L / w_α)``, scaled to integers by ``scale``,
+        L = lcm w_α.  :func:`_power_products` builds these scaled rows and
+        L in the m-basis; the class only numbers their columns by member.
+        """
+        matrix = self._matrix
+        if matrix is None:
+            n = self.members[0].context.N
+            alphas = [member.coords for member in self.members]
+            rows, number, scale = _power_products(alphas, (), partial(_times_power_sum, n))
+            column = {number[m.to_partition().parts]: j for j, m in enumerate(self.members)}
+            rows = {
+                pack_monomial(alpha, n - 1): tuple((column[b], c) for b, c in row.items())
+                for alpha, row in zip(alphas, rows)
+            }
+            matrix = self._matrix = (rows, scale)
+        return matrix
 
     def solve(self, rhs: XPoly) -> list[int]:
         """The multiplicities that expand ``rhs`` in the members' orbit characters.
@@ -200,18 +275,19 @@ class HeightClassSystem:
         class rows (the system is inconsistent) or when a multiplicity is
         not an integer.
         """
-        acc = [0] * len(self.members)
-        rows = self.rows
-        for mono, coeff in rhs.num.items():
-            row = rows.get(mono)
-            if row is None:
-                raise SolverError(
-                    f"system is inconsistent: rhs monomial {unpack_monomial(mono, rhs.nvars)} "
-                    "lies outside the class rows"
-                )
-            for j, value in row:
-                acc[j] += coeff * value
-        denom = self.scale * rhs.den
+        if self._matrix is None and not self._folded:
+            self._folded = True
+            acc, scale = self._by_fold(rhs)
+        else:
+            rows, scale = self.matrix()
+            acc = [0] * len(self.members)
+            for mono, coeff in rhs.num.items():
+                row = rows.get(mono)
+                if row is None:
+                    raise _inconsistent(unpack_monomial(mono, rhs.nvars))
+                for j, value in row:
+                    acc[j] += coeff * value
+        denom = scale * rhs.den
         solution = []
         for j, total in enumerate(acc):
             mult, rem = divmod(total, denom)
@@ -223,19 +299,31 @@ class HeightClassSystem:
             solution.append(mult)
         return solution
 
+    def _by_fold(self, rhs: XPoly) -> tuple[list[int], int]:
+        """L times the solution, by :func:`_fold`, and L."""
+        coords = {member.coords for member in self.members}
+        alphas = [unpack_monomial(mono, rhs.nvars) for mono in rhs.num]
+        for alpha in alphas:
+            if alpha not in coords:
+                raise _inconsistent(alpha)
+        n = self.members[0].context.N
+        total, scale = _fold(alphas, rhs.num.values(), (), partial(_times_power_sum, n))
+        return [total.get(member.to_partition().parts, 0) for member in self.members], scale
+
 
 @lru_cache(maxsize=SYSTEM_CACHE_SIZE)
 def height_class_system(N: int, Q: int) -> HeightClassSystem:
-    """The monomial -> orbit matrix of the height-``Q`` class of the rank-``N`` algebra."""
+    """The multiplicity system of the height-``Q`` class of the rank-``N`` algebra."""
     return HeightClassSystem(sub_Q_lambda1(Q, AlgebraContext(N)))
 
 
 def solve_multiplicities(w: DominantWeight) -> MultiplicityTable:
     """Expand the generalized Schur function in the orbit characters.
 
-    The matrix of the height class is built once per (N, Q) and shared
+    The system of the height class is built once per (N, Q) and shared
     by every highest weight of the class, with its members' positions
-    and orbit sizes.  Asserts that the solution is integral and
+    and orbit sizes; the first table of a class folds, and the matrix
+    is built when the class is solved again.  Asserts that the solution is integral and
     nonnegative, that the highest weight itself carries multiplicity
     one, and that the orbit sizes weighted by the multiplicities sum to
     the dimension of :func:`dimension`.

@@ -23,7 +23,7 @@ from .lattice import (
 )
 from .polyengine import DEGREE_LIMIT, UPoly, pack_monomial, unpack_monomial
 from .schur import generalized_schur
-from .solver import SolverError, _power_products, dimension
+from .solver import SolverError, _fold, dimension
 
 # Straightened orbits kept by :func:`_straightened_orbit`, one per canonical
 # exponent vector: every μ that one target reaches lies in its height
@@ -181,24 +181,23 @@ def verify_factorization(p: Partition, ctx: AlgebraContext) -> FactorizationRepo
     """Check that the shifted alternant equals Vandermonde times the Schur function.
 
     Each term s_α x^α of the generalized Schur function is s_α p_ρ(α) / w_α,
-    and p_r a_(γ+δ) = sum_j a_(γ+δ + r e_j) (Macdonald, I §3), so
-    :func:`_power_products` builds S_λ a_δ from a_δ, straightened after each
-    shift: no step leaves the basis of alternants.  Degenerated Schur
-    functions mix graded degrees, so the sides are compared modulo the
-    product constraint.  A mismatch is reported as the coefficients of
-    a_(λ+δ) - S_λ a_δ, one per partition μ of a_(μ+δ) (rendered a[μ]).
+    and p_r a_(γ+δ) = sum_j a_(γ+δ + r e_j) (Macdonald, I §3), so the
+    solver's fold over the peel, :func:`_fold`, builds S_λ a_δ from a_δ,
+    straightened after each shift: no step leaves the basis of alternants.
+    Degenerated Schur functions mix graded degrees, so the sides are
+    compared modulo the product constraint.  A mismatch is reported as the
+    coefficients of a_(λ+δ) - S_λ a_δ, one per partition μ of a_(μ+δ)
+    (rendered a[μ]).
     """
     n = ctx.N
     schur = generalized_schur(p, ctx)
     alphas = [unpack_monomial(key, n - 1) for key in schur.num]
     q = p.padded(n)  # refuses more than N parts
-    rows, number, scale = _power_products(alphas, (0,) * n, partial(_shift, n))
+    product, scale = _fold(alphas, schur.num.values(), (0,) * n, partial(_shift, n))
     den = scale * schur.den
     diff = {tuple(e - q[-1] for e in q): den}
-    basis = list(number)
-    for row, s in zip(rows, schur.num.values()):
-        for b, c in row.items():
-            diff[basis[b]] = diff.get(basis[b], 0) - s * c
+    for mu, c in product.items():
+        diff[mu] = diff.get(mu, 0) - c
     wrong = sorted(((mu, c) for mu, c in diff.items() if c), reverse=True)
     difference = {Partition(mu[: mu.index(0)]): Fraction(c, den) for mu, c in wrong}
     return FactorizationReport(p, ctx, difference)

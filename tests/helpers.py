@@ -2,12 +2,14 @@
 
 import ast
 from fractions import Fraction
+from functools import partial
 from math import factorial, lcm, prod
 from pathlib import Path
 
+from schurmult import solver, weyl
 from schurmult.lattice import Partition, distinct_permutations, partitions_of
 from schurmult.orbitchar import orbit_char_x
-from schurmult.polyengine import UPoly, XPoly, poly_det, poly_dot
+from schurmult.polyengine import UPoly, XPoly, poly_det, poly_dot, unpack_monomial
 from schurmult.schur import elementary_schur, generalized_schur
 
 
@@ -239,6 +241,26 @@ def power_products(alphas, start, times):
         for alpha, w in zip(alphas, w_alpha)
     ]
     return rows, number, scale
+
+
+def factorization_by_rows(p, ctx):
+    """``verify_factorization`` summing s_α times the peel row of each α, the
+    rows of ``solver._power_products`` in the basis of alternants, instead
+    of folding: the reference that the fold leaves every report as it was."""
+    n = ctx.N
+    schur_function = weyl.generalized_schur(p, ctx)
+    alphas = [unpack_monomial(key, n - 1) for key in schur_function.num]
+    q = p.padded(n)
+    rows, number, scale = solver._power_products(alphas, (0,) * n, partial(weyl._shift, n))
+    den = scale * schur_function.den
+    diff = {tuple(e - q[-1] for e in q): den}
+    basis = list(number)
+    for row, s in zip(rows, schur_function.num.values()):
+        for b, c in row.items():
+            diff[basis[b]] = diff.get(basis[b], 0) - s * c
+    wrong = sorted(((mu, c) for mu, c in diff.items() if c), reverse=True)
+    difference = {Partition(mu[: mu.index(0)]): Fraction(c, den) for mu, c in wrong}
+    return weyl.FactorizationReport(p, ctx, difference)
 
 
 def orbit_equation(table):

@@ -14,6 +14,7 @@ import pytest
 
 from schurmult.cli import (
     EXIT_AUDIT,
+    EXIT_ERROR,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -25,7 +26,7 @@ from schurmult.cli import (
     run,
 )
 import schurmult
-from schurmult import cli, lattice, orbitchar, schur, weyl
+from schurmult import cli, lattice, orbitchar, schur, solver, weyl
 from schurmult.lattice import AlgebraContext, DominantWeight
 from schurmult.polyengine import UPoly
 from schurmult.solver import MultiplicityTable, SolverError, solve_multiplicities
@@ -328,17 +329,50 @@ print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stder
 """
 
 
-def test_a1_table_at_the_class_bound_within_memory_gate():
+def _fresh_interpreter(script):
+    """Run ``script`` in a new interpreter that imports this checkout's package."""
     source = str(Path(schurmult.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    child = subprocess.run(
-        [sys.executable, "-c", A1_TOP_SCRIPT], capture_output=True, env=env, timeout=120, check=True
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=120, check=True
     )
+
+
+def test_a1_table_at_the_class_bound_within_memory_gate():
+    child = _fresh_interpreter(A1_TOP_SCRIPT)
     status, peak_kb = map(int, child.stderr.split()[-2:])
     assert status == EXIT_OK
     assert peak_kb / 1024 < A1_TOP_MB, peak_kb / 1024
     assert hashlib.sha256(child.stdout).hexdigest() == A1_TOP_SHA256
+
+
+# Three A1 classes near the bound, each solved once, in one fresh
+# interpreter.  With every class matrix built and cached, a 2-core machine
+# peaked at 376 MB; a first table folds and keeps no matrix, and the run
+# peaked at 19 MB.  On Linux the peak is read from VmHWM, the high-water
+# mark of the interpreter's own memory: ru_maxrss of a spawned child also
+# counts the memory of the process that spawned it.
+A1_RUN_MB = 60
+A1_RUN_SCRIPT = """
+import resource, sys
+from schurmult.lattice import AlgebraContext, DominantWeight
+from schurmult.solver import solve_multiplicities
+for q in (1998, 1996, 1994):
+    table = solve_multiplicities(DominantWeight((q,), AlgebraContext(2)))
+    assert [m for _, m in table] == [1] * (q // 2 + 1), q
+try:
+    with open("/proc/self/status") as status:
+        peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except OSError:
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak_kb, file=sys.stderr)
+"""
+
+
+def test_a1_tables_near_the_class_bound_in_one_process_within_memory_gate():
+    peak_kb = int(_fresh_interpreter(A1_RUN_SCRIPT).stderr.split()[-1])
+    assert peak_kb / 1024 < A1_RUN_MB, peak_kb / 1024
 
 
 def test_audit_builds_no_factorial_polynomial(monkeypatch):
@@ -411,6 +445,29 @@ def test_internal_error_maps_to_exit_code(monkeypatch):
     status, out = run(Query("mult", rank=3, weight=(1, 0), fmt="json"))
     assert status == EXIT_INTERNAL
     assert "internal inconsistency" in out
+
+
+@pytest.mark.parametrize(
+    "error", [ArithmeticError("forced"), OverflowError("forced"), MemoryError("forced")]
+)
+def test_unexpected_error_maps_to_its_own_exit_code(monkeypatch, capsys, error):
+    def explode(_):
+        raise error
+
+    monkeypatch.setattr(solver, "dimension", explode)
+    assert main(["mult", "--rank", "3", "--weight", "1,0"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(error).__name__}: forced\n"
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch):
+    def interrupt(_):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(solver, "dimension", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run(Query("mult", rank=3, weight=(1, 0), fmt="json"))
 
 
 def test_character_coefficient_sum_off_the_dimension_maps_to_exit_code(monkeypatch, capsys):

@@ -246,15 +246,39 @@ def test_alternant_peel_that_drops_spent_expansions_equals_keeping_them(n, parts
     assert _in_order(got) == _in_order(helpers.power_products(alphas, (0,) * n, times))
 
 
+# the audit-sweep cases and the flagship's partition with the cases of
+# acceptance criterion 5 at A5
+FACTORIZATION_CASES = AUDIT_PARTITIONS + [(6, parts) for parts in [(5, 1), (6, 1), (5, 2), (4, 3)]]
+
+
+@pytest.mark.parametrize("doctored", [False, True])
+def test_factorization_fold_reports_equal_the_summed_rows(monkeypatch, doctored):
+    if doctored:
+        # x_1/3 added to every generalized Schur function makes each report a mismatch
+        original = weyl.generalized_schur
+
+        def plus_a_third_of_x1(p, ctx):
+            return original(p, ctx) + XPoly.variable(ctx.N - 1, 0) * Fraction(1, 3)
+
+        monkeypatch.setattr(weyl, "generalized_schur", plus_a_third_of_x1)
+    for n, parts in FACTORIZATION_CASES:
+        p, ctx = Partition(parts), AlgebraContext(n)
+        report = weyl.verify_factorization(p, ctx)
+        assert report.ok != doctored, (n, parts)
+        reference = helpers.factorization_by_rows(p, ctx)
+        assert (report.difference, str(report)) == (reference.difference, str(reference))
+
+
 @pytest.mark.parametrize("n, q", [(6, 7), (8, 10), (8, 16), (12, 9), (3, 20), (2, 301)])
 def test_class_matrix_inverts_the_orbit_columns(n, q):
     # the rows are the monomials of the orbit columns, and each column
-    # solves to its own unit vector
+    # solves to its own unit vector through the built matrix
     ctx = AlgebraContext(n)
     system = height_class_system(n, q)
+    rows, _ = system.matrix()
     columns = [orbit_char_x(member.to_partition(), ctx) for member in system.members]
-    assert set(system.rows) == set().union(*(column.num for column in columns))
-    assert len(system.rows) == len(system.members)
+    assert set(rows) == set().union(*(column.num for column in columns))
+    assert len(rows) == len(system.members)
     for j, column in enumerate(columns):
         unit = [0] * len(columns)
         unit[j] = 1
@@ -291,6 +315,69 @@ def test_solve_rejects_rhs_monomial_outside_column_support():
     message = "system is inconsistent: rhs monomial (13, 0, 0, 0, 0) lies outside the class rows"
     with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
         height_class_system(6, 7).solve(rhs)
+
+
+def _flagship_system(route):
+    """A fresh A5 height-7 system on ``route``: its first solve folds, and a
+    built matrix serves every solve."""
+    system = HeightClassSystem(sub_Q_lambda1(7, A5))
+    if route == "matrix":
+        system.matrix()
+    return system
+
+
+@pytest.mark.parametrize("route", ["fold", "matrix"])
+@pytest.mark.parametrize("extra", [(0, 1, 0, 0, 0), (13, 0, 0, 0, 0)])
+def test_both_routes_refuse_an_rhs_monomial_outside_the_class_rows(route, extra):
+    rhs = _flagship_rhs() + XPoly(5, {extra: 1})
+    message = f"system is inconsistent: rhs monomial {extra} lies outside the class rows"
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        _flagship_system(route).solve(rhs)
+
+
+@pytest.mark.parametrize("route", ["fold", "matrix"])
+def test_both_routes_refuse_a_fractional_solution(route):
+    message = "system is not integral: the multiplicity of 5 w1 + w2 solves to 1/2"
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        _flagship_system(route).solve(_flagship_rhs() * Fraction(1, 2))
+
+
+def test_a_class_builds_its_matrix_when_solved_again(monkeypatch, fresh_systems):
+    # the first table of a class folds; the second builds the matrix, which
+    # every later table reads
+    built = []
+    power_products = solver._power_products
+
+    def counted(*args):
+        built.append(args)
+        return power_products(*args)
+
+    monkeypatch.setattr(solver, "_power_products", counted)
+    first, second, *rest = _highest_weights(6, 7)
+    solve_multiplicities(first)
+    assert built == []
+    solve_multiplicities(second)
+    assert len(built) == 1
+    for w in rest:
+        solve_multiplicities(w)
+    assert len(built) == 1
+
+
+# (N, top height): every highest weight of A1 to height 59, A2 to 24, A3 to
+# 13, A4 to 10 and A6 to 9
+ROUTE_SWEEP = [(2, 59), (3, 24), (4, 13), (5, 10), (7, 9)]
+
+
+@pytest.mark.parametrize("n, top", ROUTE_SWEEP)
+def test_fold_and_matrix_routes_solve_alike(n, top):
+    ctx = AlgebraContext(n)
+    for q in range(1, top + 1):
+        members = sub_Q_lambda1(q, ctx)
+        warm = HeightClassSystem(members)
+        warm.matrix()
+        for w in _highest_weights(n, q):
+            rhs = generalized_schur(w.to_partition(), ctx)
+            assert HeightClassSystem(members).solve(rhs) == warm.solve(rhs), w
 
 
 def test_solve_fractional_rhs_takes_common_denominator():
