@@ -15,9 +15,9 @@ from math import comb
 from typing import Iterator
 
 # Largest height class that the multiplicity pipeline takes on.  On a
-# 2-core machine `mult` of A11 at height 20 (582 members) takes about 0.06 s
+# 2-core machine `mult` of A11 at height 20 (582 members) takes about 0.08 s
 # and 19 MB, and of A1 at height 1998 (1,000 members, at the bound) about
-# 1 s and 19 MB, since a first table folds and builds no class rows; the
+# 0.85 s and 19 MB, since a first table folds and builds no class rows; the
 # matrix that a class solved again builds takes 148 MB alone at A1 height
 # 1998.  Solving A11 at height 25 (1,686 members) in-process, with the
 # bound raised, took 0.17 s and 22 MB.
