@@ -24,12 +24,11 @@ import io
 import json
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain
 from math import comb
 
 from .lattice import (
-    AlgebraContext, DominantWeight, LimitError, Partition, check_class_size,
+    AlgebraContext, DominantWeight, LimitError, Partition, _Record, check_class_size,
     check_listed_exponents, height, orbit_size, orbit_weights, partition_to_dominant,
     partitions_of, sub_Q_lambda1,
 )
@@ -54,20 +53,30 @@ class AuditMismatch(Exception):
     pass
 
 
-@dataclass
-class Query:
+class Query(_Record):
     """A parsed CLI request."""
 
-    command: str
-    rank: int = 0
-    weight: tuple[int, ...] | None = None
-    partition: tuple[int, ...] | None = None
-    height: int | None = None
-    fmt: str = "text"
-    oracle: bool = False
-    ranks: tuple[int, ...] = ()
-    max_height: int = 4
-    flagship: bool = False
+    __slots__ = (
+        "command", "rank", "weight", "partition", "height",
+        "fmt", "oracle", "ranks", "max_height", "flagship",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        rank: int = 0,
+        weight: tuple[int, ...] | None = None,
+        partition: tuple[int, ...] | None = None,
+        height: int | None = None,
+        fmt: str = "text",
+        oracle: bool = False,
+        ranks: tuple[int, ...] = (),
+        max_height: int = 4,
+        flagship: bool = False,
+    ):
+        self._set(
+            command, rank, weight, partition, height, fmt, oracle, ranks, max_height, flagship
+        )
 
 
 def _context(q: Query) -> AlgebraContext:

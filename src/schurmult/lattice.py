@@ -10,9 +10,9 @@ so the canonical representative has minimum entry zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from math import comb
-from typing import Iterator
+from operator import attrgetter
 
 # Largest height class that the multiplicity pipeline takes on.  On a
 # 2-core machine `mult` of A11 at height 20 (582 members) takes about 0.08 s
@@ -46,34 +46,84 @@ class LimitError(ValueError):
     """A valid input refused before any work because it exceeds a size bound."""
 
 
-@dataclass(frozen=True)
-class AlgebraContext:
+class _Record:
+    """An immutable record of the fields its ``__slots__`` name, in order.
+
+    As a frozen dataclass is, a record is equal to a record of its own
+    class with equal fields, hashes as the tuple of its fields and shows
+    as ``Name(field=value, ...)``; pickling and copying rebuild it through
+    its constructor.  A subclass validates and sets its fields in
+    ``__init__``, with ``object.__setattr__`` or, all at once, :meth:`_set`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def _set(self, *values):
+        """Set the fields, in ``__slots__`` order, to ``values``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._values)
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class AlgebraContext(_Record):
     """Fixes the algebra: N >= 2 selects the rank-(N-1) special linear algebra."""
 
-    N: int
+    __slots__ = ("N",)
 
-    def __post_init__(self):
-        if self.N < 2:
+    def __init__(self, N: int):
+        if not _is_int(N):
+            raise ValueError(f"rank context requires an integer N, got {N!r}")
+        if N < 2:
             raise ValueError("rank context requires N >= 2")
+        object.__setattr__(self, "N", N)
 
     def __str__(self) -> str:
         return f"A{self.N - 1}"
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """Weakly decreasing sequence of positive integers."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Sequence[int]):
+        parts = tuple(parts)
         for i, q in enumerate(parts):
-            if not isinstance(q, int) or q <= 0:
+            if not _is_int(q) or q <= 0:
                 raise ValueError(f"partition parts must be positive integers, got {parts}")
             if i and parts[i - 1] < q:
                 raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def weight(self) -> int:
@@ -102,22 +152,21 @@ class Partition:
         return "(" + ",".join(str(q) for q in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class DominantWeight:
+class DominantWeight(_Record):
     """Nonnegative integer coordinates over the fundamental dominant weights."""
 
-    coords: tuple[int, ...]
-    context: AlgebraContext
+    __slots__ = ("coords", "context")
 
-    def __post_init__(self):
-        coords = tuple(self.coords)
-        object.__setattr__(self, "coords", coords)
-        if len(coords) != self.context.N - 1:
+    def __init__(self, coords: Sequence[int], context: AlgebraContext):
+        coords = tuple(coords)
+        if len(coords) != context.N - 1:
             raise ValueError(
-                f"expected {self.context.N - 1} coordinates for {self.context}, got {len(coords)}"
+                f"expected {context.N - 1} coordinates for {context}, got {len(coords)}"
             )
-        if any(not isinstance(c, int) or c < 0 for c in coords):
+        if any(not _is_int(c) or c < 0 for c in coords):
             raise ValueError(f"dominant weight coordinates must be nonnegative, got {coords}")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "context", context)
 
     def mu_vector(self) -> tuple[int, ...]:
         """Canonical exponent vector (length N, weakly decreasing, last entry 0)."""
@@ -142,21 +191,20 @@ class DominantWeight:
         return " + ".join(pieces) if pieces else "0"
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Record):
     """A weight as an exponent vector, canonicalized to minimum entry zero."""
 
-    mu_exponents: tuple[int, ...]
-    context: AlgebraContext
+    __slots__ = ("mu_exponents", "context")
 
-    def __post_init__(self):
-        exps = tuple(self.mu_exponents)
-        if len(exps) != self.context.N:
-            raise ValueError(f"expected {self.context.N} exponents, got {len(exps)}")
+    def __init__(self, mu_exponents: Sequence[int], context: AlgebraContext):
+        exps = tuple(mu_exponents)
+        if len(exps) != context.N:
+            raise ValueError(f"expected {context.N} exponents, got {len(exps)}")
         low = min(exps)
         if low:
             exps = tuple(e - low for e in exps)
         object.__setattr__(self, "mu_exponents", exps)
+        object.__setattr__(self, "context", context)
 
     def dominant_representative(self) -> DominantWeight:
         vec = sorted(self.mu_exponents, reverse=True)
@@ -247,10 +295,8 @@ def sub_Q_lambda1(Q: int, ctx: AlgebraContext) -> list[DominantWeight]:
     if Q < 1:
         raise ValueError("weight must be positive")
     check_class_size(Q, ctx)
-    shapes = sorted(
-        partitions_of(Q, ctx.N),
-        key=lambda parts: (len(parts), tuple(-q for q in parts)),
-    )
+    # a stable sort by length keeps the descending lex order of partitions_of
+    shapes = sorted(partitions_of(Q, ctx.N), key=len)
     return [partition_to_dominant(Partition(parts), ctx) for parts in shapes]
 
 

@@ -35,12 +35,11 @@ polynomial.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from struct import pack, unpack_from
 from types import MappingProxyType
-from typing import Sequence
 
 # Bits per exponent field of a packed monomial.  The field's top bit is a
 # guard: total degrees stay below 2**15, so the sum of two keys within the

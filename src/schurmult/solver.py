@@ -20,7 +20,6 @@ else signals a bug in the degeneration machinery and fails loudly.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, lcm, prod
@@ -29,6 +28,7 @@ from operator import mul
 from .lattice import (
     AlgebraContext,
     DominantWeight,
+    _Record,
     height,
     orbit_size,
     sub_Q_lambda1,
@@ -41,8 +41,7 @@ class SolverError(RuntimeError):
     """Inconsistent or non-integral multiplicity system."""
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
+class MultiplicityTable(_Record):
     """Orbit multiplicities of one irreducible representation.
 
     ``entries`` pairs each dominant weight of the height class with its
@@ -50,10 +49,16 @@ class MultiplicityTable:
     ``orbit_sizes`` holds those weights' orbit sizes in the same order.
     """
 
-    highest_weight: DominantWeight
-    entries: tuple[tuple[DominantWeight, int], ...]
-    dimension: int
-    orbit_sizes: tuple[int, ...]
+    __slots__ = ("highest_weight", "entries", "dimension", "orbit_sizes")
+
+    def __init__(
+        self,
+        highest_weight: DominantWeight,
+        entries: tuple[tuple[DominantWeight, int], ...],
+        dimension: int,
+        orbit_sizes: tuple[int, ...],
+    ):
+        self._set(highest_weight, entries, dimension, orbit_sizes)
 
     def __iter__(self):
         return iter(self.entries)
@@ -231,18 +236,24 @@ class HeightClassSystem:
     the rows off :meth:`matrix`, built then and kept, so a class solved
     again only sums and divides.  The class also keeps what a table
     needs from its members: ``position`` maps each member to its unknown,
-    and ``orbit_sizes`` holds their orbit sizes.
+    ``orbit_sizes`` holds their orbit sizes and ``partitions`` the parts
+    of their partitions, which name the columns of the fold and the matrix.
 
     One instance is shared by every solve of the class, across threads
-    too.  ``members``, ``position`` and ``orbit_sizes`` are never mutated;
-    the matrix is published as one ``(rows, scale)`` value, and threads
-    that race to the first solves fold or build the same values.
+    too.  ``members``, ``position``, ``orbit_sizes`` and ``partitions`` are
+    never mutated; the matrix is published as one ``(rows, scale)`` value,
+    and threads that race to the first solves fold or build the same
+    values.
     """
 
     def __init__(self, members: Sequence[DominantWeight]):
         self.members = tuple(members)
         self.position = {member: i for i, member in enumerate(self.members)}
         self.orbit_sizes = tuple(map(orbit_size, self.members))
+        # a member's canonical exponent vector is its partition padded with zeros
+        self.partitions = tuple(
+            vec[: vec.index(0)] for vec in map(DominantWeight.mu_vector, self.members)
+        )
         self._folded = False  # whether a solve has folded already
         self._matrix = None
 
@@ -260,7 +271,7 @@ class HeightClassSystem:
             n = self.members[0].context.N
             alphas = [member.coords for member in self.members]
             rows, number, scale = _power_products(alphas, (), partial(_times_power_sum, n))
-            column = {number[m.to_partition().parts]: j for j, m in enumerate(self.members)}
+            column = {number[parts]: j for j, parts in enumerate(self.partitions)}
             rows = {
                 pack_monomial(alpha, n - 1): tuple((column[b], c) for b, c in row.items())
                 for alpha, row in zip(alphas, rows)
@@ -308,7 +319,7 @@ class HeightClassSystem:
                 raise _inconsistent(alpha)
         n = self.members[0].context.N
         total, scale = _fold(alphas, rhs.num.values(), (), partial(_times_power_sum, n))
-        return [total.get(member.to_partition().parts, 0) for member in self.members], scale
+        return [total.get(parts, 0) for parts in self.partitions], scale
 
 
 @lru_cache(maxsize=SYSTEM_CACHE_SIZE)

@@ -13,12 +13,11 @@ of the entries it passes, and an alternant is dropped when two meet.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
 from .lattice import (
-    MAX_OUTPUT_TERMS, AlgebraContext, DominantWeight, LimitError, Partition,
+    MAX_OUTPUT_TERMS, AlgebraContext, DominantWeight, LimitError, Partition, _Record,
     check_listed_exponents, distinct_permutations, height, partitions_of,
 )
 from .polyengine import DEGREE_LIMIT, UPoly, pack_monomial, unpack_monomial
@@ -135,8 +134,7 @@ def _straightened_orbit(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int
     )
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(_Record):
     """Outcome of one alternant-factorization audit.
 
     ``difference`` maps each partition μ to its nonzero coefficient of
@@ -144,9 +142,12 @@ class FactorizationReport:
     descending lexicographic order of μ; it is empty when the audit passes.
     """
 
-    partition: Partition
-    context: AlgebraContext
-    difference: dict[Partition, Fraction]
+    __slots__ = ("partition", "context", "difference")
+
+    def __init__(
+        self, partition: Partition, context: AlgebraContext, difference: dict[Partition, Fraction]
+    ):
+        self._set(partition, context, difference)
 
     @property
     def ok(self) -> bool:

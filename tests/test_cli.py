@@ -313,6 +313,19 @@ def test_any_rank_finishes_or_is_refused_up_front(capsys):
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
 
 
+# A fresh interpreter's own peak in kB.  On Linux it is read from VmHWM,
+# the high-water mark of the interpreter's own memory: ru_maxrss of a
+# spawned child also counts the memory of the process that spawned it.
+PEAK_KB = """
+import resource
+def peak_kb():
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+"""
+
 # A1 at height 1998, the largest class the bound admits, in a fresh
 # interpreter that reports its own peak: on a 2-core machine it peaked at
 # 335 MB while the Schur stage kept every degree and the peel every p_1^k,
@@ -320,23 +333,42 @@ def test_any_rank_finishes_or_is_refused_up_front(capsys):
 # degrees kept and each spent expansion dropped
 A1_TOP_MB = 250
 A1_TOP_SHA256 = "bbd609f179b1d5009e1180a9f6b626026aaf3ad33275c5424542c339fb692a65"
-A1_TOP_SCRIPT = """
-import resource, sys
+A1_TOP_SCRIPT = PEAK_KB + """
+import sys
 from schurmult.cli import main
 status = main(["mult", "--rank", "2", "--weight", "1998", "--format", "json"])
 sys.stdout.flush()
-print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+print(status, peak_kb(), file=sys.stderr)
 """
 
 
-def _fresh_interpreter(script):
-    """Run ``script`` in a new interpreter that imports this checkout's package."""
+def _fresh_interpreter(script, *options):
+    """Run ``script`` in a new interpreter, started with ``options``, that
+    imports this checkout's package."""
     source = str(Path(schurmult.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, env=env, timeout=120, check=True
+        [sys.executable, *options, "-c", script],
+        capture_output=True,
+        env=env,
+        timeout=120,
+        check=True,
     )
+
+
+# Importing the CLI loads no code-generating or introspection module:
+# dataclasses alone took 10-20 ms of a 25-34 ms import, for seven records.
+# Under -S no site hook imports any of them first.
+STARTUP_SCRIPT = """
+import sys
+import schurmult.cli
+print(" ".join(sorted({"dataclasses", "typing", "inspect"} & set(sys.modules))))
+"""
+
+
+def test_cli_imports_without_dataclasses_typing_or_inspect():
+    assert _fresh_interpreter(STARTUP_SCRIPT, "-S").stdout.decode().split() == []
 
 
 def test_a1_table_at_the_class_bound_within_memory_gate():
@@ -350,23 +382,16 @@ def test_a1_table_at_the_class_bound_within_memory_gate():
 # Three A1 classes near the bound, each solved once, in one fresh
 # interpreter.  With every class matrix built and cached, a 2-core machine
 # peaked at 376 MB; a first table folds and keeps no matrix, and the run
-# peaked at 19 MB.  On Linux the peak is read from VmHWM, the high-water
-# mark of the interpreter's own memory: ru_maxrss of a spawned child also
-# counts the memory of the process that spawned it.
+# peaked at 19 MB.
 A1_RUN_MB = 60
-A1_RUN_SCRIPT = """
-import resource, sys
+A1_RUN_SCRIPT = PEAK_KB + """
+import sys
 from schurmult.lattice import AlgebraContext, DominantWeight
 from schurmult.solver import solve_multiplicities
 for q in (1998, 1996, 1994):
     table = solve_multiplicities(DominantWeight((q,), AlgebraContext(2)))
     assert [m for _, m in table] == [1] * (q // 2 + 1), q
-try:
-    with open("/proc/self/status") as status:
-        peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-except OSError:
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(peak_kb, file=sys.stderr)
+print(peak_kb(), file=sys.stderr)
 """
 
 

@@ -271,3 +271,22 @@ def test_context_validation():
     with pytest.raises(ValueError):
         AlgebraContext(1)
     assert str(AlgebraContext(6)) == "A5"
+
+
+@pytest.mark.parametrize("N", [2.5, 3.0, True, "3", None])
+def test_context_refuses_a_non_integer_rank(N):
+    # a float N used to be accepted and end in a bare TypeError of the solve
+    with pytest.raises(ValueError, match="rank context requires an integer N"):
+        AlgebraContext(N)
+    assert AlgebraContext(3).N == 3
+
+
+def test_partition_and_dominant_weight_refuse_bools_and_non_integers():
+    for parts in [(True, True), (2, True), (2.0, 1), ("2",)]:
+        with pytest.raises(ValueError, match="positive integers"):
+            Partition(parts)
+    assert Partition((1, 1)).parts == (1, 1)
+    for coords in [(True, False), (1, False), (1.0, 0), (1, None)]:
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            DominantWeight(coords, A2)
+    assert DominantWeight((1, 0), A2).coords == (1, 0)
