@@ -11,8 +11,9 @@ so the canonical representative has minimum entry zero.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import compress
 from math import comb
-from operator import attrgetter
+from operator import attrgetter, sub
 
 # Largest height class that the multiplicity pipeline takes on.  On a
 # 2-core machine `mult` of A11 at height 20 (582 members) takes about 0.08 s
@@ -295,9 +296,13 @@ def sub_Q_lambda1(Q: int, ctx: AlgebraContext) -> list[DominantWeight]:
     if Q < 1:
         raise ValueError("weight must be positive")
     check_class_size(Q, ctx)
+    n = ctx.N
+    members = []
     # a stable sort by length keeps the descending lex order of partitions_of
-    shapes = sorted(partitions_of(Q, ctx.N), key=len)
-    return [partition_to_dominant(Partition(parts), ctx) for parts in shapes]
+    for parts in sorted(partitions_of(Q, n), key=len):
+        q = parts + (0,) * (n - len(parts))
+        members.append(DominantWeight(tuple(map(sub, q, q[1:])), ctx))
+    return members
 
 
 def distinct_permutations(items) -> Iterator[tuple[int, ...]]:
@@ -346,14 +351,15 @@ def orbit_weights(w: DominantWeight) -> list[Weight]:
 
 def orbit_size(w: DominantWeight) -> int:
     """Multiset-permutation count of the exponent vector, a product of one
-    binomial per distinct entry: placing an entry's copies among the
-    places left costs at most the smaller of the two counts, so the long
-    run of zeros at high rank is no N! of big-int work."""
-    vec = w.mu_vector()
+    binomial per run of equal entries: a run ends at each nonzero
+    coordinate, so the runs come off the coordinates with no exponent
+    vector built.  Placing a run among the places left costs at most the
+    smaller of the two counts, and the last run, the zeros, fills what is
+    left, so the long run of zeros at high rank is no N! of big-int work."""
+    n = w.context.N
     count = 1
-    left = w.context.N
-    for value in set(vec):
-        copies = vec.count(value)
-        count *= comb(left, copies)
-        left -= copies
+    start = 0
+    for end in compress(range(1, n), w.coords):
+        count *= comb(n - start, end - start)
+        start = end
     return count

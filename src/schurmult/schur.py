@@ -14,7 +14,10 @@ functions; the power sums of :mod:`orbitchar` obey the same recurrence
 and share its helper, which keeps the degrees below N, the degrees asked
 for and a window of the last N degrees, not every degree.  Generalized
 Schur functions are determinants of the banded matrix with entries
-S_(q_i - i + j).
+S_(q_i - i + j) (Jacobi-Trudi), or, for a shape with more rows than
+columns, of the smaller matrix with entries e_(q'_i - i + j) over the
+conjugate partition q' (its dual form, Macdonald I (3.5)): e_k needs only
+the seeds below N, since e_N = 1 and e_k = 0 above N.
 """
 
 from __future__ import annotations
@@ -136,21 +139,53 @@ def elementary_schur(Q: int, ctx: AlgebraContext) -> XPoly:
     return _complete(n, (Q,))[Q]
 
 
+def _elementary(n: int, degrees: Iterable[int]) -> dict[int, XPoly]:
+    """e_k over x1..x(n-1) for each k of ``degrees`` (none negative) up to
+    n; those above n vanish and are left out."""
+    return {k: elementary_symmetric_x(n, k) for k in degrees if k <= n}
+
+
+def _jacobi_trudi(
+    parts: tuple[int, ...],
+    n: int,
+    sequence: Callable[[int, Iterable[int]], dict[int, XPoly]],
+) -> XPoly:
+    """det(f_(q_i - i + j)) over the parts q_i of ``parts``, in x1..x(n-1).
+
+    ``sequence(n, degrees)`` maps each of ``degrees`` (none negative) to
+    f_degree, or leaves it out where f vanishes; negative degrees are 0.
+    """
+    k = len(parts)
+    degrees = [[parts[i] - i + j for j in range(k)] for i in range(k)]
+    entries = sequence(n, {q for row in degrees for q in row if q >= 0})
+    zero = XPoly.zero(n - 1)
+    return poly_det([[entries.get(q, zero) for q in row] for row in degrees])
+
+
 def generalized_schur(p: Partition, ctx: AlgebraContext) -> XPoly:
-    """Generalized Schur function: determinant with entries S_(q_i - i + j);
-    ``LimitError`` when the height class of ``p``'s size is too large."""
+    """Generalized Schur function; ``LimitError`` when the height class of
+    ``p``'s size is too large.
+
+    A shape with at least as many columns as rows takes the Jacobi-Trudi
+    determinant det(S_(q_i - i + j)), k x k for k rows; a taller one its
+    dual form det(e_(q'_i - i + j)) over the conjugate partition q', q_1 x
+    q_1 (Macdonald I (3.5)).  The two agree in every rank, since the
+    degeneration e_N = 1 is a ring map.  The e_k are the omega-twists of
+    the seeds h_k below N, 1 at N and 0 above it, so the dual form asks
+    the e-recurrence for no degree.
+    """
     key = (ctx.N, p.parts)
     cached = _generalized_cache.get(key)
     if cached is not None:
         return cached
     check_class_size(p.weight, ctx)
-    k = p.length
-    if k == 0:
+    parts = p.parts
+    if not parts:
         result = XPoly.one(ctx.N - 1)
+    elif parts[0] >= len(parts):
+        result = _jacobi_trudi(parts, ctx.N, _complete)
     else:
-        degrees = [[p.parts[i] - i + j for j in range(k)] for i in range(k)]
-        entries = _complete(ctx.N, {q for row in degrees for q in row if q >= 0})
-        zero = XPoly.zero(ctx.N - 1)
-        result = poly_det([[entries.get(q, zero) for q in row] for row in degrees])
+        conjugate = tuple(sum(q >= j for q in parts) for j in range(1, parts[0] + 1))
+        result = _jacobi_trudi(conjugate, ctx.N, _elementary)
     _generalized_cache[key] = result
     return result

@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate
 from math import comb, lcm, prod
 from operator import mul
 
@@ -79,14 +80,15 @@ def _times_power_sum(n: int, r: int, mu: tuple[int, ...]) -> list[tuple[tuple[in
     Each ν adds r to one distinct part of μ, or to a zero part when μ has
     fewer than n parts; the part so formed moves up to its sorted place,
     past the smaller parts before it.  It exceeds every part after it, so
-    c, its count in ν, is one more than its count in μ.  A ν of n parts is
-    replaced by ν - ν_n, its zeros dropped.
+    its copies in μ sit right above that place, and the backward walk goes
+    on past them: c, the formed part's count in ν, is one more than the
+    copies walked past.  Only a zero part made into r can give a ν of n
+    parts, which is replaced by ν - ν_n, its zeros dropped.
     """
     length = len(mu)
     pairs = []
-    previous = None
-    for i in range(length + (length < n)):
-        part = mu[i] if i < length else 0
+    previous = 0
+    for i, part in enumerate(mu):
         if part == previous:
             continue
         previous = part
@@ -94,11 +96,22 @@ def _times_power_sum(n: int, r: int, mu: tuple[int, ...]) -> list[tuple[tuple[in
         j = i
         while j and mu[j - 1] < formed:
             j -= 1
-        nu = mu[:j] + (formed,) + mu[j:i] + mu[i + 1 :]
-        if len(nu) == n:
+        k = j
+        while k and mu[k - 1] == formed:
+            k -= 1
+        pairs.append((mu[:j] + (formed,) + mu[j:i] + mu[i + 1 :], j - k + 1))
+    if length < n:
+        j = length
+        while j and mu[j - 1] < r:
+            j -= 1
+        k = j
+        while k and mu[k - 1] == r:
+            k -= 1
+        nu = mu[:j] + (r,) + mu[j:]
+        if length == n - 1:
             low = nu[-1]
-            nu = tuple(q - low for q in nu if q > low)
-        pairs.append((nu, mu.count(formed) + 1))
+            nu = tuple([q - low for q in nu if q > low])
+        pairs.append((nu, j - k + 1))
     return pairs
 
 
@@ -142,17 +155,19 @@ def _power_sum_action(start, times):
 
     def act(r, vector, out):
         memo = memos.setdefault(r, {})
+        recall = memo.get
+        held = out.get
         for b, c in vector.items():
-            pairs = memo.get(b)
+            pairs = recall(b)
             if pairs is None:
                 pairs = memo[b] = []
                 for image, count in times(r, basis[b]):
-                    if image not in number:
-                        number[image] = len(basis)
+                    numbered = number.setdefault(image, len(basis))
+                    if numbered == len(basis):
                         basis.append(image)
-                    pairs.append((number[image], count))
+                    pairs.append((numbered, count))
             for image, count in pairs:
-                out[image] = out.get(image, 0) + c * count
+                out[image] = held(image, 0) + c * count
         return out
 
     return act, number
@@ -250,9 +265,11 @@ class HeightClassSystem:
         self.members = tuple(members)
         self.position = {member: i for i, member in enumerate(self.members)}
         self.orbit_sizes = tuple(map(orbit_size, self.members))
-        # a member's canonical exponent vector is its partition padded with zeros
+        # a member's partition, its canonical exponent vector less the zeros,
+        # is the nonzero suffix sums of its coordinates
         self.partitions = tuple(
-            vec[: vec.index(0)] for vec in map(DominantWeight.mu_vector, self.members)
+            tuple(filter(None, accumulate(reversed(member.coords))))[::-1]
+            for member in self.members
         )
         self._folded = False  # whether a solve has folded already
         self._matrix = None

@@ -6,7 +6,7 @@ from functools import partial
 from math import factorial, lcm, prod
 from pathlib import Path
 
-from schurmult import solver, weyl
+from schurmult import schur, solver, weyl
 from schurmult.lattice import Partition, distinct_permutations, partitions_of
 from schurmult.orbitchar import orbit_char_x
 from schurmult.polyengine import UPoly, XPoly, poly_det, poly_dot, unpack_monomial
@@ -134,6 +134,20 @@ def recurrence_schur(p, ctx):
         return h[q] if q >= 0 else XPoly.zero(n - 1)
 
     return poly_det([[entry(p.parts[i] - i + j) for j in range(k)] for i in range(k)])
+
+
+def h_form_schur(p, ctx):
+    """The generalized Schur function by the Jacobi-Trudi determinant of
+    entries S_(q_i - i + j), k x k for k rows, whatever the shape: the
+    reference for the dual form that a tall shape takes."""
+    n = ctx.N
+    k = p.length
+    if k == 0:
+        return XPoly.one(n - 1)
+    degrees = [[p.parts[i] - i + j for j in range(k)] for i in range(k)]
+    entries = schur._complete(n, {q for row in degrees for q in row if q >= 0})
+    zero = XPoly.zero(n - 1)
+    return poly_det([[entries.get(q, zero) for q in row] for row in degrees])
 
 
 def star_schur(Q, ctx):

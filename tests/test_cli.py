@@ -379,6 +379,39 @@ def test_a1_table_at_the_class_bound_within_memory_gate():
     assert hashlib.sha256(child.stdout).hexdigest() == A1_TOP_SHA256
 
 
+
+# A cold-table sample of the benchmark strata: per rank N from 5 to 12 one
+# tall shape (more rows than columns) and one wide, then two A2 shapes of
+# heights 20 to 30 and one A1 of height 100 to 300.  The digest pins the
+# JSON output of each table solved with empty caches, as a first table of
+# its class folds.
+COLD_SAMPLE = [
+    (5, "3,3,2,2"), (5, "6,3,1"),
+    (6, "2,2,2,1,1"), (6, "5,3,1"),
+    (7, "2,2,2,2,1,1"), (7, "4,3,2"),
+    (8, "3,2,2,1,1,1"), (8, "5,4,2"),
+    (9, "2,2,1,1,1,1,1"), (9, "4,2,1"),
+    (10, "2,1,1,1,1,1,1,1"), (10, "6,4"),
+    (11, "1,1,1,1,1,1,1,1,1"), (11, "3,3,2"),
+    (12, "2,2,2,1,1,1,1"), (12, "5,3,2"),
+    (3, "14,8"), (3, "25,3"),
+    (2, "217"),
+]
+COLD_SAMPLE_SHA256 = "31acf69588886282823a30f4114239467917f08cb68c0579ad35e21b8b501a1b"
+
+
+def test_cold_sample_tables_are_pinned(monkeypatch, capsys):
+    out = b""
+    for n, parts in COLD_SAMPLE:
+        for name in ("_elementary_cache", "_elementary_window", "_generalized_cache"):
+            monkeypatch.setattr(schur, name, {})
+        solver.height_class_system.cache_clear()
+        argv = ["mult", "--rank", str(n), "--partition", parts, "--format", "json"]
+        assert main(argv) == EXIT_OK
+        out += capsys.readouterr().out.encode()
+    solver.height_class_system.cache_clear()
+    assert hashlib.sha256(out).hexdigest() == COLD_SAMPLE_SHA256
+
 # Three A1 classes near the bound, each solved once, in one fresh
 # interpreter.  With every class matrix built and cached, a 2-core machine
 # peaked at 376 MB; a first table folds and keeps no matrix, and the run

@@ -19,6 +19,7 @@ from helpers import (
     complete_closed_form,
     degenerate_x,
     evaluate,
+    h_form_schur,
     package_modules,
     power_sum_values,
     product_one_point,
@@ -622,6 +623,41 @@ def test_generalized_schur_matches_the_orbit_column_recurrence_across_n(monkeypa
         p = Partition(parts)
         assert generalized_schur(p, ctx) == recurrence_schur(p, ctx), parts
 
+
+
+def test_both_jacobi_trudi_forms_agree(monkeypatch):
+    # a shape with more rows than columns takes det(e_(q'_i - i + j)), a
+    # wider one det(S_(q_i - i + j)); both forms against the k x k h-form on
+    # every shape of at most N + 1 rows, N + 1 rows giving zero
+    monkeypatch.setattr(schur, "_generalized_cache", {})
+    for n in range(2, 9):
+        ctx = AlgebraContext(n)
+        for total in range(25 if n <= 3 else 13):
+            for parts in partitions_of(total, n + 1):
+                p = Partition(parts)
+                got = generalized_schur(p, ctx)
+                expected = h_form_schur(p, ctx)
+                assert (got.num, got.den) == (expected.num, expected.den), (n, parts)
+
+
+@pytest.mark.parametrize(
+    "parts, size", [((2, 1, 1, 1, 1), 2), ((1,) * 7, 1), ((3, 2, 1, 1), 3), ((4, 2, 1), 3)]
+)
+def test_tall_shape_takes_the_smaller_determinant(monkeypatch, parts, size):
+    # a tall shape reaches poly_det as q_1 x q_1, any other as k x k
+    sizes = []
+    det = schur.poly_det
+
+    def recorded(matrix):
+        sizes.append(len(matrix))
+        return det(matrix)
+
+    monkeypatch.setattr(schur, "poly_det", recorded)
+    monkeypatch.setattr(schur, "_generalized_cache", {})
+    ctx = AlgebraContext(8)
+    got = generalized_schur(Partition(parts), ctx)
+    assert sizes == [size]
+    assert got == h_form_schur(Partition(parts), ctx)
 
 def test_schur_imports_nothing_from_orbitchar():
     path = Path(schur.__file__)

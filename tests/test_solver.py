@@ -193,12 +193,13 @@ def test_dimension_agrees_with_the_full_product_formula_on_random_weights():
 
 
 def test_power_sum_times_orbit_sum_is_counted():
-    # p_r m_mu, multiplied out in u and reduced by e_N = 1, against the pairs
-    for n in range(2, 6):
+    # p_r m_mu, multiplied out in u and reduced by e_N = 1, against the
+    # pairs; sizes up to 8 give the formed part up to three copies in mu
+    for n in range(2, 9):
         ctx = AlgebraContext(n)
         for r in range(1, 5):
             power_sum = orbit_char_u(Partition((r,)), ctx)
-            for size in range(7):
+            for size in range(9):
                 for mu in partitions_of(size, n - 1):
                     product = power_sum * orbit_char_u(Partition(mu), ctx)
                     pairs = solver._times_power_sum(n, r, mu)
@@ -209,6 +210,30 @@ def test_power_sum_times_orbit_sum_is_counted():
                     )
                     assert product_one_normal_form(product) == counted, (n, r, mu)
 
+
+
+# the height classes of the mult-cold benchmark strata, (N, lowest height,
+# highest height), and of the CLI audit of ranks 3 to 5 up to height 7
+CLASS_STRATA = [
+    (5, 9, 12), (6, 8, 11), (7, 8, 10), (8, 8, 11), (9, 7, 10), (10, 6, 10),
+    (11, 6, 9), (12, 6, 10), (2, 100, 300), (3, 20, 30),
+    (3, 1, 7), (4, 1, 7), (5, 1, 7),
+]
+
+
+@pytest.mark.parametrize("n, low, high", CLASS_STRATA)
+def test_one_pass_class_equals_the_construction_by_partitions(n, low, high):
+    ctx = AlgebraContext(n)
+    for q in range(low, high + 1):
+        shapes = sorted(partitions_of(q, n), key=len)
+        expected = [partition_to_dominant(Partition(parts), ctx) for parts in shapes]
+        members = sub_Q_lambda1(q, ctx)
+        assert members == expected, (n, q)
+        system = HeightClassSystem(members)
+        assert system.members == tuple(expected)
+        assert system.orbit_sizes == tuple(map(orbit_size, expected))
+        vectors = [member.mu_vector() for member in expected]
+        assert system.partitions == tuple(vec[: vec.index(0)] for vec in vectors)
 
 def _in_order(peel):
     """The peel's ``(rows, number, scale)`` with every dict read in order."""
